@@ -7,9 +7,9 @@ Usage:
                       [--format text|csv|svg] [--tolerance <tol>]
     excellence interactive
 
-The store path defaults to the EXCEL_STORE environment variable. Exit codes:
-0 success, 2 usage, 3 missing file, 4 source decode error, 5 bad error
-pattern, 6 metrics undefined (loc = 0), 7 store error, 8 not enough data.
+The store path defaults to the EXCEL_STORE environment variable. The exit
+code is 0 on success, 2 for a usage error, and otherwise the ``exit_code`` of
+the error class in ``errors.py`` that stopped the command.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,16 +32,6 @@ from .scanner import SourceStats
 
 PROG = "excellence"
 STORE_ENV_VAR = "EXCEL_STORE"
-
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_USAGE = 2
-EXIT_MISSING_FILE = 3
-EXIT_SCAN = 4
-EXIT_PATTERN = 5
-EXIT_UNDEFINED_METRIC = 6
-EXIT_STORE = 7
-EXIT_NO_DATA = 8
 
 
 def format_2dp(value: float) -> str:
@@ -108,8 +99,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     sys.stdout.write(render_report(stats, error_count, metrics).text)
     if metrics is None:
         _warn("error: metrics are undefined for loc = 0")
-        return EXIT_UNDEFINED_METRIC
-    return EXIT_OK
+        return UndefinedMetricError.exit_code
+    return 0
 
 
 def cmd_record(args: argparse.Namespace) -> int:
@@ -137,7 +128,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     history.append_snapshot(args.store, snapshot)
     print(f"recorded snapshot for project '{args.project}' at t = {t_hours:g} h "
           f"(X = {format_2dp(snapshot.metrics.degree_of_excellence)}, store: {args.store})")
-    return EXIT_OK
+    return 0
 
 
 def _format_poly(fit: trajectory.PolyFit) -> str:
@@ -232,8 +223,7 @@ def _svg_scale(values: list[float], lo_px: float, hi_px: float) -> "tuple[float,
 def _render_svg_report(traj: Trajectory) -> str:
     width, height = 640, 400
     left, right, top, bottom = 70.0, 620.0, 30.0, 350.0
-    ts = [s.t_hours for s in traj.snapshots]
-    xs = [s.metrics.degree_of_excellence for s in traj.snapshots]
+    ts, xs = traj.ts, traj.xs
     t_lo, t_hi, t_scale = _svg_scale(ts, left, right)
     x_lo, x_hi, x_scale = _svg_scale(xs, top, bottom)
 
@@ -286,7 +276,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     traj = history.load_trajectory(args.store, args.project)
     if len(traj) == 0:
         _warn(f"notice: store has no snapshots for project '{args.project}'")
-        return EXIT_NO_DATA
+        return InsufficientDataError.exit_code
     if args.format == "text":
         sys.stdout.write(_render_text_report(traj, args.alpha, args.tolerance,
                                              args.fit_degree))
@@ -294,7 +284,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         sys.stdout.write(_render_csv_report(traj))
     else:
         sys.stdout.write(_render_svg_report(traj))
-    return EXIT_OK
+    return 0
 
 
 def cmd_interactive(args: argparse.Namespace) -> int:
@@ -302,7 +292,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
         try:
             path = input("Enter the name of the file : ").strip()
         except EOFError:
-            return EXIT_OK
+            return 0
         if path:
             try:
                 stats = scanner.scan_file(path)
@@ -322,20 +312,27 @@ def cmd_interactive(args: argparse.Namespace) -> int:
         try:
             answer = input("Want to continue? y/n : ").strip().lower()
         except EOFError:
-            return EXIT_OK
+            return 0
         if answer not in ("y", "yes"):
-            return EXIT_OK
+            return 0
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not (value > 0):
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
 def _nonnegative_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value

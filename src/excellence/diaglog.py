@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import MissingFileError, PatternError
+from .scanner import split_lines
 
 DEFAULT_PATTERN_TEXT = r"\berror\b(?:\s+[A-Za-z]*\d+)?\s*:"
 
@@ -53,16 +54,6 @@ class ErrorReport:
     matched_line_numbers: tuple[int, ...]
 
 
-def _split_lines(text: str) -> list[str]:
-    text = text.replace("\r\n", "\n")
-    if not text:
-        return []
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def count_errors(
     log_text: str,
     pattern: ErrorPattern = DEFAULT_ERROR_PATTERN,
@@ -72,7 +63,7 @@ def count_errors(
     regex = pattern.compile()
     matched = tuple(
         number
-        for number, line in enumerate(_split_lines(log_text), start=1)
+        for number, line in enumerate(split_lines(log_text), start=1)
         if regex.search(line)
     )
     return ErrorReport(log_name=log_name, error_count=len(matched), matched_line_numbers=matched)

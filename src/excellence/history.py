@@ -14,8 +14,10 @@ recomputes them and treats any mismatch as corruption.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import CorruptionError, MissingFileError, OrderingError
@@ -60,6 +62,8 @@ class QualitySnapshot:
         error_count: int,
     ) -> "QualitySnapshot":
         """Build a snapshot with metrics derived from the counts."""
+        if not math.isfinite(t_hours):
+            raise ValueError(f"t_hours must be finite, got {t_hours}")
         if t_hours < 0:
             raise ValueError(f"t_hours must be >= 0, got {t_hours}")
         return cls(
@@ -74,10 +78,15 @@ class QualitySnapshot:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A project's snapshots in strictly increasing timestamp order."""
+    """A project's snapshots in strictly increasing timestamp order.
+
+    ``ts`` and ``xs`` hold each snapshot's hours and degree of excellence.
+    """
 
     project_id: str
     snapshots: tuple[QualitySnapshot, ...]
+    ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for snap in self.snapshots:
@@ -85,9 +94,12 @@ class Trajectory:
                 raise ValueError(
                     f"snapshot project {snap.project_id!r} != trajectory {self.project_id!r}"
                 )
-        times = [s.t_hours for s in self.snapshots]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        ts = tuple(s.t_hours for s in self.snapshots)
+        if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("snapshot timestamps must be strictly increasing")
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "xs",
+                           tuple(s.metrics.degree_of_excellence for s in self.snapshots))
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -138,6 +150,8 @@ def _parse_record(line: str, line_number: int) -> QualitySnapshot:
     for key in ("t_hours", "el_percent", "x"):
         if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise bad(f"{key} must be a number")
+        if not abs(obj[key]) <= sys.float_info.max:  # NaN, infinity, or an oversized int
+            raise bad(f"{key} must be finite")
 
     if obj["t_hours"] < 0:
         raise bad("t_hours must be >= 0")
@@ -208,6 +222,8 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
     expected = compute_metrics(snapshot.error_count, snapshot.stats.loc)
     if expected != snapshot.metrics:
         raise ValueError("snapshot metrics do not match its counts")
+    if not math.isfinite(snapshot.t_hours):
+        raise ValueError(f"t_hours must be finite, got {snapshot.t_hours}")
     if snapshot.t_hours < 0:
         raise ValueError(f"t_hours must be >= 0, got {snapshot.t_hours}")
 
@@ -220,7 +236,7 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
                     f"{snapshot.project_id!r}; store already holds t = {existing.t_hours} h"
                 )
 
-    line = json.dumps(_record_dict(snapshot), ensure_ascii=False)
+    line = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
     with open(store_path, "a", encoding="utf-8", newline="") as f:
         f.write(line + "\n")
         f.flush()

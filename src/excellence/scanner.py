@@ -63,7 +63,10 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
-def _split_physical_lines(text: str) -> list[str]:
+def split_lines(text: str) -> list[str]:
+    """Physical lines split on LF and CRLF only; a final newline ends, not
+    opens, a line. Unlike ``str.splitlines`` a lone CR, form feed or Unicode
+    line separator stays inside its line."""
     text = text.replace("\r\n", "\n")
     if not text:
         return []
@@ -74,7 +77,7 @@ def _split_physical_lines(text: str) -> list[str]:
 
 
 def _analyze(text: str) -> tuple[list[LineClass], int, int, bool]:
-    lines = _split_physical_lines(text)
+    lines = split_lines(text)
     classes: list[LineClass] = []
     keyword_counts = {kw: 0 for kw in LOOP_KEYWORDS}
 

@@ -6,9 +6,10 @@ and later snapshots (exact for quadratics, one-sided at the boundaries).
 Effort is proportional to the rate, E = alpha * dX/dt, with alpha the
 configured developer-ability coefficient; this module never estimates alpha.
 
-Polynomial fits (degree 1-3) go through the normal equations over a time
-origin shifted to the first snapshot, which keeps the tiny systems well
-conditioned; coefficients are reported in plain (unshifted) hours.
+Polynomial fits (degree 1-3) are least-squares solves by QR (modified
+Gram-Schmidt) over a time origin shifted to the first snapshot, which keeps
+the tiny systems well conditioned; coefficients are reported in plain
+(unshifted) hours.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ExtrapolationError,
@@ -80,26 +79,18 @@ class PolyFit:
         return total
 
 
-def _points(traj: Trajectory) -> tuple[list[float], list[float]]:
-    ts = [s.t_hours for s in traj.snapshots]
-    xs = [s.metrics.degree_of_excellence for s in traj.snapshots]
-    return ts, xs
-
-
 def secant_rate(traj: Trajectory, t_i: float, t_f: float) -> RateEstimate:
     """Average rate (X(t_f) - X(t_i)) / (t_f - t_i) between two snapshots."""
     if t_i >= t_f:
         raise IntervalError(f"secant interval must satisfy t_i < t_f, got [{t_i}, {t_f}]")
-    ts, xs = _points(traj)
-    values = {}
-    for t, x in zip(ts, xs):
-        values[t] = x
-    missing = [t for t in (t_i, t_f) if t not in values]
+    ts, xs = traj.ts, traj.xs
+    i, f = bisect_left(ts, t_i), bisect_left(ts, t_f)
+    missing = [t for t, k in ((t_i, i), (t_f, f)) if k == len(ts) or ts[k] != t]
     if missing:
         raise NotFoundError(
-            f"no snapshot at t = {missing[0]} h; available times: {ts}"
+            f"no snapshot at t = {missing[0]} h; available times: {list(ts)}"
         )
-    value = (values[t_f] - values[t_i]) / (t_f - t_i)
+    value = (xs[f] - xs[i]) / (t_f - t_i)
     return RateEstimate(value=value, method=RateMethod.SECANT, interval=(t_i, t_f))
 
 
@@ -114,7 +105,7 @@ def _three_point_derivative(t0, x0, t1, x1, t2, x2) -> float:
 
 def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
     """Tangent estimate of dX/dt at time ``t`` within the sampled range."""
-    ts, xs = _points(traj)
+    ts, xs = traj.ts, traj.xs
     if len(ts) < 2:
         raise InsufficientDataError(
             f"instantaneous rate needs at least 2 snapshots, have {len(ts)}"
@@ -153,38 +144,50 @@ def _unshift(coeffs: list[float], t0: float) -> list[float]:
     return out
 
 
+def _least_squares(columns: list[list[float]],
+                   y: tuple[float, ...]) -> tuple[list[float], float]:
+    # Modified Gram-Schmidt QR of [columns | y]: the last row of R holds Q^T y,
+    # and what is left of y after the sweep is the residual vector.
+    q = [*columns, y]
+    m = len(columns)
+    r = [[0.0] * (m + 1) for _ in range(m)]
+    for j in range(m):
+        r[j][j] = math.sqrt(sum(v * v for v in q[j]))
+        q[j] = [v / r[j][j] for v in q[j]]
+        for k in range(j + 1, m + 1):
+            r[j][k] = sum(a * b for a, b in zip(q[j], q[k]))
+            q[k] = [b - r[j][k] * a for a, b in zip(q[j], q[k])]
+    coeffs = [0.0] * m
+    for j in reversed(range(m)):
+        coeffs[j] = (r[j][m] - sum(r[j][k] * coeffs[k] for k in range(j + 1, m))) / r[j][j]
+    return coeffs, sum(v * v for v in q[m])
+
+
 def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
     """Least-squares polynomial fit of X(t); degree must be 1, 2, or 3."""
     if degree not in (1, 2, 3):
         raise ValueError(f"fit degree must be 1, 2, or 3, got {degree}")
-    ts, xs = _points(traj)
+    ts = traj.ts
     if len(ts) < degree + 1:
         raise InsufficientDataError(
             f"degree-{degree} fit needs at least {degree + 1} snapshots, have {len(ts)}"
         )
-    u = np.asarray(ts, dtype=float) - ts[0]
-    y = np.asarray(xs, dtype=float)
-    design = np.vander(u, N=degree + 1, increasing=True)
-    gram = design.T @ design
-    rhs = design.T @ y
-    shifted = np.linalg.solve(gram, rhs)
-    residual = y - design @ shifted
-    coeffs = _unshift([float(c) for c in shifted], ts[0])
+    u = [t - ts[0] for t in ts]
+    shifted, rss = _least_squares([[v ** p for v in u] for p in range(degree + 1)], traj.xs)
     return PolyFit(
         degree=degree,
-        coefficients=tuple(coeffs),
-        residual_sum_of_squares=float(residual @ residual),
+        coefficients=tuple(_unshift(shifted, ts[0])),
+        residual_sum_of_squares=rss,
     )
 
 
 def fit_derivative_rate(traj: Trajectory, degree: int, t: float) -> RateEstimate:
     """Rate from differentiating a fitted polynomial at time ``t``."""
     fit = fit_polynomial(traj, degree)
-    ts, _ = _points(traj)
     return RateEstimate(
         value=fit.derivative_at(t),
         method=RateMethod.FIT_DERIVATIVE,
-        interval=(ts[0], ts[-1]),
+        interval=(traj.ts[0], traj.ts[-1]),
     )
 
 
@@ -197,8 +200,12 @@ def effort(alpha: float, rate: RateEstimate) -> EffortEstimate:
 
 def interval_rates(traj: Trajectory) -> list[RateEstimate]:
     """Secant rates over each consecutive snapshot pair."""
-    ts, _ = _points(traj)
-    return [secant_rate(traj, a, b) for a, b in zip(ts, ts[1:])]
+    ts, xs = traj.ts, traj.xs
+    return [
+        RateEstimate(value=(x_f - x_i) / (t_f - t_i), method=RateMethod.SECANT,
+                     interval=(t_i, t_f))
+        for t_i, t_f, x_i, x_f in zip(ts, ts[1:], xs, xs[1:])
+    ]
 
 
 def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:

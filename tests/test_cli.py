@@ -187,6 +187,19 @@ def test_record_rejects_non_advancing_time_exit_7(clean_src, tmp_path, capsys):
     assert "does not advance" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_record_rejects_non_finite_t_hours_exit_2(clean_src, tmp_path, capsys, value):
+    store = tmp_path / "store.jsonl"
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0"]) == 0
+    before = store.read_bytes()
+    with pytest.raises(SystemExit) as err:
+        main(["record", clean_src, "--project", "p", "--store", str(store),
+              "--t-hours", value])
+    assert err.value.code == 2
+    assert store.read_bytes() == before
+
+
 def test_record_zero_loc_source_exit_6(tmp_path, capsys):
     path = tmp_path / "comments.c"
     path.write_text("// only a comment\n", encoding="utf-8")
@@ -240,6 +253,21 @@ def test_report_corrupt_store_exits_7(clean_src, tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_report_non_finite_store_number_exits_7(clean_src, tmp_path, capsys, token):
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1"):
+        main(["record", clean_src, "--project", "p", "--store", str(store), "--t-hours", t])
+    first, second = store.read_text(encoding="utf-8").splitlines()
+    second = second.replace('"t_hours": 1.0', f'"t_hours": {token}')
+    store.write_text(f"{first}\n{second}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 7
+    _, err = capsys.readouterr()
+    assert "line 2" in err
+    assert "t_hours must be finite" in err
+
+
 def test_report_single_snapshot_degrades_gracefully(clean_src, tmp_path, capsys):
     store = str(tmp_path / "store.jsonl")
     main(["record", clean_src, "--project", "p", "--store", store])
@@ -266,6 +294,18 @@ def test_report_rejects_non_positive_alpha(clean_src, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["report", "--project", "p", "--store", store, "--alpha", "0"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                         ("--tolerance", "inf"), ("--tolerance", "nan")])
+def test_report_rejects_non_finite_flags_exit_2(clean_src, tmp_path, capsys, flag, value):
+    store = str(tmp_path / "store.jsonl")
+    main(["record", clean_src, "--project", "p", "--store", store])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--project", "p", "--store", store, flag, value])
+    assert err.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_report_fit_section(clean_src, faulty_src, error_log, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Tests for the append-only snapshot store."""
 
+import dataclasses
 import json
+import math
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from excellence import history
 from excellence.errors import CorruptionError, MissingFileError, OrderingError
 from excellence.history import (
     QualitySnapshot,
@@ -232,3 +235,30 @@ def test_trajectory_validates_membership_and_order():
 def test_snapshot_create_rejects_negative_time():
     with pytest.raises(ValueError):
         make_snapshot(t=-0.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_snapshot_create_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        QualitySnapshot.create(project_id="alpha", wall_clock=T0, t_hours=t,
+                               stats=make_stats(), error_count=0)
+
+
+def test_append_rejects_non_finite_time(tmp_path):
+    store = tmp_path / "store.jsonl"
+    append_snapshot(str(store), make_snapshot(t=0.0))
+    before = store.read_bytes()
+    snap = dataclasses.replace(make_snapshot(t=1.0), t_hours=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        append_snapshot(str(store), snap)
+    assert store.read_bytes() == before
+
+
+def test_store_write_refuses_non_finite_json(tmp_path, monkeypatch):
+    store = tmp_path / "store.jsonl"
+    record_dict = history._record_dict
+    monkeypatch.setattr(history, "_record_dict",
+                        lambda snap: {**record_dict(snap), "x": math.nan})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        append_snapshot(str(store), make_snapshot(t=0.0))
+    assert not store.exists()

@@ -1,7 +1,12 @@
 """Tests for rate estimation, polynomial fits, effort, and trend shapes."""
 
+import os
 import random
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +118,8 @@ def test_interval_rates_time_weighted_mean_is_overall_secant():
             x += rng.uniform(-3.0, 4.0)
         traj = make_traj(points)
         rates = interval_rates(traj)
+        ts = [t for t, _ in points]
+        assert rates == [secant_rate(traj, a, b) for a, b in zip(ts, ts[1:])]
         weighted = sum(r.value * (r.interval[1] - r.interval[0]) for r in rates)
         span = points[-1][0] - points[0][0]
         overall = secant_rate(traj, points[0][0], points[-1][0]).value
@@ -242,6 +249,44 @@ def test_fit_needs_degree_plus_one_points():
     traj = make_traj([(0.0, 1.0), (1.0, 2.0)])
     with pytest.raises(InsufficientDataError):
         fit_polynomial(traj, 2)
+
+
+def _exact_fit_values(ts, xs, degree):
+    """Fitted values at ``ts``, from the normal equations solved in rationals."""
+    u = [Fraction(t) - Fraction(ts[0]) for t in ts]
+    m = degree + 1
+    rows = [[sum(v ** (i + j) for v in u) for j in range(m)]
+            + [sum(v ** i * Fraction(x) for v, x in zip(u, xs))] for i in range(m)]
+    for i in range(m):
+        for k in range(i + 1, m):
+            factor = rows[k][i] / rows[i][i]
+            rows[k] = [a - factor * b for a, b in zip(rows[k], rows[i])]
+    coeffs = [Fraction(0)] * m
+    for i in reversed(range(m)):
+        coeffs[i] = (rows[i][m] - sum(rows[i][k] * coeffs[k]
+                                      for k in range(i + 1, m))) / rows[i][i]
+    return [sum(c * v ** k for k, c in enumerate(coeffs)) for v in u]
+
+
+@pytest.mark.parametrize("n", [4, 10, 100, 1000])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_fit_matches_exact_rational_solve(degree, n):
+    rng = random.Random(1000 * degree + n)
+    t0, span = rng.uniform(0.0, 1000.0), rng.uniform(1.0, 5000.0)
+    ts = sorted({t0, t0 + span} | {t0 + rng.uniform(0.0, span) for _ in range(n - 2)})
+    xs = [rng.uniform(0.0, 100.0) for _ in ts]
+    fit = fit_polynomial(make_traj(list(zip(ts, xs))), degree)
+    for t, exact in zip(ts, _exact_fit_values(ts, xs, degree)):
+        assert fit.value_at(t) == pytest.approx(float(exact), rel=1e-9)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run(
+        [sys.executable, "-c", "import excellence, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True, timeout=60)
 
 
 def test_polyfit_evaluation_matches_horner():
