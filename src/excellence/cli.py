@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import diaglog, history, scanner, trajectory
-from .errors import ExcellenceError, InsufficientDataError, UndefinedMetricError
+from .errors import ExcellenceError, InsufficientDataError, OrderingError, UndefinedMetricError
 from .history import QualitySnapshot, Trajectory
 from .metrics import QualityMetrics, compute_metrics, improvement
 from .scanner import SourceStats
@@ -117,6 +117,11 @@ def cmd_record(args: argparse.Namespace) -> int:
     else:
         first = previous.snapshots[0].wall_clock
         t_hours = (now - first).total_seconds() / 3600.0
+        if t_hours < 0:
+            raise OrderingError(
+                f"the clock reads {now.isoformat()}, before the first snapshot of project "
+                f"{args.project!r} at {first.isoformat()}; pass --t-hours to place this one"
+            )
 
     snapshot = QualitySnapshot.create(
         project_id=args.project,

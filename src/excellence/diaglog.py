@@ -15,7 +15,9 @@ from functools import lru_cache
 from .errors import MissingFileError, PatternError
 from .scanner import split_lines
 
-DEFAULT_PATTERN_TEXT = r"\berror\b(?:\s+[A-Za-z]*\d+)?\s*:"
+# ``error(?<=\berror)`` is ``\berror`` that starts with a literal: the engine
+# skips to candidate ``error``s instead of testing a boundary at every offset.
+DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,8 @@ def count_errors(
     regex = pattern.compile()
     matched = tuple(
         number
-        for number, line in enumerate(split_lines(log_text), start=1)
-        if regex.search(line)
+        for number, hit in enumerate(map(regex.search, split_lines(log_text)), start=1)
+        if hit
     )
     return ErrorReport(log_name=log_name, error_count=len(matched), matched_line_numbers=matched)
 

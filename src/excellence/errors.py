@@ -79,6 +79,6 @@ class ExtrapolationError(ExcellenceError):
 
 
 class InvalidCoefficientError(ExcellenceError):
-    """The ability coefficient must be positive."""
+    """The ability coefficient must be finite and positive."""
 
     exit_code = 2

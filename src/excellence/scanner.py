@@ -1,9 +1,18 @@
 """Comment- and string-aware line census for C-like source files.
 
 Classifies every physical line as code, comment, or blank and counts
-``for``/``while`` keywords, driven by a five-state machine (normal, line
-comment, block comment, string literal, char literal) with backslash-escape
-handling inside literals so that ``"/*"`` in a string never opens a comment.
+``for``/``while`` keywords. One compiled token regex finds the comments and
+literals (line comment, block comment, string literal, char literal; escapes
+inside literals are part of the token, so ``"/*"`` in a string never opens a
+comment), and a single ``re.sub`` turns the text into a *code mask*: each
+comment becomes one space plus its newlines, and each line segment of a
+literal becomes one ``"`` if it holds a non-space character and stays as it
+is otherwise. Every newline survives, so the mask's lines line up with the
+text's. A line is code when its mask line is not blank; otherwise it is a
+comment when the original line is not blank or starts inside a block
+comment, and blank when neither holds. Keywords are counted on the mask.
+``\\w``, ``\\b`` and ``\\s`` in a ``str`` pattern follow ``str.isalnum()``/``_``
+and ``str.isspace()``, which keeps the conventions below.
 
 Counting conventions (the scanner and its test oracle share these):
 
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 from dataclasses import dataclass
 
 from .errors import MissingFileError, SourceDecodeError
@@ -52,17 +62,6 @@ class SourceStats:
     unterminated_comment: bool = False
 
 
-class _State(enum.Enum):
-    NORMAL = enum.auto()
-    BLOCK_COMMENT = enum.auto()
-    STRING = enum.auto()
-    CHAR = enum.auto()
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 def split_lines(text: str) -> list[str]:
     """Physical lines split on LF and CRLF only; a final newline ends, not
     opens, a line. Unlike ``str.splitlines`` a lone CR, form feed or Unicode
@@ -76,93 +75,59 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def _analyze(text: str) -> tuple[list[LineClass], int, int, bool]:
-    lines = split_lines(text)
-    classes: list[LineClass] = []
-    keyword_counts = {kw: 0 for kw in LOOP_KEYWORDS}
+# Leftmost match wins, so a token starts only where the text is code: a
+# ``/*`` inside a literal or a quote inside a comment is consumed by the
+# token that encloses it. Every alternative starts with a literal character,
+# so the engine skips straight to the next ``/``, ``"`` or ``'``.
+_TOKEN = re.compile(
+    r"""
+      //[^\n]*                # line comment
+    | /\*(?:.*?\*/|.*)         # block comment; an unterminated one runs to EOF
+    | "(?:[^"\\\n]|\\.)*"?     # string literal; a backslash escapes even a newline
+    | '(?:[^'\\\n]|\\.)*'?     # char literal
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+# ``kw(?<=\bkw)\b`` is ``\bkw\b`` that starts with a literal, so the engine
+# searches for the keyword instead of testing a boundary at every offset.
+_LOOPS = {kw: re.compile(rf"{kw}(?<=\b{kw})\b") for kw in LOOP_KEYWORDS}
 
-    state = _State.NORMAL
-    escape = False  # pending backslash escape inside a literal
 
-    for line in lines:
-        in_block_at_start = state is _State.BLOCK_COMMENT
-        has_code = False
-        ident: list[str] = []
+def _analyze(source_text: str) -> tuple[list[LineClass], int, int, bool]:
+    lines = split_lines(source_text)
+    text = source_text.replace("\r\n", "\n")
+    block_lines: list[int] = []  # indexes of lines that start inside a block comment
+    line_no = 0  # index of the line that holds ``pos``
+    pos = 0
+    unterminated = False
 
-        def flush() -> None:
-            token = "".join(ident)
-            if token in keyword_counts:
-                keyword_counts[token] += 1
-            ident.clear()
+    def mask(m: re.Match[str]) -> str:
+        nonlocal line_no, pos, unterminated
+        token = m[0]
+        if token[0] != "/":  # literal: each of its lines becomes blank or one quote
+            return "\n".join('"' if seg.strip() else seg for seg in token.split("\n"))
+        newlines = token.count("\n")
+        if token[1] == "*":
+            line_no += text.count("\n", pos, m.start())
+            pos = m.end()
+            block_lines.extend(range(line_no + 1, line_no + newlines + 1))
+            line_no += newlines
+            unterminated = len(token) < 4 or not token.endswith("*/")  # "/*/" stays open
+        return " " + "\n" * newlines
 
-        i = 0
-        n = len(line)
-        while i < n:
-            ch = line[i]
-            if state is _State.NORMAL:
-                if _is_ident_char(ch):
-                    ident.append(ch)
-                    has_code = True
-                    i += 1
-                    continue
-                flush()
-                nxt = line[i + 1] if i + 1 < n else ""
-                if ch == "/" and nxt == "*":
-                    state = _State.BLOCK_COMMENT
-                    i += 2
-                elif ch == "/" and nxt == "/":
-                    break  # rest of the line is a line comment
-                elif ch == '"':
-                    state = _State.STRING
-                    escape = False
-                    has_code = True
-                    i += 1
-                elif ch == "'":
-                    state = _State.CHAR
-                    escape = False
-                    has_code = True
-                    i += 1
-                else:
-                    if not ch.isspace():
-                        has_code = True
-                    i += 1
-            elif state is _State.BLOCK_COMMENT:
-                if ch == "*" and i + 1 < n and line[i + 1] == "/":
-                    state = _State.NORMAL
-                    i += 2
-                else:
-                    i += 1
-            else:  # STRING or CHAR
-                if not ch.isspace():
-                    has_code = True
-                quote = '"' if state is _State.STRING else "'"
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == quote:
-                    state = _State.NORMAL
-                i += 1
-
-        if state is _State.NORMAL:
-            flush()
-        elif state in (_State.STRING, _State.CHAR):
-            if escape:
-                escape = False  # escaped newline: literal continues
-            else:
-                state = _State.NORMAL  # unterminated literal ends at EOL
-
-        if has_code:
-            classes.append(LineClass.CODE)
-        elif any(not ch.isspace() for ch in line):
-            classes.append(LineClass.COMMENT)
-        elif in_block_at_start:
-            classes.append(LineClass.COMMENT)
-        else:
-            classes.append(LineClass.BLANK)
-
-    unterminated = state is _State.BLOCK_COMMENT
-    return classes, keyword_counts["for"], keyword_counts["while"], unterminated
+    code = _TOKEN.sub(mask, text)
+    classes = [
+        LineClass.CODE if code_line.strip()
+        else LineClass.COMMENT if line.strip()
+        else LineClass.BLANK
+        for line, code_line in zip(lines, code.split("\n"))
+    ]
+    for j in block_lines:  # a final newline inside a comment opens no line
+        if j < len(classes) and classes[j] is LineClass.BLANK:
+            classes[j] = LineClass.COMMENT
+    for_count = len(_LOOPS["for"].findall(code))
+    while_count = len(_LOOPS["while"].findall(code))
+    return classes, for_count, while_count, unterminated
 
 
 def classify_lines(source_text: str) -> list[LineClass]:

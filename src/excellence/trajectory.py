@@ -193,8 +193,8 @@ def fit_derivative_rate(traj: Trajectory, degree: int, t: float) -> RateEstimate
 
 def effort(alpha: float, rate: RateEstimate) -> EffortEstimate:
     """Effort E = alpha * dX/dt for a positive ability coefficient."""
-    if not (alpha > 0):
-        raise InvalidCoefficientError(f"ability coefficient must be > 0, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise InvalidCoefficientError(f"ability coefficient must be finite and > 0, got {alpha}")
     return EffortEstimate(alpha=alpha, rate=rate, effort=alpha * rate.value)
 
 
@@ -215,8 +215,8 @@ def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:
     uniform (constant positive) improvement; otherwise all-positive slopes are
     positive improvement, all-negative slopes negative, anything else mixed.
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if len(traj.snapshots) < 2:
         raise InsufficientDataError(
             f"trend classification needs at least 2 snapshots, have {len(traj.snapshots)}"

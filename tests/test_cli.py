@@ -187,6 +187,22 @@ def test_record_rejects_non_advancing_time_exit_7(clean_src, tmp_path, capsys):
     assert "does not advance" in err
 
 
+def test_record_clock_before_first_snapshot_exits_7(clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0"]) == 0
+    record = json.loads(store.read_text(encoding="utf-8"))
+    record["wall_clock"] = "2099-01-01T00:00:00+00:00"
+    store.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    before = store.read_bytes()
+    capsys.readouterr()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store)]) == 7
+    _, err = capsys.readouterr()
+    assert "2099-01-01T00:00:00+00:00" in err
+    assert "--t-hours" in err
+    assert store.read_bytes() == before
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_record_rejects_non_finite_t_hours_exit_2(clean_src, tmp_path, capsys, value):
     store = tmp_path / "store.jsonl"

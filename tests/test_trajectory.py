@@ -324,6 +324,15 @@ def test_effort_rejects_non_positive_alpha():
         assert err.value.exit_code == 2
 
 
+def test_effort_rejects_non_finite_alpha():
+    traj = make_traj([(0.0, 10.0), (1.0, 11.0)])
+    rate = instantaneous_rate(traj, 1.0)
+    for alpha in (float("inf"), float("nan")):
+        with pytest.raises(InvalidCoefficientError) as err:
+            effort(alpha, rate)
+        assert err.value.exit_code == 2
+
+
 # --- trend ----------------------------------------------------------------
 
 def test_trend_uniform_for_constant_positive_slope():
@@ -364,6 +373,12 @@ def test_trend_needs_two_snapshots():
 def test_trend_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         classify_trend(from_slopes([1.0, 1.0]), tolerance=-1e-9)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_trend_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError, match="finite"):
+        classify_trend(from_slopes([1.0, 1.0]), tolerance=tolerance)
 
 
 def test_rate_sign_matches_data_direction():
