@@ -21,15 +21,8 @@ from .errors import (
     StoreError,
     UndefinedMetricError,
 )
-from .history import QualitySnapshot, Trajectory, append_snapshot, load_trajectory
-from .metrics import (
-    ModuleVerdict,
-    QualityMetrics,
-    Verdict,
-    classify_module,
-    compute_metrics,
-    improvement,
-)
+from .history import QualitySnapshot, Trajectory, append_snapshot, load_trajectory, record_snapshot
+from .metrics import QualityMetrics, compute_metrics, improvement
 from .scanner import LineClass, SourceStats, classify_lines, scan_file, scan_source
 from .trajectory import (
     EffortEstimate,
@@ -56,10 +49,9 @@ __all__ = [
     "DEFAULT_ERROR_PATTERN", "ErrorPattern", "ErrorReport",
     "count_errors", "count_errors_in_file",
     # metrics
-    "QualityMetrics", "Verdict", "ModuleVerdict",
-    "compute_metrics", "improvement", "classify_module",
+    "QualityMetrics", "compute_metrics", "improvement",
     # history
-    "QualitySnapshot", "Trajectory", "append_snapshot", "load_trajectory",
+    "QualitySnapshot", "Trajectory", "append_snapshot", "load_trajectory", "record_snapshot",
     # trajectory
     "RateMethod", "TrendClass", "RateEstimate", "EffortEstimate", "PolyFit",
     "secant_rate", "instantaneous_rate", "fit_polynomial", "fit_derivative_rate",

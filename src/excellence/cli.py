@@ -25,8 +25,8 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import diaglog, history, scanner, trajectory
-from .errors import ExcellenceError, InsufficientDataError, OrderingError, UndefinedMetricError
-from .history import QualitySnapshot, Trajectory
+from .errors import ExcellenceError, InsufficientDataError, UndefinedMetricError
+from .history import Trajectory
 from .metrics import QualityMetrics, compute_metrics, improvement
 from .scanner import SourceStats
 
@@ -105,33 +105,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     stats, error_count = _gather(args.src, args.log, None)
-    now = datetime.now(timezone.utc)
-
-    previous = None
-    if os.path.exists(args.store):
-        previous = history.load_trajectory(args.store, args.project)
-    if args.t_hours is not None:
-        t_hours = args.t_hours
-    elif previous is None or len(previous) == 0:
-        t_hours = 0.0
-    else:
-        first = previous.snapshots[0].wall_clock
-        t_hours = (now - first).total_seconds() / 3600.0
-        if t_hours < 0:
-            raise OrderingError(
-                f"the clock reads {now.isoformat()}, before the first snapshot of project "
-                f"{args.project!r} at {first.isoformat()}; pass --t-hours to place this one"
-            )
-
-    snapshot = QualitySnapshot.create(
-        project_id=args.project,
-        wall_clock=now,
-        t_hours=t_hours,
-        stats=stats,
-        error_count=error_count,
-    )
-    history.append_snapshot(args.store, snapshot)
-    print(f"recorded snapshot for project '{args.project}' at t = {t_hours:g} h "
+    snapshot = history.record_snapshot(args.store, args.project, datetime.now(timezone.utc),
+                                       stats, error_count, args.t_hours)
+    print(f"recorded snapshot for project '{args.project}' at t = {snapshot.t_hours:g} h "
           f"(X = {format_2dp(snapshot.metrics.degree_of_excellence)}, store: {args.store})")
     return 0
 

@@ -1,11 +1,13 @@
 """Append-only JSON Lines store for timestamped quality snapshots.
 
 One JSON object per line, keyed by project id. Time is kept on two axes:
-an absolute RFC 3339 wall-clock stamp and decimal hours since the project's
-first snapshot; rate estimation uses the hours axis. Appends are atomic at
-record granularity; a torn final record never corrupts earlier ones, and the
-loader reports the offending line number. Single writer per store file:
-concurrent appends are the caller's problem to exclude.
+an absolute RFC 3339 wall-clock stamp, which must carry a UTC offset, and
+decimal hours since the project's first snapshot; rate estimation uses the
+hours axis. This module owns that axis: ``record_snapshot`` places a new
+snapshot on it from its wall clock. Appends are atomic at record granularity;
+a torn final record never corrupts earlier ones, and the loader reports the
+offending line number. Single writer per store file: concurrent appends are
+the caller's problem to exclude.
 
 Stored metrics are redundant with the stored counts on purpose; the loader
 recomputes them and treats any mismatch as corruption.
@@ -13,6 +15,7 @@ recomputes them and treats any mismatch as corruption.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -164,6 +167,8 @@ def _parse_record(line: str, line_number: int) -> QualitySnapshot:
         wall_clock = datetime.fromisoformat(obj["wall_clock"].replace("Z", "+00:00"))
     except ValueError as exc:
         raise bad(f"wall_clock is not an RFC 3339 timestamp: {obj['wall_clock']!r}") from exc
+    if wall_clock.utcoffset() is None:
+        raise bad(f"wall_clock has no UTC offset: {obj['wall_clock']!r}")
 
     try:
         metrics = compute_metrics(obj["errors"], obj["loc"])
@@ -217,6 +222,58 @@ def _load_all(store_path: str) -> list[QualitySnapshot]:
     return snapshots
 
 
+def _require_utc_offset(wall_clock: datetime) -> None:
+    if wall_clock.utcoffset() is None:
+        raise ValueError(f"wall_clock must carry a UTC offset, got {wall_clock.isoformat()}")
+
+
+def _stored(store_path: str, project_id: str) -> Trajectory:
+    """The project's snapshots; a store that does not exist yet holds none."""
+    if os.path.exists(store_path):
+        return load_trajectory(store_path, project_id)
+    return Trajectory(project_id=project_id, snapshots=())
+
+
+def _append(store_path: str, snapshot: QualitySnapshot, stored: Trajectory) -> None:
+    """Append after ``stored``, the snapshot's project as just loaded from the store."""
+    later = bisect.bisect_left(stored.ts, snapshot.t_hours)
+    if later < len(stored):
+        raise OrderingError(
+            f"snapshot at t = {snapshot.t_hours} h does not advance project "
+            f"{snapshot.project_id!r}; store already holds t = {stored.ts[later]} h"
+        )
+    line = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
+    with open(store_path, "a", encoding="utf-8", newline="") as f:
+        f.write(line + "\n")
+        f.flush()
+        os.fsync(f.fileno())
+
+
+def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
+                    stats: SourceStats, error_count: int,
+                    t_hours: "float | None" = None) -> QualitySnapshot:
+    """Build a snapshot, place it on the project's hours axis and append it.
+
+    Without ``t_hours`` the snapshot sits at the hours from the project's first
+    wall clock to ``wall_clock``, or at 0 if it is the project's first. The
+    store is read once.
+    """
+    _require_utc_offset(wall_clock)
+    stored = _stored(store_path, project_id)
+    if t_hours is None:
+        first = stored.snapshots[0].wall_clock if len(stored) else wall_clock
+        t_hours = (wall_clock - first).total_seconds() / 3600.0
+        if t_hours < 0:
+            raise OrderingError(
+                f"the clock reads {wall_clock.isoformat()}, before the first snapshot of "
+                f"project {project_id!r} at {first.isoformat()}; pass --t-hours to place "
+                "this one"
+            )
+    snapshot = QualitySnapshot.create(project_id, wall_clock, t_hours, stats, error_count)
+    _append(store_path, snapshot, stored)
+    return snapshot
+
+
 def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
     """Durably append one snapshot, enforcing the per-project time order."""
     expected = compute_metrics(snapshot.error_count, snapshot.stats.loc)
@@ -226,21 +283,8 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
         raise ValueError(f"t_hours must be finite, got {snapshot.t_hours}")
     if snapshot.t_hours < 0:
         raise ValueError(f"t_hours must be >= 0, got {snapshot.t_hours}")
-
-    if os.path.exists(store_path):
-        for existing in _load_all(store_path):
-            if existing.project_id == snapshot.project_id and \
-                    existing.t_hours >= snapshot.t_hours:
-                raise OrderingError(
-                    f"snapshot at t = {snapshot.t_hours} h does not advance project "
-                    f"{snapshot.project_id!r}; store already holds t = {existing.t_hours} h"
-                )
-
-    line = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
-    with open(store_path, "a", encoding="utf-8", newline="") as f:
-        f.write(line + "\n")
-        f.flush()
-        os.fsync(f.fileno())
+    _require_utc_offset(snapshot.wall_clock)
+    _append(store_path, snapshot, _stored(store_path, snapshot.project_id))
 
 
 def load_trajectory(store_path: str, project_id: str) -> Trajectory:

@@ -1,4 +1,4 @@
-"""Error level, degree of excellence, improvement, and the faulty verdict.
+"""Error level, degree of excellence, and improvement.
 
 Error level is errors per line of code; expressed in percent it is EL%.
 Degree of excellence is X = 100 - EL%, kept at full precision here; display
@@ -8,7 +8,6 @@ one line can hold several errors, so EL% may exceed 100 and X go negative.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,17 +19,6 @@ class QualityMetrics:
     error_level_fraction: float
     error_level_percent: float
     degree_of_excellence: float
-
-
-class Verdict(enum.Enum):
-    FAULTY = "faulty"
-    NON_FAULTY = "non-faulty"
-
-
-@dataclass(frozen=True)
-class ModuleVerdict:
-    value: Verdict
-    threshold_used: int
 
 
 def compute_metrics(error_count: int, loc: int) -> QualityMetrics:
@@ -56,10 +44,3 @@ def improvement(x_initial: float, x_final: float) -> float:
         raise ValueError("degrees of excellence must be finite")
     return x_final - x_initial
 
-
-def classify_module(error_count: int, threshold: int = 0) -> ModuleVerdict:
-    """Faulty iff the error count exceeds the threshold (default 0)."""
-    if error_count < 0:
-        raise ValueError(f"error_count must be >= 0, got {error_count}")
-    value = Verdict.FAULTY if error_count > threshold else Verdict.NON_FAULTY
-    return ModuleVerdict(value=value, threshold_used=threshold)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from excellence import history
 from excellence.cli import main
 
 GOLDEN_CLEAN = (
@@ -201,6 +202,40 @@ def test_record_clock_before_first_snapshot_exits_7(clean_src, tmp_path, capsys)
     assert "2099-01-01T00:00:00+00:00" in err
     assert "--t-hours" in err
     assert store.read_bytes() == before
+
+
+def test_record_wall_clock_without_utc_offset_exits_7(clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0"]) == 0
+    store.write_text(store.read_text(encoding="utf-8").replace("+00:00", ""),
+                     encoding="utf-8")
+    before = store.read_bytes()
+    capsys.readouterr()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store)]) == 7
+    _, err = capsys.readouterr()
+    assert "line 1" in err and "no UTC offset" in err
+    assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("t_hours", [None, "50"])
+def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, capsys,
+                                              t_hours):
+    store = str(tmp_path / "store.jsonl")
+    for project, t in [("q", "0"), ("p", "0"), ("q", "1"), ("q", "2"), ("q", "3")]:
+        assert main(["record", clean_src, "--project", project, "--store", store,
+                     "--t-hours", t]) == 0
+    parse_record = history._parse_record
+    calls = []
+
+    def counting(line, line_number):
+        calls.append(line_number)
+        return parse_record(line, line_number)
+
+    monkeypatch.setattr(history, "_parse_record", counting)
+    time_flag = [] if t_hours is None else ["--t-hours", t_hours]
+    assert main(["record", clean_src, "--project", "p", "--store", store, *time_flag]) == 0
+    assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

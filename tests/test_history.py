@@ -15,6 +15,7 @@ from excellence.history import (
     Trajectory,
     append_snapshot,
     load_trajectory,
+    record_snapshot,
 )
 from excellence.scanner import SourceStats
 
@@ -87,6 +88,14 @@ def test_append_rejects_non_advancing_time(tmp_path):
     with pytest.raises(OrderingError):
         append_snapshot(store, make_snapshot(t=1.0))
     append_snapshot(store, make_snapshot(t=2.5))  # still appendable afterwards
+
+
+def test_ordering_error_names_the_earliest_blocking_snapshot(tmp_path):
+    store = str(tmp_path / "store.jsonl")
+    for t in (0.0, 1.0, 2.0):
+        append_snapshot(store, make_snapshot(t=t))
+    with pytest.raises(OrderingError, match=r"store already holds t = 1\.0 h$"):
+        append_snapshot(store, make_snapshot(t=0.5))
 
 
 def test_projects_are_ordered_independently(tmp_path):
@@ -195,6 +204,29 @@ def test_zulu_timestamp_accepted(tmp_path):
     assert snap.wall_clock == datetime(2026, 3, 1, 9, 30, 15, tzinfo=timezone.utc)
 
 
+def test_timestamp_without_utc_offset_rejected_on_load(tmp_path):
+    store = tmp_path / "store.jsonl"
+    append_snapshot(str(store), make_snapshot(t=0.0))
+    append_snapshot(str(store), make_snapshot(t=1.0))
+    lines = store.read_text(encoding="utf-8").splitlines()
+    store.write_text(lines[0] + "\n" + lines[1].replace("+00:00", "") + "\n",
+                     encoding="utf-8")
+    with pytest.raises(CorruptionError, match="no UTC offset") as err:
+        load_trajectory(str(store), "alpha")
+    assert err.value.line_number == 2
+
+
+def test_append_rejects_naive_wall_clock(tmp_path):
+    store = tmp_path / "store.jsonl"
+    append_snapshot(str(store), make_snapshot(t=0.0))
+    before = store.read_bytes()
+    naive = make_snapshot(t=1.0)
+    naive = dataclasses.replace(naive, wall_clock=naive.wall_clock.replace(tzinfo=None))
+    with pytest.raises(ValueError, match="UTC offset"):
+        append_snapshot(str(store), naive)
+    assert store.read_bytes() == before
+
+
 def test_bad_timestamp_rejected(tmp_path):
     store = tmp_path / "store.jsonl"
     append_snapshot(str(store), make_snapshot())
@@ -262,3 +294,27 @@ def test_store_write_refuses_non_finite_json(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="JSON compliant"):
         append_snapshot(str(store), make_snapshot(t=0.0))
     assert not store.exists()
+
+
+def test_record_snapshot_places_snapshots_on_the_hours_axis(tmp_path):
+    store = str(tmp_path / "store.jsonl")
+    first = record_snapshot(store, "alpha", T0, make_stats(), 3)
+    assert first.t_hours == 0.0
+    record_snapshot(store, "beta", T0 + timedelta(hours=9), make_stats(), 0)
+    later = record_snapshot(store, "alpha", T0 + timedelta(minutes=90), make_stats(), 1)
+    assert later.t_hours == 1.5
+    placed = record_snapshot(store, "alpha", T0, make_stats(), 0, t_hours=7.0)
+    assert placed.t_hours == 7.0
+    assert load_trajectory(store, "alpha").snapshots == (first, later, placed)
+
+
+def test_record_snapshot_rejects_early_or_naive_clock(tmp_path):
+    store = tmp_path / "store.jsonl"
+    record_snapshot(str(store), "alpha", T0, make_stats(), 0)
+    before = store.read_bytes()
+    with pytest.raises(OrderingError, match="before the first snapshot"):
+        record_snapshot(str(store), "alpha", T0 - timedelta(seconds=1), make_stats(), 0)
+    assert store.read_bytes() == before
+    with pytest.raises(ValueError, match="UTC offset"):
+        record_snapshot(str(store), "alpha", T0.replace(tzinfo=None), make_stats(), 0)
+    assert store.read_bytes() == before

@@ -1,4 +1,4 @@
-"""Tests for error level, degree of excellence, improvement, and verdicts."""
+"""Tests for error level, degree of excellence, and improvement."""
 
 import random
 
@@ -6,12 +6,7 @@ import pytest
 
 from excellence.cli import format_2dp
 from excellence.errors import UndefinedMetricError
-from excellence.metrics import (
-    Verdict,
-    classify_module,
-    compute_metrics,
-    improvement,
-)
+from excellence.metrics import compute_metrics, improvement
 
 
 def test_zero_errors_is_full_excellence():
@@ -84,32 +79,3 @@ def test_improvement_rejects_non_finite():
     with pytest.raises(ValueError):
         improvement(0.0, float("inf"))
 
-
-def test_verdict_zero_errors_non_faulty():
-    verdict = classify_module(0)
-    assert verdict.value is Verdict.NON_FAULTY
-    assert verdict.threshold_used == 0
-
-
-def test_verdict_any_error_faulty_by_default():
-    assert classify_module(1).value is Verdict.FAULTY
-    assert classify_module(250).value is Verdict.FAULTY
-
-
-def test_verdict_threshold_is_exclusive():
-    assert classify_module(5, threshold=5).value is Verdict.NON_FAULTY
-    assert classify_module(6, threshold=5).value is Verdict.FAULTY
-
-
-def test_verdict_monotone_in_error_count():
-    threshold = 4
-    previous_faulty = False
-    for errors in range(10):
-        faulty = classify_module(errors, threshold).value is Verdict.FAULTY
-        assert faulty >= previous_faulty  # once faulty, stays faulty
-        previous_faulty = faulty
-
-
-def test_verdict_string_values():
-    assert Verdict.FAULTY.value == "faulty"
-    assert Verdict.NON_FAULTY.value == "non-faulty"
