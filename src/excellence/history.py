@@ -4,13 +4,16 @@ One JSON object per line, keyed by project id. Time is kept on two axes:
 an absolute RFC 3339 wall-clock stamp, which must carry a UTC offset, and
 decimal hours since the project's first snapshot; rate estimation uses the
 hours axis. This module owns that axis: ``record_snapshot`` places a new
-snapshot on it from its wall clock. Appends are atomic at record granularity;
-a torn final record never corrupts earlier ones, and the loader reports the
-offending line number. Single writer per store file: concurrent appends are
-the caller's problem to exclude.
+snapshot on it from its wall clock. Appends are atomic at record granularity
+and start on a fresh line; a torn final record never corrupts earlier ones,
+and the loader reports the offending line number. Single writer per store
+file: concurrent appends are the caller's problem to exclude.
 
 Stored metrics are redundant with the stored counts on purpose; the loader
-recomputes them and treats any mismatch as corruption.
+recomputes them and treats any mismatch as corruption. A read costs O(n) in
+the n records of the whole store, because every field of every record of
+every project is checked; snapshot objects are built for the asked project
+alone.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import CorruptionError, MissingFileError, OrderingError
-from .metrics import QualityMetrics, compute_metrics
+from .metrics import QualityMetrics, compute_metrics, error_levels
 from .scanner import SourceStats
 
 _FIELDS = (
@@ -42,6 +45,8 @@ _FIELDS = (
     "el_percent",
     "x",
 )
+_FIELD_SET = frozenset(_FIELDS)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -127,31 +132,39 @@ def _record_dict(snapshot: QualitySnapshot) -> dict:
     }
 
 
-def _parse_record(line: str, line_number: int) -> QualitySnapshot:
+def _parse_record(line: str, line_number: int
+                  ) -> tuple[dict, datetime, tuple[float, float, float]]:
+    """Check every field of one store line; return it, its clock and its error levels."""
     def bad(reason: str) -> CorruptionError:
         return CorruptionError(f"store record at line {line_number} is invalid: {reason}",
                                line_number)
 
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise bad(f"not valid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):  # surrounding whitespace, trailing data, a BOM: json.loads rules
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise bad(f"not valid JSON ({exc.msg})") from exc
+    # json yields only dict, list, str, int, float, bool and None: a bool is not an int.
+    if type(obj) is not dict:
         raise bad("record is not a JSON object")
-    if set(obj) != set(_FIELDS):
-        missing = sorted(set(_FIELDS) - set(obj))
-        extra = sorted(set(obj) - set(_FIELDS))
+    if obj.keys() != _FIELD_SET:
+        missing = sorted(_FIELD_SET - obj.keys())
+        extra = sorted(obj.keys() - _FIELD_SET)
         raise bad(f"field mismatch (missing {missing}, unexpected {extra})")
 
     for key in ("total_lines", "comment_lines", "blank_lines", "loc",
                 "for_count", "while_count", "errors"):
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool) or obj[key] < 0:
+        if type(obj[key]) is not int or obj[key] < 0:
             raise bad(f"{key} must be a nonnegative integer")
     for key in ("project", "wall_clock", "file"):
-        if not isinstance(obj[key], str):
+        if type(obj[key]) is not str:
             raise bad(f"{key} must be a string")
     for key in ("t_hours", "el_percent", "x"):
-        if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
+        if type(obj[key]) is not float and type(obj[key]) is not int:
             raise bad(f"{key} must be a number")
         if not abs(obj[key]) <= sys.float_info.max:  # NaN, infinity, or an oversized int
             raise bad(f"{key} must be finite")
@@ -171,55 +184,12 @@ def _parse_record(line: str, line_number: int) -> QualitySnapshot:
         raise bad(f"wall_clock has no UTC offset: {obj['wall_clock']!r}")
 
     try:
-        metrics = compute_metrics(obj["errors"], obj["loc"])
+        levels = error_levels(obj["errors"], obj["loc"])
     except Exception as exc:
         raise bad(f"metrics cannot be derived: {exc}") from exc
-    if metrics.error_level_percent != obj["el_percent"] or \
-            metrics.degree_of_excellence != obj["x"]:
+    if levels[1] != obj["el_percent"] or levels[2] != obj["x"]:
         raise bad("stored metrics do not re-derive from stored counts")
-
-    stats = SourceStats(
-        file_name=obj["file"],
-        total_lines=obj["total_lines"],
-        comment_lines=obj["comment_lines"],
-        blank_lines=obj["blank_lines"],
-        loc=obj["loc"],
-        for_count=obj["for_count"],
-        while_count=obj["while_count"],
-    )
-    return QualitySnapshot(
-        project_id=obj["project"],
-        wall_clock=wall_clock,
-        t_hours=float(obj["t_hours"]),
-        stats=stats,
-        error_count=obj["errors"],
-        metrics=metrics,
-    )
-
-
-def _load_all(store_path: str) -> list[QualitySnapshot]:
-    try:
-        with open(store_path, "r", encoding="utf-8") as f:
-            raw_lines = f.read().split("\n")
-    except OSError as exc:
-        raise MissingFileError(f"cannot open store: {store_path} ({exc.strerror})") from exc
-
-    snapshots = []
-    last_t: dict[str, tuple[float, int]] = {}
-    for number, line in enumerate(raw_lines, start=1):
-        if line.strip() == "":
-            continue
-        snap = _parse_record(line, number)
-        previous = last_t.get(snap.project_id)
-        if previous is not None and snap.t_hours <= previous[0]:
-            raise CorruptionError(
-                f"store record at line {number} is invalid: t_hours {snap.t_hours} does not "
-                f"advance project {snap.project_id!r} (line {previous[1]} has {previous[0]})",
-                number,
-            )
-        last_t[snap.project_id] = (snap.t_hours, number)
-        snapshots.append(snap)
-    return snapshots
+    return obj, wall_clock, levels
 
 
 def _require_utc_offset(wall_clock: datetime) -> None:
@@ -242,9 +212,15 @@ def _append(store_path: str, snapshot: QualitySnapshot, stored: Trajectory) -> N
             f"snapshot at t = {snapshot.t_hours} h does not advance project "
             f"{snapshot.project_id!r}; store already holds t = {stored.ts[later]} h"
         )
-    line = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
-    with open(store_path, "a", encoding="utf-8", newline="") as f:
-        f.write(line + "\n")
+    # Encoded first: a lone surrogate raises UnicodeEncodeError before the store is touched.
+    line = (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
+            + "\n").encode("utf-8")
+    with open(store_path, "a+b") as f:
+        if f.seek(0, os.SEEK_END) > 0:
+            f.seek(-1, os.SEEK_END)
+            if f.read(1) != b"\n":  # the last record lacks its newline: start a fresh line
+                line = b"\n" + line
+        f.write(line)
         f.flush()
         os.fsync(f.fileno())
 
@@ -266,8 +242,8 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
         if t_hours < 0:
             raise OrderingError(
                 f"the clock reads {wall_clock.isoformat()}, before the first snapshot of "
-                f"project {project_id!r} at {first.isoformat()}; pass --t-hours to place "
-                "this one"
+                f"project {project_id!r} at {first.isoformat()}; pass t_hours (--t-hours) "
+                "to place this one"
             )
     snapshot = QualitySnapshot.create(project_id, wall_clock, t_hours, stats, error_count)
     _append(store_path, snapshot, stored)
@@ -288,6 +264,35 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
 
 
 def load_trajectory(store_path: str, project_id: str) -> Trajectory:
-    """Load one project's snapshots in time order; unknown project is empty."""
-    snapshots = tuple(s for s in _load_all(store_path) if s.project_id == project_id)
-    return Trajectory(project_id=project_id, snapshots=snapshots)
+    """Load one project's snapshots in time order; unknown project is empty.
+
+    Every record of every project is checked; snapshots are built for this project alone.
+    """
+    try:
+        with open(store_path, "r", encoding="utf-8") as f:
+            raw_lines = f.read().split("\n")
+    except OSError as exc:
+        raise MissingFileError(f"cannot open store: {store_path} ({exc.strerror})") from exc
+
+    snapshots = []
+    last_t: dict[str, tuple[float, int]] = {}
+    for number, line in enumerate(raw_lines, start=1):
+        if line.strip() == "":
+            continue
+        obj, wall_clock, levels = _parse_record(line, number)
+        project, t_hours = obj["project"], float(obj["t_hours"])
+        previous = last_t.get(project)
+        if previous is not None and t_hours <= previous[0]:
+            raise CorruptionError(
+                f"store record at line {number} is invalid: t_hours {t_hours} does not "
+                f"advance project {project!r} (line {previous[1]} has {previous[0]})",
+                number,
+            )
+        last_t[project] = (t_hours, number)
+        if project == project_id:
+            stats = SourceStats(obj["file"], obj["total_lines"], obj["comment_lines"],
+                                obj["blank_lines"], obj["loc"], obj["for_count"],
+                                obj["while_count"])
+            snapshots.append(QualitySnapshot(project, wall_clock, t_hours, stats,
+                                             obj["errors"], QualityMetrics(*levels)))
+    return Trajectory(project_id=project_id, snapshots=tuple(snapshots))

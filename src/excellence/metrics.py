@@ -21,8 +21,8 @@ class QualityMetrics:
     degree_of_excellence: float
 
 
-def compute_metrics(error_count: int, loc: int) -> QualityMetrics:
-    """Compute EL, EL%, and X from an error count and a line-of-code count."""
+def error_levels(error_count: int, loc: int) -> tuple[float, float, float]:
+    """EL, EL% and X from an error count and a line-of-code count, as a plain tuple."""
     if error_count < 0:
         raise ValueError(f"error_count must be >= 0, got {error_count}")
     if loc <= 0:
@@ -31,11 +31,12 @@ def compute_metrics(error_count: int, loc: int) -> QualityMetrics:
         )
     fraction = error_count / loc
     percent = 100.0 * fraction
-    return QualityMetrics(
-        error_level_fraction=fraction,
-        error_level_percent=percent,
-        degree_of_excellence=100.0 - percent,
-    )
+    return fraction, percent, 100.0 - percent
+
+
+def compute_metrics(error_count: int, loc: int) -> QualityMetrics:
+    """Compute EL, EL%, and X from an error count and a line-of-code count."""
+    return QualityMetrics(*error_levels(error_count, loc))
 
 
 def improvement(x_initial: float, x_final: float) -> float:

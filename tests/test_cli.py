@@ -238,6 +238,29 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
     assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
+def test_record_starts_a_fresh_line_after_a_final_record_without_newline(
+        clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0"]) == 0
+    ended = store.read_bytes()
+    store.write_bytes(ended[:-1])
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "1"]) == 0
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    assert "Snapshots : 2" in capsys.readouterr().out
+    assert store.read_bytes().startswith(ended)
+
+    # A store that ends in a newline gets exactly one line appended.
+    before = store.read_bytes()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "2"]) == 0
+    added = store.read_bytes()[len(before):]
+    assert store.read_bytes().startswith(before)
+    assert added.endswith(b"\n") and added.count(b"\n") == 1
+    assert json.loads(added)["t_hours"] == 2.0
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_record_rejects_non_finite_t_hours_exit_2(clean_src, tmp_path, capsys, value):
     store = tmp_path / "store.jsonl"

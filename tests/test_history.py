@@ -312,7 +312,8 @@ def test_record_snapshot_rejects_early_or_naive_clock(tmp_path):
     store = tmp_path / "store.jsonl"
     record_snapshot(str(store), "alpha", T0, make_stats(), 0)
     before = store.read_bytes()
-    with pytest.raises(OrderingError, match="before the first snapshot"):
+    with pytest.raises(OrderingError,
+                       match=r"before the first snapshot .*; pass t_hours \(--t-hours\)"):
         record_snapshot(str(store), "alpha", T0 - timedelta(seconds=1), make_stats(), 0)
     assert store.read_bytes() == before
     with pytest.raises(ValueError, match="UTC offset"):

@@ -1,8 +1,11 @@
 """Tests for error level, degree of excellence, and improvement."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excellence.cli import format_2dp
 from excellence.errors import UndefinedMetricError
@@ -79,3 +82,13 @@ def test_improvement_rejects_non_finite():
     with pytest.raises(ValueError):
         improvement(0.0, float("inf"))
 
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**18), st.integers(1, 10**18))
+def test_excellence_and_error_level_add_up_to_100(errors, loc):
+    # X = 100 - EL% is computed in floating point, so X + EL% is 100 up to the
+    # rounding of 100 - EL%: within 1e-9 while EL% <= 10**6 (the spacing of
+    # floats near 10**6 is 1.2e-10), and within one spacing of EL% beyond that.
+    m = compute_metrics(errors, loc)
+    gap = abs(m.degree_of_excellence + m.error_level_percent - 100.0)
+    assert gap <= (1e-9 if m.error_level_percent <= 1e6 else math.ulp(m.error_level_percent))

@@ -1,9 +1,11 @@
 """Property-based tests: generated inputs against independent references."""
 
+import json
 import os
 import tempfile
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from excellence.history import QualitySnapshot, append_snapshot, load_trajectory
 from excellence.scanner import SourceStats, classify_lines, scan_source
 
 from scanner_oracle import oracle_scan
+from store_oracle import oracle_load_trajectory
 
 _FIELDS = ("total_lines", "comment_lines", "blank_lines", "loc",
            "for_count", "while_count", "unterminated_comment")
@@ -92,10 +95,107 @@ def _interleaved_snapshots(draw):
 @settings(max_examples=200, deadline=None)
 @given(_interleaved_snapshots())
 def test_store_round_trip(snapshots):
+    def contents(store):
+        return open(store, "rb").read() if os.path.exists(store) else None
+
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "store.jsonl")
+        stored = []
         for snap in snapshots:
+            try:
+                (snap.project_id + snap.stats.file_name).encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot hold
+                before = contents(store)
+                with pytest.raises(ValueError):
+                    append_snapshot(store, snap)
+                assert contents(store) == before
+                continue
             append_snapshot(store, snap)
-        for project in {s.project_id for s in snapshots}:
+            stored.append(snap)
+        for project in {s.project_id for s in stored}:
             assert load_trajectory(store, project).snapshots == \
-                tuple(s for s in snapshots if s.project_id == project)
+                tuple(s for s in stored if s.project_id == project)
+
+
+# Store lines: valid records, and records mutated the ways a hand edit, a torn
+# write or another writer can break them. Each must load as the reference
+# loader in store_oracle loads it.
+_BAD_VALUES = ("true", "false", "null", "1.0", "-1", "NaN", "Infinity", "-Infinity",
+               "1e400", "1" + "0" * 400, '"7"', "[]", "{}", "0", "2.5")
+_CLOCKS = ("2026-01-01T00:00:00+00:00", "2026-01-01T00:00:00Z", "2026-01-01T05:30:00+05:30",
+           "2026-01-01T00:00:00", "2026-13-01T00:00:00+00:00", "yesterday", "")
+_EDGES = ("", " ", "\t", "\r", " \t\r", "\x0c", "\ufeff", "\u3000")
+_TAILS = _EDGES + ("x", "}", "{}", ",", "\x00")
+
+
+@st.composite
+def _record_fields(draw):
+    """A record as (key, JSON text) pairs in the writer's order."""
+    comments, loc = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    errors = draw(st.integers(0, 60))
+    el = 100.0 * (errors / loc) if loc else 0.0
+    return [
+        ("project", json.dumps(draw(st.sampled_from(("p", "q"))))),
+        ("wall_clock", json.dumps(draw(st.sampled_from(_CLOCKS[:3])))),
+        ("t_hours", draw(st.sampled_from(("0", "0.0", "0.5", "1", "2.0", "1e-300")))),
+        ("file", json.dumps("m.c")),
+        ("total_lines", str(comments + loc)), ("comment_lines", str(comments)),
+        ("blank_lines", str(draw(st.integers(0, comments + loc)))), ("loc", str(loc)),
+        ("for_count", str(draw(st.integers(0, 3)))), ("while_count", "0"),
+        ("errors", str(errors)), ("el_percent", json.dumps(el)), ("x", json.dumps(100.0 - el)),
+    ]
+
+
+@st.composite
+def _store_line(draw):
+    fields = draw(_record_fields())
+    keys = [key for key, _ in fields]
+    mutation = draw(st.sampled_from((None,) * 10 + (
+        "lead", "trail", "count", "value", "clock", "x", "drop", "duplicate", "extra",
+        "non-object", "truncate")))
+    i = draw(st.integers(0, len(fields) - 1))
+    if mutation == "count":
+        j = draw(st.integers(4, 10))
+        fields[j] = (keys[j], str(draw(st.integers(0, 60))))
+    elif mutation == "value":
+        fields[i] = (keys[i], draw(st.sampled_from(_BAD_VALUES)))
+    elif mutation == "clock":
+        fields[1] = ("wall_clock", json.dumps(draw(st.sampled_from(_CLOCKS))))
+    elif mutation == "x":
+        fields[-1] = ("x", json.dumps(json.loads(fields[-1][1]) + draw(
+            st.sampled_from((1e-9, -1e-12, 1.0)))))
+    elif mutation == "drop":
+        del fields[i]
+    elif mutation == "duplicate":
+        fields.append((keys[i], draw(st.sampled_from((fields[i][1],) + _BAD_VALUES))))
+    elif mutation == "extra":
+        fields.append(("extra", "0"))
+    line = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields) + "}"
+    if mutation == "non-object":
+        line = draw(st.sampled_from(("[]", "1", '"s"', "null", "[" + line + "]")))
+    elif mutation == "truncate":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif mutation == "lead":
+        line = draw(st.sampled_from(_EDGES)) + line
+    elif mutation == "trail":
+        line += draw(st.sampled_from(_TAILS))
+    return line
+
+
+def _outcome(load, store, project):
+    try:
+        return load(store, project).snapshots
+    except Exception as exc:  # the type, message and line number must agree too
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_store_line(), st.sampled_from(_EDGES)), min_size=1, max_size=5),
+       st.sampled_from(("", "\n")), st.sampled_from(("p", "q")))
+def test_loader_matches_reference_loader(lines, end, project):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = os.path.join(tmp, "store.jsonl")
+        with open(store, "wb") as f:
+            f.write(("\n".join(lines) + end).encode("utf-8"))
+        assert _outcome(load_trajectory, store, project) == \
+            _outcome(oracle_load_trajectory, store, project)

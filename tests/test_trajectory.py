@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excellence.errors import (
     ExtrapolationError,
@@ -278,6 +280,22 @@ def test_fit_matches_exact_rational_solve(degree, n):
     fit = fit_polynomial(make_traj(list(zip(ts, xs))), degree)
     for t, exact in zip(ts, _exact_fit_values(ts, xs, degree)):
         assert fit.value_at(t) == pytest.approx(float(exact), rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_fit_recovers_integer_polynomials(degree, data):
+    # Any integer polynomial of degree <= d, sampled at d + 1 or more distinct
+    # half hours from 0 (where every project's hours axis starts) up to 64,
+    # comes back from a degree-d fit to within 1e-6 per coefficient.
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=degree + 1))
+    halves = data.draw(st.lists(st.integers(1, 128), min_size=degree, max_size=12,
+                                unique=True))
+    ts = [0.0] + sorted(h / 2 for h in halves)
+    xs = [float(sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))) for t in ts]
+    fit = fit_polynomial(make_traj(list(zip(ts, xs))), degree)
+    expected = coeffs + [0] * (degree + 1 - len(coeffs))
+    assert fit.coefficients == pytest.approx(expected, rel=0, abs=1e-6)
 
 
 def test_import_does_not_load_numpy():
