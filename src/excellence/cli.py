@@ -166,9 +166,8 @@ def _render_text_report(traj: Trajectory, alpha: float, tolerance: float,
             out.append(f"Polynomial fit (degree {fit_degree}) : X(t) = {_format_poly(fit)}")
             out.append(f"  residual sum of squares = {fit.residual_sum_of_squares:.6g}")
             t_last = traj.snapshots[-1].t_hours
-            fit_rate = trajectory.fit_derivative_rate(traj, fit_degree, t_last)
             out.append(f"  fit-derivative rate at t = {t_last:g} h : "
-                       f"{fit_rate.value:.6g} points/hour")
+                       f"{fit.derivative_at(t_last):.6g} points/hour")
     return "\n".join(out) + "\n"
 
 
@@ -319,6 +318,21 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _utf8_text(text: str) -> str:
+    # Linux hands argv bytes that are not UTF-8 over as lone surrogates.
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(
+            f"must be UTF-8 for the store to hold it, got {text!r}") from None
+    return text
+
+
+def _utf8_file_name(path: str) -> str:
+    _utf8_text(os.path.basename(path))
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -335,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_store = os.environ.get(STORE_ENV_VAR)
     record = sub.add_parser("record", help="scan and append a snapshot to the store")
-    record.add_argument("src", help="source file to scan")
-    record.add_argument("--project", required=True, help="project id the snapshot belongs to")
+    record.add_argument("src", type=_utf8_file_name, help="source file to scan")
+    record.add_argument("--project", type=_utf8_text, required=True,
+                        help="project id the snapshot belongs to")
     record.add_argument("--store", default=default_store,
                         required=default_store is None,
                         help=f"snapshot store path (default: ${STORE_ENV_VAR})")

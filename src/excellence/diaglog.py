@@ -4,6 +4,10 @@ One matching line is one error; multi-line diagnostics count once via their
 head line. The default pattern covers the two mainstream shapes,
 ``...: error: ...`` and ``... error C1234: ...``, and deliberately skips
 ``warning:`` and ``note:`` lines. Exotic compilers get a pattern override.
+
+The default pattern is one case-sensitive search over the whole log with its
+ASCII letters lowered; a user pattern is searched line by line. Both count
+the same lines.
 """
 
 from __future__ import annotations
@@ -18,6 +22,16 @@ from .scanner import split_lines
 # ``error(?<=\berror)`` is ``\berror`` that starts with a literal: the engine
 # skips to candidate ``error``s instead of testing a boundary at every offset.
 DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
+
+# The default pattern, case-sensitive, for the whole log with its ASCII letters
+# lowered; without IGNORECASE the engine skips to each literal ``error``. It
+# matches what the IGNORECASE pattern matches on each line because, under
+# IGNORECASE, ``e``/``r``/``o`` match only their ASCII cases and ``[A-Za-z]``
+# matches the ASCII letters plus U+0130, U+0131, U+017F and U+212A, which the
+# ASCII fold leaves alone. ``[^\S\n]`` keeps a match inside one line, and the
+# ``\r`` of a CRLF is never followed by the ``:`` a match ends with.
+_FOLDED_DEFAULT = re.compile(
+    r"error(?<=\berror)\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
 
 
 @dataclass(frozen=True)
@@ -62,13 +76,31 @@ def count_errors(
     log_name: str = "",
 ) -> ErrorReport:
     """Count log lines matching ``pattern``. Line-local and deterministic."""
-    regex = pattern.compile()
-    matched = tuple(
-        number
-        for number, hit in enumerate(map(regex.search, split_lines(log_text)), start=1)
-        if hit
-    )
+    if pattern == DEFAULT_ERROR_PATTERN:
+        matched = _default_matches(log_text)
+    else:
+        regex = pattern.compile()
+        matched = tuple(
+            number
+            for number, hit in enumerate(map(regex.search, split_lines(log_text)), start=1)
+            if hit
+        )
     return ErrorReport(log_name=log_name, error_count=len(matched), matched_line_numbers=matched)
+
+
+def _default_matches(log_text: str) -> tuple[int, ...]:
+    """Numbers of the lines the default pattern matches, in one pass."""
+    # Lowers ASCII letters only, keeping the length and every other code point.
+    folded = log_text.encode("utf-8", "surrogatepass").lower().decode("utf-8", "surrogatepass")
+    matched: list[int] = []
+    number, counted_to = 1, 0
+    for hit in _FOLDED_DEFAULT.finditer(folded):
+        start = hit.start()
+        number += folded.count("\n", counted_to, start)
+        counted_to = start
+        if not matched or matched[-1] != number:
+            matched.append(number)
+    return tuple(matched)
 
 
 def count_errors_in_file(path: str, pattern: ErrorPattern = DEFAULT_ERROR_PATTERN) -> ErrorReport:

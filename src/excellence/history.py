@@ -197,6 +197,10 @@ def _require_utc_offset(wall_clock: datetime) -> None:
         raise ValueError(f"wall_clock must carry a UTC offset, got {wall_clock.isoformat()}")
 
 
+def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
+    return MissingFileError(f"cannot open store: {store_path} ({exc.strerror})")
+
+
 def _stored(store_path: str, project_id: str) -> Trajectory:
     """The project's snapshots; a store that does not exist yet holds none."""
     if os.path.exists(store_path):
@@ -215,7 +219,11 @@ def _append(store_path: str, snapshot: QualitySnapshot, stored: Trajectory) -> N
     # Encoded first: a lone surrogate raises UnicodeEncodeError before the store is touched.
     line = (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
             + "\n").encode("utf-8")
-    with open(store_path, "a+b") as f:
+    try:
+        f = open(store_path, "a+b")
+    except OSError as exc:
+        raise _cannot_open(store_path, exc) from exc
+    with f:
         if f.seek(0, os.SEEK_END) > 0:
             f.seek(-1, os.SEEK_END)
             if f.read(1) != b"\n":  # the last record lacks its newline: start a fresh line
@@ -272,7 +280,7 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
         with open(store_path, "r", encoding="utf-8") as f:
             raw_lines = f.read().split("\n")
     except OSError as exc:
-        raise MissingFileError(f"cannot open store: {store_path} ({exc.strerror})") from exc
+        raise _cannot_open(store_path, exc) from exc
 
     snapshots = []
     last_t: dict[str, tuple[float, int]] = {}

@@ -274,6 +274,35 @@ def test_record_rejects_non_finite_t_hours_exit_2(clean_src, tmp_path, capsys, v
     assert store.read_bytes() == before
 
 
+def test_record_refuses_non_utf8_project_exit_2(clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    with pytest.raises(SystemExit) as err:  # the argv byte 0xff, as Linux hands it over
+        main(["record", clean_src, "--project", "\udcff", "--store", str(store),
+              "--t-hours", "0"])
+    assert err.value.code == 2
+    assert "argument --project: must be UTF-8" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_record_refuses_non_utf8_file_name_exit_2(tmp_path, capsys):
+    src = tmp_path / "\udcfe.c"  # the file name byte 0xfe
+    src.write_text("int x;\n", encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main(["record", str(src), "--project", "p", "--store", str(store), "--t-hours", "0"])
+    assert err.value.code == 2
+    assert "argument src: must be UTF-8" in capsys.readouterr().err
+    assert not store.exists()
+    assert main(["scan", str(src)]) == 0
+
+
+def test_record_store_in_missing_directory_exits_3(clean_src, tmp_path, capsys):
+    store = tmp_path / "missing" / "store.jsonl"
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0"]) == 3
+    assert f"cannot open store: {store} (No such file or directory)" in capsys.readouterr().err
+
+
 def test_record_zero_loc_source_exit_6(tmp_path, capsys):
     path = tmp_path / "comments.c"
     path.write_text("// only a comment\n", encoding="utf-8")

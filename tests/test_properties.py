@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import string
 import tempfile
 from datetime import datetime, timedelta, timezone
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excellence.diaglog import ErrorPattern, count_errors
+from excellence.diaglog import DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors
 from excellence.history import QualitySnapshot, append_snapshot, load_trajectory
 from excellence.scanner import SourceStats, classify_lines, scan_source
 
@@ -42,10 +44,14 @@ def test_scanner_matches_oracle(text):
 # The default error pattern before it was rewritten to start with a literal.
 _OLD_DEFAULT_PATTERN_TEXT = r"\berror\b(?:\s+[A-Za-z]*\d+)?\s*:"
 
+# İ ı ſ and the Kelvin sign U+212A are the non-ASCII letters that [A-Za-z]
+# matches under IGNORECASE; a lone CR, \x85, \x1c and U+3000 are whitespace
+# that does not end a line.
 _LOG_ALPHABET = (
     "error", "Error", "ERROR", "eRrOr", "terror", "error_count", "errors.c",
     "Error 1", "_error:", "error C2065:", "error LNK2019", "warning", "é", "ß",
     "٣", "2", "C", "x", "_", ":", " ", "\t", "\x0c", "　", "(", ")", ".",
+    "İ", "ı", "ſ", "\u212a", "error İ5:", "error \u212a12:", "\r", "\x85", "\x1c", "\ud800",
 )
 _log_lines = st.lists(st.sampled_from(_LOG_ALPHABET), max_size=12).map("".join)
 
@@ -55,8 +61,22 @@ _log_lines = st.lists(st.sampled_from(_LOG_ALPHABET), max_size=12).map("".join)
 def test_default_error_pattern_matches_old_text(lines, newline):
     log = newline.join(lines)
     old = count_errors(log, ErrorPattern(_OLD_DEFAULT_PATTERN_TEXT))
+    # Any other pattern text is searched line by line: the reference for the one-pass search.
+    per_line = count_errors(log, ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)"))
     new = count_errors(log)
-    assert new.matched_line_numbers == old.matched_line_numbers
+    assert new.matched_line_numbers == old.matched_line_numbers == per_line.matched_line_numbers
+
+
+def test_default_pattern_case_folding_facts_hold_for_every_code_point():
+    """The one-pass default search relies on these; a new Unicode table could break them."""
+    every = "".join(map(chr, range(0x110000)))
+    for letter in "ero":
+        assert sorted(re.findall(letter, every, re.IGNORECASE)) == [letter.upper(), letter]
+    assert sorted(re.findall("[A-Za-z]", every, re.IGNORECASE)) == \
+        sorted(string.ascii_letters + "\u0130\u0131\u017f\u212a")
+    folded = every.encode("utf-8", "surrogatepass").lower().decode("utf-8", "surrogatepass")
+    assert folded == every.translate(str.maketrans(string.ascii_uppercase,
+                                                   string.ascii_lowercase))
 
 
 
