@@ -146,12 +146,14 @@ def _render_text_report(traj: Trajectory, alpha: float, tolerance: float,
         sign = "+" if gain >= 0 else ""
         out.append(f"Improvement (X_final - X_initial) = {sign}{format_2dp(gain)}")
         out.append("Interval rates (points/hour):")
+        slopes = []
         for rate in trajectory.interval_rates(traj):
             out.append(f"  [{rate.interval[0]:g}, {rate.interval[1]:g}] : {rate.value:.6g}")
+            slopes.append(rate.value)
         latest = trajectory.instantaneous_rate(traj, last.t_hours)
         out.append(f"Instantaneous rate at t = {last.t_hours:g} h : "
                    f"{latest.value:.6g} points/hour")
-        trend = trajectory.classify_trend(traj, tolerance)
+        trend = trajectory._classify_slopes(slopes, tolerance)  # argparse checked tolerance
         out.append(f"Trend : {trend.value}")
         estimate = trajectory.effort(alpha, latest)
         out.append(f"Effort = alpha * dX/dt = {alpha:g} * {latest.value:.6g} = "

@@ -111,7 +111,7 @@ def count_errors_in_file(path: str, pattern: ErrorPattern = DEFAULT_ERROR_PATTER
     """
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            text = f.read().decode("utf-8", errors="replace")  # the bytes are not kept
     except OSError as exc:
         raise MissingFileError(f"cannot open log file: {path} ({exc.strerror})") from exc
-    return count_errors(raw.decode("utf-8", errors="replace"), pattern, log_name=path)
+    return count_errors(text, pattern, log_name=path)

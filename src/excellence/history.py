@@ -6,14 +6,21 @@ decimal hours since the project's first snapshot; rate estimation uses the
 hours axis. This module owns that axis: ``record_snapshot`` places a new
 snapshot on it from its wall clock. Appends are atomic at record granularity
 and start on a fresh line; a torn final record never corrupts earlier ones,
-and the loader reports the offending line number. Single writer per store
-file: concurrent appends are the caller's problem to exclude.
+and the loader reports the offending line number. A writer holds an
+exclusive ``flock`` on the store across its read, checks, append and seal,
+so concurrent writers on one host take turns.
 
 Stored metrics are redundant with the stored counts on purpose; the loader
-recomputes them and treats any mismatch as corruption. A read costs O(n) in
-the n records of the whole store, because every field of every record of
-every project is checked; snapshot objects are built for the asked project
-alone.
+recomputes them and treats any mismatch as corruption. ``load_trajectory``
+costs O(n) in the n records of the whole store, because every field of every
+record of every project is checked; snapshot objects are built for the asked
+project alone. A writer also leaves ``<store>.seal``: the length, line count
+and sha256 of the prefix it read and checked, and each project's first wall
+clock and last hours there. The next writer whose store still starts with
+those bytes hashes them and checks only the lines after them, so an append
+parses O(1) records and hashes O(n) bytes. The seal is a cached proof, not a
+second loader: without it, or with one that does not match, the writer checks
+the whole store, with the same outcome.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import Callable
 
 from .errors import CorruptionError, MissingFileError, OrderingError
 from .metrics import QualityMetrics, compute_metrics, error_levels
@@ -132,6 +140,10 @@ def _record_dict(snapshot: QualitySnapshot) -> dict:
     }
 
 
+def _clock(text: str) -> datetime:
+    return datetime.fromisoformat(text.replace("Z", "+00:00"))
+
+
 def _parse_record(line: str, line_number: int
                   ) -> tuple[dict, datetime, tuple[float, float, float]]:
     """Check every field of one store line; return it, its clock and its error levels."""
@@ -177,7 +189,7 @@ def _parse_record(line: str, line_number: int
         raise bad("comment/blank counts exceed total_lines")
 
     try:
-        wall_clock = datetime.fromisoformat(obj["wall_clock"].replace("Z", "+00:00"))
+        wall_clock = _clock(obj["wall_clock"])
     except ValueError as exc:
         raise bad(f"wall_clock is not an RFC 3339 timestamp: {obj['wall_clock']!r}") from exc
     if wall_clock.utcoffset() is None:
@@ -201,36 +213,156 @@ def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
     return MissingFileError(f"cannot open store: {store_path} ({exc.strerror})")
 
 
-def _stored(store_path: str, project_id: str) -> Trajectory:
-    """The project's snapshots; a store that does not exist yet holds none."""
-    if os.path.exists(store_path):
-        return load_trajectory(store_path, project_id)
-    return Trajectory(project_id=project_id, snapshots=())
-
-
-def _append(store_path: str, snapshot: QualitySnapshot, stored: Trajectory) -> None:
-    """Append after ``stored``, the snapshot's project as just loaded from the store."""
-    later = bisect.bisect_left(stored.ts, snapshot.t_hours)
-    if later < len(stored):
-        raise OrderingError(
-            f"snapshot at t = {snapshot.t_hours} h does not advance project "
-            f"{snapshot.project_id!r}; store already holds t = {stored.ts[later]} h"
-        )
-    # Encoded first: a lone surrogate raises UnicodeEncodeError before the store is touched.
-    line = (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
-            + "\n").encode("utf-8")
+def _lines(data: bytes, offset: int, before: int) -> list[str]:
+    """The lines of ``data``, which follows ``offset`` bytes and ``before`` lines of
+    the store, split where reading in text mode splits; a byte that is not UTF-8
+    corrupts the line it sits on."""
     try:
-        f = open(store_path, "a+b")
-    except OSError as exc:
-        raise _cannot_open(store_path, exc) from exc
-    with f:
-        if f.seek(0, os.SEEK_END) > 0:
-            f.seek(-1, os.SEEK_END)
-            if f.read(1) != b"\n":  # the last record lacks its newline: start a fresh line
-                line = b"\n" + line
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        number = before + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
+                              f"(byte offset {offset + exc.start})", number) from exc
+    del data  # a reader that keeps no other reference frees the bytes before the split
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _check(lines: list[str], before: int, seen: dict, project_id: "str | None" = None
+           ) -> tuple[list[QualitySnapshot], int]:
+    """Check every line of ``lines``, which follow ``before`` lines of the store.
+
+    ``seen`` maps each project to its first wall clock, its last hours and that
+    record's line number, and is updated. Returns the snapshots of ``project_id``
+    and ``before`` plus the line breaks between ``lines``.
+    """
+    snapshots = []
+    for number, line in enumerate(lines, start=before + 1):
+        if line.strip() == "":
+            continue
+        obj, wall_clock, levels = _parse_record(line, number)
+        project, t_hours = obj["project"], float(obj["t_hours"])
+        previous = seen.get(project)
+        if previous is None:
+            seen[project] = (obj["wall_clock"], t_hours, number)
+        elif t_hours <= previous[1]:
+            raise CorruptionError(
+                f"store record at line {number} is invalid: t_hours {t_hours} does not "
+                f"advance project {project!r} (line {previous[2]} has {previous[1]})",
+                number,
+            )
+        else:
+            seen[project] = (previous[0], t_hours, number)
+        if project == project_id:
+            stats = SourceStats(obj["file"], obj["total_lines"], obj["comment_lines"],
+                                obj["blank_lines"], obj["loc"], obj["for_count"],
+                                obj["while_count"])
+            snapshots.append(QualitySnapshot(project, wall_clock, t_hours, stats,
+                                             obj["errors"], QualityMetrics(*levels)))
+    return snapshots, before + len(lines) - 1
+
+
+def _sealed_prefix(store_path: str, f):
+    """Hash the prefix of the store ``f`` that its seal covers.
+
+    When the digest matches, ``f`` is left at the prefix's end, and the seal's
+    length, line count and ``seen`` come back with the running sha256. Otherwise
+    ``f`` is rewound, and those of the empty prefix come back.
+    """
+    import hashlib  # here, not at module level: scan and report never hash
+    digest = hashlib.sha256()
+    try:
+        with open(store_path + ".seal", "rb") as seal_file:
+            seal = json.load(seal_file)
+        length = seal["length"]
+        while f.tell() < length:  # in chunks: the prefix is never held whole
+            chunk = f.read(min(1 << 16, length - f.tell()))
+            if not chunk:
+                break
+            digest.update(chunk)
+        if f.tell() == length and digest.hexdigest() == seal["sha256"]:
+            return length, seal["lines"], seal["projects"], digest
+    except (OSError, ValueError, KeyError, TypeError):  # missing or unreadable: not trusted
+        pass
+    f.seek(0)
+    return 0, 0, {}, hashlib.sha256()
+
+
+def _write_seal(store_path: str, seal: dict) -> None:
+    # A seal that cannot be written costs the next writer a full check, nothing more.
+    temp = store_path + ".seal.tmp"  # the store's lock keeps other writers out
+    try:
+        with open(temp, "w", encoding="utf-8") as f:
+            json.dump(seal, f)
+        os.replace(temp, store_path + ".seal")
+    except OSError:
+        pass
+
+
+def _open_locked(store_path: str):
+    """Open the store for update under an exclusive lock, creating it if need be.
+
+    Returns the resolved path, the file and whether this call created it.
+    """
+    import fcntl
+    path = os.path.realpath(store_path)  # "x+b" does not follow a dangling symlink
+    while True:
+        try:
+            try:
+                f, created = open(path, "r+b"), False
+            except FileNotFoundError:
+                f, created = open(path, "x+b"), True
+        except FileExistsError:  # another writer created it in between
+            continue
+        except OSError as exc:
+            raise _cannot_open(store_path, exc) from exc
+        fcntl.flock(f.fileno(), fcntl.LOCK_EX)
+        if os.fstat(f.fileno()).st_nlink:  # not removed by a writer that created it and failed
+            return path, f, created
+        f.close()
+
+
+def _update(store_path: str, project_id: str,
+            place: "Callable[[datetime | None], QualitySnapshot]") -> QualitySnapshot:
+    """Under the store's lock: check it, append ``place(first)`` and seal what was read.
+
+    ``first`` is the project's first wall clock, None for a new project. A store
+    this call created is removed again if the append fails.
+    """
+    path, f, created = _open_locked(store_path)
+    try:
+        length, count, seen, digest = _sealed_prefix(store_path, f)
+        tail = f.read()
+        count = _check(_lines(tail, length, count), count, seen)[1]
+        stored = seen.get(project_id)
+        snapshot = place(None if stored is None else _clock(stored[0]))
+        if stored is not None and snapshot.t_hours <= stored[1]:
+            # Read in full to name the earliest stored time that blocks this one.
+            f.seek(0)
+            ts = [s.t_hours for s in _check(_lines(f.read(), 0, 0), 0, {}, project_id)[0]]
+            later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
+            raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance project "
+                                f"{project_id!r}; store already holds t = {later} h")
+        line = (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
+                + "\n").encode("utf-8")
+        if tail and not tail.endswith(b"\n"):  # the last record lacks its newline
+            line = b"\n" + line
         f.write(line)
         f.flush()
         os.fsync(f.fileno())
+        if tail.endswith(b"\n"):
+            digest.update(tail)
+            _write_seal(store_path, {"length": length + len(tail), "lines": count,
+                                     "sha256": digest.hexdigest(), "projects": seen})
+    except BaseException:
+        if created:
+            os.unlink(path)
+        raise
+    finally:
+        f.close()
+    return snapshot
 
 
 def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
@@ -243,19 +375,21 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
     store is read once.
     """
     _require_utc_offset(wall_clock)
-    stored = _stored(store_path, project_id)
-    if t_hours is None:
-        first = stored.snapshots[0].wall_clock if len(stored) else wall_clock
-        t_hours = (wall_clock - first).total_seconds() / 3600.0
-        if t_hours < 0:
-            raise OrderingError(
-                f"the clock reads {wall_clock.isoformat()}, before the first snapshot of "
-                f"project {project_id!r} at {first.isoformat()}; pass t_hours (--t-hours) "
-                "to place this one"
-            )
-    snapshot = QualitySnapshot.create(project_id, wall_clock, t_hours, stats, error_count)
-    _append(store_path, snapshot, stored)
-    return snapshot
+
+    def place(first: "datetime | None") -> QualitySnapshot:
+        hours = t_hours
+        if hours is None:
+            first = wall_clock if first is None else first
+            hours = (wall_clock - first).total_seconds() / 3600.0
+            if hours < 0:
+                raise OrderingError(
+                    f"the clock reads {wall_clock.isoformat()}, before the first snapshot of "
+                    f"project {project_id!r} at {first.isoformat()}; pass t_hours (--t-hours) "
+                    "to place this one"
+                )
+        return QualitySnapshot.create(project_id, wall_clock, hours, stats, error_count)
+
+    return _update(store_path, project_id, place)
 
 
 def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
@@ -268,7 +402,7 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
     if snapshot.t_hours < 0:
         raise ValueError(f"t_hours must be >= 0, got {snapshot.t_hours}")
     _require_utc_offset(snapshot.wall_clock)
-    _append(store_path, snapshot, _stored(store_path, snapshot.project_id))
+    _update(store_path, snapshot.project_id, lambda first: snapshot)
 
 
 def load_trajectory(store_path: str, project_id: str) -> Trajectory:
@@ -277,30 +411,9 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     Every record of every project is checked; snapshots are built for this project alone.
     """
     try:
-        with open(store_path, "r", encoding="utf-8") as f:
-            raw_lines = f.read().split("\n")
+        with open(store_path, "rb") as f:
+            lines = _lines(f.read(), 0, 0)
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-
-    snapshots = []
-    last_t: dict[str, tuple[float, int]] = {}
-    for number, line in enumerate(raw_lines, start=1):
-        if line.strip() == "":
-            continue
-        obj, wall_clock, levels = _parse_record(line, number)
-        project, t_hours = obj["project"], float(obj["t_hours"])
-        previous = last_t.get(project)
-        if previous is not None and t_hours <= previous[0]:
-            raise CorruptionError(
-                f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                f"advance project {project!r} (line {previous[1]} has {previous[0]})",
-                number,
-            )
-        last_t[project] = (t_hours, number)
-        if project == project_id:
-            stats = SourceStats(obj["file"], obj["total_lines"], obj["comment_lines"],
-                                obj["blank_lines"], obj["loc"], obj["for_count"],
-                                obj["while_count"])
-            snapshots.append(QualitySnapshot(project, wall_clock, t_hours, stats,
-                                             obj["errors"], QualityMetrics(*levels)))
-    return Trajectory(project_id=project_id, snapshots=tuple(snapshots))
+    return Trajectory(project_id=project_id,
+                      snapshots=tuple(_check(lines, 0, {}, project_id)[0]))

@@ -1,11 +1,17 @@
 """End-to-end CLI tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from excellence import history
 from excellence.cli import main
+from excellence.history import load_trajectory
+
+from store_oracle import oracle_load_trajectory
 
 GOLDEN_CLEAN = (
     "The number of lines in the file is : 675\n"
@@ -234,8 +240,21 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
 
     monkeypatch.setattr(history, "_parse_record", counting)
     time_flag = [] if t_hours is None else ["--t-hours", t_hours]
+    data = (tmp_path / "store.jsonl").read_bytes()
+
+    # The seal the earlier records left covers lines 1-4: only line 5 is parsed.
+    assert main(["record", clean_src, "--project", "p", "--store", store, *time_flag]) == 0
+    assert calls == [5]
+    seal = tmp_path / "store.jsonl.seal"
+    sealed = seal.read_bytes()
+
+    # Without the seal every line is parsed once, and the same seal is written.
+    (tmp_path / "store.jsonl").write_bytes(data)
+    seal.unlink()
+    calls.clear()
     assert main(["record", clean_src, "--project", "p", "--store", store, *time_flag]) == 0
     assert sorted(calls) == [1, 2, 3, 4, 5]
+    assert seal.read_bytes() == sealed
 
 
 def test_record_starts_a_fresh_line_after_a_final_record_without_newline(
@@ -308,6 +327,61 @@ def test_record_zero_loc_source_exit_6(tmp_path, capsys):
     path.write_text("// only a comment\n", encoding="utf-8")
     store = str(tmp_path / "store.jsonl")
     assert main(["record", str(path), "--project", "p", "--store", store]) == 6
+    assert not os.path.exists(store)
+
+
+def _store_with_a_byte_that_is_not_utf8(clean_src, store):
+    """Two records, the seal over the first, then a line holding 0xff 0xfe."""
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    offset = len(store.read_bytes())
+    with open(store, "ab") as f:
+        f.write(b"\xff\xfe\n")
+    return f"store record at line 3 is invalid: not valid UTF-8 (byte offset {offset})\n"
+
+
+def test_report_store_not_utf8_exits_7(clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    message = _store_with_a_byte_that_is_not_utf8(clean_src, store)
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 7
+    assert capsys.readouterr().err == "excellence: error: " + message
+
+
+def test_record_store_not_utf8_exits_7_with_or_without_seal(clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    message = _store_with_a_byte_that_is_not_utf8(clean_src, store)
+    before = store.read_bytes()
+    for seal in (True, False):
+        if not seal:
+            os.remove(f"{store}.seal")
+        capsys.readouterr()
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", "2"]) == 7
+        assert capsys.readouterr().err.endswith("excellence: error: " + message)
+        assert store.read_bytes() == before
+
+
+def test_concurrent_records_take_turns(clean_src, tmp_path):
+    store = tmp_path / "store.jsonl"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    procs = [subprocess.Popen([sys.executable, "-m", "excellence", "record", clean_src,
+                               "--project", "p", "--store", str(store), "--t-hours", str(t)],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+             for t in range(8)]
+    outcomes = []
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        outcomes.append((proc.returncode, err))
+    # A record that finds a later time already stored is refused; none is lost or misplaced.
+    assert all(code == 0 or (code == 7 and b"does not advance" in err)
+               for code, err in outcomes)
+    loaded = load_trajectory(str(store), "p").snapshots
+    assert len(loaded) == sum(code == 0 for code, _ in outcomes)
+    assert loaded == oracle_load_trajectory(str(store), "p").snapshots
 
 
 def test_store_env_variable_is_default(clean_src, tmp_path, monkeypatch, capsys):

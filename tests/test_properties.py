@@ -1,18 +1,22 @@
 """Property-based tests: generated inputs against independent references."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import string
 import tempfile
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excellence import cli
 from excellence.diaglog import DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors
-from excellence.history import QualitySnapshot, append_snapshot, load_trajectory
+from excellence.history import QualitySnapshot, append_snapshot, load_trajectory, record_snapshot
 from excellence.scanner import SourceStats, classify_lines, scan_source
 
 from scanner_oracle import oracle_scan
@@ -219,3 +223,100 @@ def test_loader_matches_reference_loader(lines, end, project):
             f.write(("\n".join(lines) + end).encode("utf-8"))
         assert _outcome(load_trajectory, store, project) == \
             _outcome(oracle_load_trajectory, store, project)
+
+
+# A store that record_snapshot wrote, with the seal its last call left, then
+# broken the ways an edit, a cut or another store's seal can break it. record
+# must do the same with and without the seal: the seal only saves work.
+_SEAL_T0 = datetime(2026, 5, 1, tzinfo=timezone.utc)
+_SEAL_PROJECTS = ("p", "q", "é")
+_BAD_TAILS = (b"garbage\n", b"\n \n", b"\r", b"{}\n", b'{"project": "p"', b"\xff\n",
+              b"\r\n\xc3(\n", b"\xed\xa0\x80\n")
+
+
+@st.composite
+def _store_steps(draw):
+    """(project, hours) pairs, each project's hours strictly increasing."""
+    steps, last = [], {}
+    for project in draw(st.lists(st.sampled_from(_SEAL_PROJECTS), min_size=1, max_size=6)):
+        last[project] = last.get(project, 0.0) + draw(st.sampled_from((0.5, 1.0, 2.25)))
+        steps.append((project, last[project]))
+    return steps
+
+
+def _write_store(directory, steps):
+    store = os.path.join(directory, "store.jsonl")
+    stats = SourceStats("m.c", 10, 2, 1, 8, 1, 0)
+    for errors, (project, t) in enumerate(steps):
+        record_snapshot(store, project, _SEAL_T0 + timedelta(hours=t), stats, errors, t)
+    return store
+
+
+def _read(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _record_outcome(store, argv, clock):
+    """Exit code, stdout, stderr and store bytes of one ``record``, at a fixed clock."""
+    class FixedClock:
+        @staticmethod
+        def now(tz):
+            return clock
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "datetime", FixedClock), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), _read(store)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_store_steps(), _store_steps(), st.data())
+def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as other:
+        store = _write_store(tmp, steps)
+        stored = bytearray(_read(store))
+        seal = _read(store + ".seal")
+        sealed = json.loads(seal)["length"] if seal else len(stored)
+
+        mutation = data.draw(st.sampled_from(
+            ("none", "flip", "cut at line end", "cut inside line", "append", "not UTF-8")))
+        if mutation == "flip" and sealed:
+            stored[data.draw(st.integers(0, sealed - 1))] ^= data.draw(st.integers(1, 255))
+        elif mutation == "cut at line end":
+            ends = [0] + [i + 1 for i, byte in enumerate(stored) if byte == ord("\n")]
+            del stored[data.draw(st.sampled_from(ends)):]
+        elif mutation == "cut inside line":
+            del stored[data.draw(st.integers(0, len(stored))):]
+        elif mutation == "append":
+            stored += b"".join(data.draw(st.lists(st.sampled_from(_BAD_TAILS), max_size=3)))
+        elif mutation == "not UTF-8":
+            at = data.draw(st.integers(0, len(stored)))
+            stored[at:at] = data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
+        seal = data.draw(st.sampled_from(
+            (seal, None, _read(_write_store(other, other_steps) + ".seal"),
+             data.draw(st.binary(max_size=40)), b'{"length": 0, "sha256": 1}', b"[]")))
+
+        src = os.path.join(tmp, "probe.c")
+        with open(src, "w", encoding="utf-8") as f:
+            f.write(data.draw(st.sampled_from(("int x;\n", "// only a comment\n"))))
+        argv = ["record", src, "--project", data.draw(st.sampled_from(_SEAL_PROJECTS)),
+                "--store", store]
+        hours = data.draw(st.sampled_from((None, "0", "1", "2.25", "9")))
+        argv += [] if hours is None else ["--t-hours", hours]
+        clock = _SEAL_T0 + timedelta(hours=data.draw(st.sampled_from((-1, 0, 1.5, 9))))
+
+        outcomes = []
+        for with_seal in (True, False):
+            with open(store, "wb") as f:
+                f.write(stored)
+            if with_seal and seal is not None:
+                with open(store + ".seal", "wb") as f:
+                    f.write(seal)
+            elif os.path.exists(store + ".seal"):
+                os.remove(store + ".seal")
+            outcomes.append(_record_outcome(store, argv, clock))
+        assert outcomes[0] == outcomes[1]
