@@ -301,38 +301,40 @@ def _write_seal(store_path: str, seal: dict) -> None:
         pass
 
 
-def _open_locked(store_path: str):
-    """Open the store for update under an exclusive lock, creating it if need be.
+def _line(snapshot: QualitySnapshot) -> bytes:
+    # A lone surrogate in the project or file name raises UnicodeEncodeError here.
+    return (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
+            + "\n").encode("utf-8")
 
-    Returns the resolved path, the file and whether this call created it.
+
+def _open_locked(store_path: str, place: "Callable[[datetime | None], QualitySnapshot]"):
+    """Open the store for update under an exclusive lock.
+
+    A store that does not exist yet holds no records, so ``place(None)`` and its
+    line are checked before the store is created: a record that fails leaves no
+    store where there was none, and no writer ever removes one.
     """
     import fcntl
-    path = os.path.realpath(store_path)  # "x+b" does not follow a dangling symlink
-    while True:
+    try:
         try:
-            try:
-                f, created = open(path, "r+b"), False
-            except FileNotFoundError:
-                f, created = open(path, "x+b"), True
-        except FileExistsError:  # another writer created it in between
-            continue
-        except OSError as exc:
-            raise _cannot_open(store_path, exc) from exc
-        fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-        if os.fstat(f.fileno()).st_nlink:  # not removed by a writer that created it and failed
-            return path, f, created
-        f.close()
+            f = open(store_path, "r+b")
+        except FileNotFoundError:
+            _line(place(None))
+            f = open(store_path, "a+b")
+            f.seek(0)  # opening for append leaves the file at its end
+    except OSError as exc:
+        raise _cannot_open(store_path, exc) from exc
+    fcntl.flock(f.fileno(), fcntl.LOCK_EX)
+    return f
 
 
 def _update(store_path: str, project_id: str,
             place: "Callable[[datetime | None], QualitySnapshot]") -> QualitySnapshot:
     """Under the store's lock: check it, append ``place(first)`` and seal what was read.
 
-    ``first`` is the project's first wall clock, None for a new project. A store
-    this call created is removed again if the append fails.
+    ``first`` is the project's first wall clock, None for a new project.
     """
-    path, f, created = _open_locked(store_path)
-    try:
+    with _open_locked(store_path, place) as f:
         length, count, seen, digest = _sealed_prefix(store_path, f)
         tail = f.read()
         count = _check(_lines(tail, length, count), count, seen)[1]
@@ -345,8 +347,7 @@ def _update(store_path: str, project_id: str,
             later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
             raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance project "
                                 f"{project_id!r}; store already holds t = {later} h")
-        line = (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
-                + "\n").encode("utf-8")
+        line = _line(snapshot)
         if tail and not tail.endswith(b"\n"):  # the last record lacks its newline
             line = b"\n" + line
         f.write(line)
@@ -356,12 +357,6 @@ def _update(store_path: str, project_id: str,
             digest.update(tail)
             _write_seal(store_path, {"length": length + len(tail), "lines": count,
                                      "sha256": digest.hexdigest(), "projects": seen})
-    except BaseException:
-        if created:
-            os.unlink(path)
-        raise
-    finally:
-        f.close()
     return snapshot
 
 

@@ -9,7 +9,12 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from excellence import history
-from excellence.errors import CorruptionError, MissingFileError, OrderingError
+from excellence.errors import (
+    CorruptionError,
+    MissingFileError,
+    OrderingError,
+    UndefinedMetricError,
+)
 from excellence.history import (
     QualitySnapshot,
     Trajectory,
@@ -319,3 +324,37 @@ def test_record_snapshot_rejects_early_or_naive_clock(tmp_path):
     with pytest.raises(ValueError, match="UTC offset"):
         record_snapshot(str(store), "alpha", T0.replace(tzinfo=None), make_stats(), 0)
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("project, loc, error", [("alpha", 0, UndefinedMetricError),
+                                                 ("\ud800", 100, UnicodeEncodeError)])
+def test_failing_record_creates_no_store(tmp_path, project, loc, error):
+    store = tmp_path / "store.jsonl"
+    with pytest.raises(error):
+        record_snapshot(str(store), project, T0, make_stats(loc=loc), 0)
+    assert not store.exists()
+
+
+def test_record_through_a_dangling_symlink_creates_its_target(tmp_path):
+    (tmp_path / "store.jsonl").symlink_to(tmp_path / "target.jsonl")
+    snap = record_snapshot(str(tmp_path / "store.jsonl"), "alpha", T0, make_stats(), 0)
+    assert load_trajectory(str(tmp_path / "target.jsonl"), "alpha").snapshots == (snap,)
+
+
+def test_failing_record_keeps_what_a_writer_that_locked_first_committed(tmp_path, monkeypatch):
+    # The writer that creates the store is not the first to lock it: another one
+    # locks, appends t = 5 and leaves before it. Its refused t = 1 removes nothing.
+    import fcntl
+    store = tmp_path / "store.jsonl"
+    flock, other = fcntl.flock, []
+
+    def other_writer_locks_first(fd, operation):
+        if not other:
+            other.append(None)
+            other[0] = record_snapshot(str(store), "alpha", T0, make_stats(), 0, t_hours=5.0)
+        flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", other_writer_locks_first)
+    with pytest.raises(OrderingError, match="store already holds t = 5.0 h"):
+        record_snapshot(str(store), "alpha", T0, make_stats(), 0, t_hours=1.0)
+    assert load_trajectory(str(store), "alpha").snapshots == tuple(other)
