@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
 from excellence import history
 from excellence.cli import main
 from excellence.history import load_trajectory
+from excellence.scanner import SourceStats
 
 from store_oracle import oracle_load_trajectory
 
@@ -453,6 +455,17 @@ def test_report_single_snapshot_degrades_gracefully(clean_src, tmp_path, capsys)
     out, _ = capsys.readouterr()
     assert "Snapshots : 1" in out
     assert out.count("insufficient data") == 5
+
+
+def test_report_huge_stored_values_exit_0(tmp_path, capsys):
+    # X = -1e32 has more digits than Decimal's default 28-digit context holds.
+    store = str(tmp_path / "store.jsonl")
+    history.record_snapshot(store, "p", datetime(2026, 3, 1, tzinfo=timezone.utc),
+                            SourceStats("m.c", 1, 0, 0, 1, 0, 0), 10**30, 0.0)
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", store]) == 0
+    out, _ = capsys.readouterr()
+    assert f"X = -{10**32}.00  EL% = {10**32}.00  errors = {10**30}  loc = 1" in out
 
 
 def test_report_alpha_scales_effort(clean_src, faulty_src, error_log,

@@ -26,6 +26,12 @@ def test_eight_errors_over_944_loc_display():
     assert format_2dp(m.degree_of_excellence) == "99.15"
 
 
+def test_display_rounding_keeps_every_digit_of_a_huge_value():
+    # Beyond Decimal's default 28 digits; the largest float has 309.
+    assert format_2dp(1e26) == "1" + "0" * 26 + ".00"
+    assert format_2dp(-1.7976931348623157e308) == "-17976931348623157" + "0" * 292 + ".00"
+
+
 def test_percent_is_hundred_times_fraction():
     m = compute_metrics(7, 311)
     assert m.error_level_percent == 100.0 * m.error_level_fraction

@@ -298,15 +298,54 @@ def test_fit_recovers_integer_polynomials(degree, data):
     assert fit.coefficients == pytest.approx(expected, rel=0, abs=1e-6)
 
 
-def test_import_does_not_load_numpy():
-    """Nor hashlib, which only a store writer needs."""
+def _loaded_modules(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import excellence, sys; assert not {'numpy', 'hashlib'} & set(sys.modules)"],
-        env=env, check=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _command(*argv: str) -> str:
+    return f"from excellence.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_import_does_not_load_numpy(tmp_path):
+    """Nor hashlib, which only a store writer needs; each command loads only its layers."""
+    loaded = _loaded_modules("import excellence", tmp_path)
+    assert not {"numpy", "hashlib"} & loaded
+    assert not {name for name in loaded if name.startswith("excellence.")}
+
+    (tmp_path / "one.c").write_text("int x;\n", encoding="utf-8")
+    scan = _loaded_modules(_command("scan", "one.c"), tmp_path)
+    assert {"excellence.scanner", "excellence.diaglog", "excellence.metrics"} <= scan
+    assert not {"excellence.history", "excellence.trajectory", "excellence.report",
+                "json", "csv", "hashlib"} & scan
+    record = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
+                                      "s.jsonl", "--t-hours", "0"), tmp_path)
+    assert "excellence.history" in record
+    assert not {"excellence.trajectory", "excellence.report", "csv"} & record
+    report = _loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl"),
+                             tmp_path)
+    assert {"excellence.report", "excellence.trajectory"} <= report
+    assert "excellence.diaglog" not in report
+
+    _loaded_modules(
+        "import excellence\n"
+        "names = {}\n"
+        "exec('from excellence import *', names)\n"
+        "assert set(excellence.__all__) <= set(names)\n"
+        "assert excellence.history.load_trajectory is names['load_trajectory']\n"
+        "try:\n"
+        "    excellence.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name resolved')", tmp_path)
 
 
 def test_polyfit_evaluation_matches_horner():
