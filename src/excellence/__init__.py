@@ -12,10 +12,10 @@ loads only the scanner. The same imports work as with eager loading.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "scanner": ("LineClass", "SourceStats", "classify_lines", "scan_source", "scan_file"),
+    "scanner": ("LineClass", "classify_lines", "scan_source", "scan_file"),
     "diaglog": ("DEFAULT_ERROR_PATTERN", "ErrorPattern", "ErrorReport", "count_errors",
                 "count_errors_in_file"),
-    "metrics": ("QualityMetrics", "compute_metrics", "improvement"),
+    "metrics": ("SourceStats", "QualityMetrics", "compute_metrics", "improvement"),
     "history": ("QualitySnapshot", "Trajectory", "append_snapshot", "load_trajectory",
                 "record_snapshot"),
     "trajectory": ("RateMethod", "TrendClass", "RateEstimate", "EffortEstimate", "PolyFit",

@@ -18,16 +18,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .errors import ExcellenceError, InsufficientDataError, UndefinedMetricError
-from .metrics import QualityMetrics, compute_metrics
-
-if TYPE_CHECKING:  # each command imports the layers it runs, when it runs
-    from .scanner import SourceStats
+from .metrics import QualityMetrics, SourceStats, compute_metrics
 
 PROG = "excellence"
 STORE_ENV_VAR = "EXCEL_STORE"
@@ -43,8 +39,7 @@ def format_2dp(value: float) -> str:
                                              context=_EVERY_FLOAT))
 
 
-@dataclass(frozen=True)
-class ReportRendering:
+class ReportRendering(NamedTuple):
     """The scan report, one string per output line."""
 
     lines: tuple[str, ...]

@@ -13,8 +13,8 @@ the same lines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import MissingFileError, PatternError
 from .scanner import split_lines
@@ -34,8 +34,7 @@ _FOLDED_DEFAULT = re.compile(
     r"error(?<=\berror)\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
+class ErrorPattern(NamedTuple):
     """A line pattern that marks a diagnostic as an error."""
 
     pattern_text: str = DEFAULT_PATTERN_TEXT
@@ -61,8 +60,7 @@ def _compile(pattern_text: str, flags: int) -> re.Pattern[str]:
     return re.compile(pattern_text, flags)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Error count plus the 1-based numbers of the lines that matched."""
 
     log_name: str

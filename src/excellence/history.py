@@ -19,8 +19,8 @@ and sha256 of the prefix it read and checked, and each project's first wall
 clock and last hours there. The next writer whose store still starts with
 those bytes hashes them and checks only the lines after them, so an append
 parses O(1) records and hashes O(n) bytes. The seal is a cached proof, not a
-second loader: without it, or with one that does not match, the writer checks
-the whole store, with the same outcome.
+second loader: without it, or with one that is ill formed or does not match,
+the writer checks the whole store, with the same outcome.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CorruptionError, MissingFileError, OrderingError
-from .metrics import QualityMetrics, compute_metrics, error_levels
-from .scanner import SourceStats
+from .metrics import QualityMetrics, SourceStats, compute_metrics, error_levels
 
 _FIELDS = (
     "project",
@@ -57,8 +55,7 @@ _FIELD_SET = frozenset(_FIELDS)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True)
-class QualitySnapshot:
+class QualitySnapshot(NamedTuple):
     """One timestamped measurement of a file's counts and metrics."""
 
     project_id: str
@@ -92,33 +89,49 @@ class QualitySnapshot:
         )
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """A project's snapshots in strictly increasing timestamp order.
 
     ``ts`` and ``xs`` hold each snapshot's hours and degree of excellence.
+    Immutable; equal when the project and the snapshots are.
     """
 
-    project_id: str
-    snapshots: tuple[QualitySnapshot, ...]
-    ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("project_id", "snapshots", "ts", "xs")
 
-    def __post_init__(self) -> None:
-        for snap in self.snapshots:
-            if snap.project_id != self.project_id:
+    def __init__(self, project_id: str, snapshots: tuple[QualitySnapshot, ...]) -> None:
+        for snap in snapshots:
+            if snap.project_id != project_id:
                 raise ValueError(
-                    f"snapshot project {snap.project_id!r} != trajectory {self.project_id!r}"
+                    f"snapshot project {snap.project_id!r} != trajectory {project_id!r}"
                 )
-        ts = tuple(s.t_hours for s in self.snapshots)
+        ts = tuple(s.t_hours for s in snapshots)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("snapshot timestamps must be strictly increasing")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "xs",
-                           tuple(s.metrics.degree_of_excellence for s in self.snapshots))
+        init = object.__setattr__
+        init(self, "project_id", project_id)
+        init(self, "snapshots", snapshots)
+        init(self, "ts", ts)
+        init(self, "xs", tuple(s.metrics.degree_of_excellence for s in snapshots))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.snapshots)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.project_id, self.snapshots) == (other.project_id, other.snapshots)
+
+    def __hash__(self) -> int:
+        return hash((self.project_id, self.snapshots))
+
+    def __repr__(self) -> str:
+        return f"Trajectory(project_id={self.project_id!r}, snapshots={self.snapshots!r})"
 
 
 def _record_dict(snapshot: QualitySnapshot) -> dict:
@@ -264,27 +277,59 @@ def _check(lines: list[str], before: int, seen: dict, project_id: "str | None" =
     return snapshots, before + len(lines) - 1
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _well_formed(seal) -> bool:
+    """Whether ``seal`` has the shape ``_update`` writes: non-negative int ``length``
+    and ``lines``, a str ``sha256``, and ``projects`` mapping each id (a JSON key is
+    a str) to its first wall clock with a UTC offset, its last hours, finite and
+    >= 0, and that record's line number, from 1 to ``lines``."""
+    if type(seal) is not dict or seal.keys() != {"length", "lines", "sha256", "projects"}:
+        return False
+    lines, projects = seal["lines"], seal["projects"]
+    if not (_is_count(seal["length"]) and _is_count(lines) and type(seal["sha256"]) is str
+            and type(projects) is dict):
+        return False
+    for entry in projects.values():
+        if type(entry) is not list or len(entry) != 3:
+            return False
+        clock, hours, line = entry
+        if not (type(clock) is str and type(hours) is float and 0 <= hours <= sys.float_info.max
+                and type(line) is int and 1 <= line <= lines):
+            return False
+        try:
+            if _clock(clock).utcoffset() is None:
+                return False
+        except ValueError:
+            return False
+    return True
+
+
 def _sealed_prefix(store_path: str, f):
     """Hash the prefix of the store ``f`` that its seal covers.
 
-    When the digest matches, ``f`` is left at the prefix's end, and the seal's
-    length, line count and ``seen`` come back with the running sha256. Otherwise
-    ``f`` is rewound, and those of the empty prefix come back.
+    When the seal is well formed and its digest matches, ``f`` is left at the
+    prefix's end, and the seal's length, line count and ``seen`` come back with
+    the running sha256. Otherwise ``f`` is rewound, and those of the empty prefix
+    come back.
     """
     import hashlib  # here, not at module level: scan and report never hash
     digest = hashlib.sha256()
     try:
         with open(store_path + ".seal", "rb") as seal_file:
             seal = json.load(seal_file)
-        length = seal["length"]
-        while f.tell() < length:  # in chunks: the prefix is never held whole
-            chunk = f.read(min(1 << 16, length - f.tell()))
-            if not chunk:
-                break
-            digest.update(chunk)
-        if f.tell() == length and digest.hexdigest() == seal["sha256"]:
-            return length, seal["lines"], seal["projects"], digest
-    except (OSError, ValueError, KeyError, TypeError):  # missing or unreadable: not trusted
+        if _well_formed(seal):
+            length = seal["length"]
+            while f.tell() < length:  # in chunks: the prefix is never held whole
+                chunk = f.read(min(1 << 16, length - f.tell()))
+                if not chunk:
+                    break
+                digest.update(chunk)
+            if f.tell() == length and digest.hexdigest() == seal["sha256"]:
+                return length, seal["lines"], seal["projects"], digest
+    except (OSError, ValueError, RecursionError):  # missing, unreadable or nested too deep
         pass
     f.seek(0)
     return 0, 0, {}, hashlib.sha256()

@@ -1,4 +1,4 @@
-"""Error level, degree of excellence, and improvement.
+"""Error level, degree of excellence and improvement, and the line census they rest on.
 
 Error level is errors per line of code; expressed in percent it is EL%.
 Degree of excellence is X = 100 - EL%, kept at full precision here; display
@@ -9,13 +9,25 @@ one line can hold several errors, so EL% may exceed 100 and X go negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UndefinedMetricError
 
 
-@dataclass(frozen=True)
-class QualityMetrics:
+class SourceStats(NamedTuple):
+    """Per-file line and loop census, as ``scanner.scan_source`` counts it."""
+
+    file_name: str
+    total_lines: int
+    comment_lines: int
+    blank_lines: int
+    loc: int
+    for_count: int
+    while_count: int
+    unterminated_comment: bool = False
+
+
+class QualityMetrics(NamedTuple):
     error_level_fraction: float
     error_level_percent: float
     degree_of_excellence: float

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
-
 from . import trajectory
 from .cli import format_2dp
 from .errors import InsufficientDataError
@@ -47,9 +44,7 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
         out.append(f"Improvement (X_final - X_initial) = {sign}{format_2dp(gain)}")
         out.append("Interval rates (points/hour):")
         # The slopes of trajectory.interval_rates, without a RateEstimate each.
-        ts, xs = traj.ts, traj.xs
-        slopes = [(x_f - x_i) / (t_f - t_i)
-                  for t_i, t_f, x_i, x_f in zip(ts, ts[1:], xs, xs[1:])]
+        ts, slopes = traj.ts, trajectory._slopes(traj)
         out.extend(f"  [{t_i:g}, {t_f:g}] : {slope:.6g}"
                    for t_i, t_f, slope in zip(ts, ts[1:], slopes))
         latest = trajectory.instantaneous_rate(traj, last.t_hours)
@@ -76,12 +71,13 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
 
 
 def render_csv(traj: Trajectory) -> str:
+    import csv  # here, not at module level: only this format writes csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t_hours", "x", "el_percent", "errors", "loc", "rate_from_prev"])
-    rates = trajectory.interval_rates(traj) if len(traj) >= 2 else []
-    for index, snap in enumerate(traj.snapshots):
-        rate = rates[index - 1].value if index >= 1 else ""
+    rates = ["", *trajectory._slopes(traj)]  # the first snapshot has no previous one
+    for snap, rate in zip(traj.snapshots, rates):
         writer.writerow([
             snap.t_hours,
             snap.metrics.degree_of_excellence,

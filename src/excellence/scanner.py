@@ -35,9 +35,9 @@ from __future__ import annotations
 import enum
 import os
 import re
-from dataclasses import dataclass
 
 from .errors import MissingFileError, SourceDecodeError
+from .metrics import SourceStats  # re-exported: the census type lives beside its metrics
 
 LOOP_KEYWORDS = ("for", "while")
 
@@ -46,20 +46,6 @@ class LineClass(enum.Enum):
     CODE = "code"
     COMMENT = "comment"
     BLANK = "blank"
-
-
-@dataclass(frozen=True)
-class SourceStats:
-    """Per-file line and loop census."""
-
-    file_name: str
-    total_lines: int
-    comment_lines: int
-    blank_lines: int
-    loc: int
-    for_count: int
-    while_count: int
-    unterminated_comment: bool = False
 
 
 def split_lines(text: str) -> list[str]:

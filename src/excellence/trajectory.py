@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ExtrapolationError,
@@ -42,8 +42,7 @@ class TrendClass(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class RateEstimate:
+class RateEstimate(NamedTuple):
     """dX/dt in percentage points per hour, with estimator metadata."""
 
     value: float
@@ -51,15 +50,13 @@ class RateEstimate:
     interval: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class EffortEstimate:
+class EffortEstimate(NamedTuple):
     alpha: float
     rate: RateEstimate
     effort: float
 
 
-@dataclass(frozen=True)
-class PolyFit:
+class PolyFit(NamedTuple):
     """Least-squares fit of X over hours; constant coefficient first."""
 
     degree: int
@@ -198,14 +195,17 @@ def effort(alpha: float, rate: RateEstimate) -> EffortEstimate:
     return EffortEstimate(alpha=alpha, rate=rate, effort=alpha * rate.value)
 
 
+def _slopes(traj: Trajectory) -> list[float]:
+    """The secant slope of each consecutive snapshot pair, as plain floats."""
+    ts, xs = traj.ts, traj.xs
+    return [(x_f - x_i) / (t_f - t_i) for t_i, t_f, x_i, x_f in zip(ts, ts[1:], xs, xs[1:])]
+
+
 def interval_rates(traj: Trajectory) -> list[RateEstimate]:
     """Secant rates over each consecutive snapshot pair."""
-    ts, xs = traj.ts, traj.xs
-    return [
-        RateEstimate(value=(x_f - x_i) / (t_f - t_i), method=RateMethod.SECANT,
-                     interval=(t_i, t_f))
-        for t_i, t_f, x_i, x_f in zip(ts, ts[1:], xs, xs[1:])
-    ]
+    ts = traj.ts
+    return [RateEstimate(value=slope, method=RateMethod.SECANT, interval=(t_i, t_f))
+            for t_i, t_f, slope in zip(ts, ts[1:], _slopes(traj))]
 
 
 def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:

@@ -12,6 +12,7 @@ from excellence import history
 from excellence.cli import main
 from excellence.history import load_trajectory
 from excellence.scanner import SourceStats
+from excellence.trajectory import interval_rates
 
 from store_oracle import oracle_load_trajectory
 
@@ -536,6 +537,19 @@ def test_csv_report_shape(clean_src, faulty_src, error_log, tmp_path, capsys):
     second = lines[2].split(",")
     assert second[5] == "0.0"  # same X at t=0 and t=1
     assert float(lines[3].split(",")[1]) == 100.0
+
+
+def test_csv_rate_column_is_interval_rates(tmp_path, capsys):
+    store = str(tmp_path / "store.jsonl")
+    stats = SourceStats("m.c", 40, 4, 2, 36, 1, 0)
+    t0 = datetime(2026, 5, 1, tzinfo=timezone.utc)
+    for t, errors in ((0.0, 9), (0.5, 7), (1.75, 7), (4.0, 2), (4.3, 5)):
+        history.record_snapshot(store, "p", t0, stats, errors, t)
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", store, "--format", "csv"]) == 0
+    column = [line.split(",")[5] for line in capsys.readouterr().out.splitlines()[1:]]
+    rates = interval_rates(load_trajectory(store, "p"))
+    assert column == ["", *(repr(rate.value) for rate in rates)]
 
 
 def test_svg_report_shape(clean_src, faulty_src, error_log, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tests for the append-only snapshot store."""
 
-import dataclasses
 import json
 import math
 import random
@@ -226,7 +225,7 @@ def test_append_rejects_naive_wall_clock(tmp_path):
     append_snapshot(str(store), make_snapshot(t=0.0))
     before = store.read_bytes()
     naive = make_snapshot(t=1.0)
-    naive = dataclasses.replace(naive, wall_clock=naive.wall_clock.replace(tzinfo=None))
+    naive = naive._replace(wall_clock=naive.wall_clock.replace(tzinfo=None))
     with pytest.raises(ValueError, match="UTC offset"):
         append_snapshot(str(store), naive)
     assert store.read_bytes() == before
@@ -285,7 +284,7 @@ def test_append_rejects_non_finite_time(tmp_path):
     store = tmp_path / "store.jsonl"
     append_snapshot(str(store), make_snapshot(t=0.0))
     before = store.read_bytes()
-    snap = dataclasses.replace(make_snapshot(t=1.0), t_hours=math.nan)
+    snap = make_snapshot(t=1.0)._replace(t_hours=math.nan)
     with pytest.raises(ValueError, match="finite"):
         append_snapshot(str(store), snap)
     assert store.read_bytes() == before

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import string
@@ -234,6 +235,30 @@ _BAD_TAILS = (b"garbage\n", b"\n \n", b"\r", b"{}\n", b'{"project": "p"', b"\xff
               b"\r\n\xc3(\n", b"\xed\xa0\x80\n")
 
 
+# One field of a writer's own seal made ill typed or out of range, its digest
+# kept; ``None`` in a path stands for the first project's id.
+_SEAL_EDITS = (
+    (("lines",), "x"), (("lines",), -5), (("lines",), True), (("length",), -1),
+    (("length",), True), (("sha256",), None), (("projects",), []), (("projects",), {"p": 5}),
+    (("projects", None), 5), (("projects", None), ["2026-05-01T00:00:00+00:00", 1.0]),
+    (("projects", None, 0), "2026-05-01T00:00:00"), (("projects", None, 0), "May 1"),
+    (("projects", None, 0), 0), (("projects", None, 1), "a"), (("projects", None, 1), -1.0),
+    (("projects", None, 1), math.inf), (("projects", None, 1), math.nan),
+    (("projects", None, 1), 1), (("projects", None, 2), 0), (("projects", None, 2), "1"),
+    (("projects", None, 2), True), (("projects", None, 2), 10**6),
+)
+
+
+def _edited_seal(seal, path, value):
+    obj = json.loads(seal)
+    *keys, last = [next(iter(obj["projects"])) if key is None else key for key in path]
+    target = obj
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return json.dumps(obj).encode("utf-8")
+
+
 @st.composite
 def _store_steps(draw):
     """(project, hours) pairs, each project's hours strictly increasing."""
@@ -296,9 +321,12 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
         elif mutation == "not UTF-8":
             at = data.draw(st.integers(0, len(stored)))
             stored[at:at] = data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
-        seal = data.draw(st.sampled_from(
-            (seal, None, _read(_write_store(other, other_steps) + ".seal"),
-             data.draw(st.binary(max_size=40)), b'{"length": 0, "sha256": 1}', b"[]")))
+        seals = [seal, None, _read(_write_store(other, other_steps) + ".seal"),
+                 data.draw(st.binary(max_size=40)), b'{"length": 0, "sha256": 1}', b"[]",
+                 b"[" * 100_000]
+        if seal is not None:
+            seals.append(_edited_seal(seal, *data.draw(st.sampled_from(_SEAL_EDITS))))
+        seal = data.draw(st.sampled_from(seals))
 
         src = os.path.join(tmp, "probe.c")
         with open(src, "w", encoding="utf-8") as f:

@@ -315,7 +315,8 @@ def _command(*argv: str) -> str:
 
 
 def test_import_does_not_load_numpy(tmp_path):
-    """Nor hashlib, which only a store writer needs; each command loads only its layers."""
+    """Nor hashlib, which only a store writer needs; each command loads only its layers,
+    and none loads dataclasses or the inspect module under it."""
     loaded = _loaded_modules("import excellence", tmp_path)
     assert not {"numpy", "hashlib"} & loaded
     assert not {name for name in loaded if name.startswith("excellence.")}
@@ -329,10 +330,23 @@ def test_import_does_not_load_numpy(tmp_path):
                                       "s.jsonl", "--t-hours", "0"), tmp_path)
     assert "excellence.history" in record
     assert not {"excellence.trajectory", "excellence.report", "csv"} & record
+    # The second record reads the first and writes a seal.
+    sealed = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
+                                      "s.jsonl", "--t-hours", "1"), tmp_path)
+    assert (tmp_path / "s.jsonl.seal").exists()
     report = _loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl"),
                              tmp_path)
     assert {"excellence.report", "excellence.trajectory"} <= report
-    assert "excellence.diaglog" not in report
+    assert not {"excellence.diaglog", "excellence.scanner", "csv"} & report
+    reports = [_loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl",
+                                        "--format", format), tmp_path)
+               for format in ("csv", "svg")]
+    assert "csv" in reports[0]
+    assert not {"excellence.scanner", "csv"} & reports[1]
+    usage = _loaded_modules("from excellence.cli import main\ntry:\n    main(['--help'])\n"
+                            "except SystemExit as exit:\n    assert exit.code == 0", tmp_path)
+    for modules in (scan, record, sealed, report, *reports, usage):
+        assert not {"dataclasses", "inspect"} & modules
 
     _loaded_modules(
         "import excellence\n"
