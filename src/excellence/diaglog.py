@@ -7,7 +7,9 @@ head line. The default pattern covers the two mainstream shapes,
 
 The default pattern is one case-sensitive search over the whole log with its
 ASCII letters lowered; a user pattern is searched line by line. Both count
-the same lines.
+the same lines. A log file is folded as bytes and decoded once: ``bytes.lower``
+changes only 0x41-0x5A, which no UTF-8 multibyte sequence holds, so folding
+before the decode gives the text that folding after it would.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import MissingFileError, PatternError
-from .scanner import split_lines
 
 # ``error(?<=\berror)`` is ``\berror`` that starts with a literal: the engine
 # skips to candidate ``error``s instead of testing a boundary at every offset.
@@ -32,6 +33,19 @@ DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
 # ``\r`` of a CRLF is never followed by the ``:`` a match ends with.
 _FOLDED_DEFAULT = re.compile(
     r"error(?<=\berror)\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
+
+
+def split_lines(text: str) -> list[str]:
+    """Physical lines split on LF and CRLF only; a final newline ends, not
+    opens, a line. Unlike ``str.splitlines`` a lone CR, form feed or Unicode
+    line separator stays inside its line."""
+    text = text.replace("\r\n", "\n")
+    if not text:
+        return []
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 class ErrorPattern(NamedTuple):
@@ -69,15 +83,20 @@ class ErrorReport(NamedTuple):
 
 
 def count_errors(
-    log_text: str,
+    log_text: "str | bytes",
     pattern: ErrorPattern = DEFAULT_ERROR_PATTERN,
     log_name: str = "",
 ) -> ErrorReport:
-    """Count log lines matching ``pattern``. Line-local and deterministic."""
+    """Count log lines matching ``pattern``. Line-local and deterministic.
+
+    ``bytes`` are decoded as UTF-8 with replacement.
+    """
     if pattern == DEFAULT_ERROR_PATTERN:
         matched = _default_matches(log_text)
     else:
         regex = pattern.compile()
+        if isinstance(log_text, bytes):
+            log_text = log_text.decode("utf-8", errors="replace")
         matched = tuple(
             number
             for number, hit in enumerate(map(regex.search, split_lines(log_text)), start=1)
@@ -86,10 +105,13 @@ def count_errors(
     return ErrorReport(log_name=log_name, error_count=len(matched), matched_line_numbers=matched)
 
 
-def _default_matches(log_text: str) -> tuple[int, ...]:
+def _default_matches(log_text: "str | bytes") -> tuple[int, ...]:
     """Numbers of the lines the default pattern matches, in one pass."""
     # Lowers ASCII letters only, keeping the length and every other code point.
-    folded = log_text.encode("utf-8", "surrogatepass").lower().decode("utf-8", "surrogatepass")
+    if isinstance(log_text, bytes):
+        folded = log_text.lower().decode("utf-8", errors="replace")
+    else:
+        folded = log_text.encode("utf-8", "surrogatepass").lower().decode("utf-8", "surrogatepass")
     matched: list[int] = []
     number, counted_to = 1, 0
     for hit in _FOLDED_DEFAULT.finditer(folded):
@@ -109,7 +131,9 @@ def count_errors_in_file(path: str, pattern: ErrorPattern = DEFAULT_ERROR_PATTER
     """
     try:
         with open(path, "rb") as f:
-            text = f.read().decode("utf-8", errors="replace")  # the bytes are not kept
+            log = f.read()
     except OSError as exc:
         raise MissingFileError(f"cannot open log file: {path} ({exc.strerror})") from exc
-    return count_errors(text, pattern, log_name=path)
+    if pattern != DEFAULT_ERROR_PATTERN:  # a per-line search needs only the text: drop the bytes
+        log = log.decode("utf-8", errors="replace")
+    return count_errors(log, pattern, log_name=path)

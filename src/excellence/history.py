@@ -14,13 +14,14 @@ Stored metrics are redundant with the stored counts on purpose; the loader
 recomputes them and treats any mismatch as corruption. ``load_trajectory``
 costs O(n) in the n records of the whole store, because every field of every
 record of every project is checked; snapshot objects are built for the asked
-project alone. A writer also leaves ``<store>.seal``: the length, line count
-and sha256 of the prefix it read and checked, and each project's first wall
-clock and last hours there. The next writer whose store still starts with
-those bytes hashes them and checks only the lines after them, so an append
-parses O(1) records and hashes O(n) bytes. The seal is a cached proof, not a
-second loader: without it, or with one that is ill formed or does not match,
-the writer checks the whole store, with the same outcome.
+project alone. A writer also leaves ``<store>.seal``: the length and line count
+of the prefix it read and checked, each project's first wall clock and last
+hours there, and one sha256 over that prefix and this summary. The next writer
+whose store still starts with those bytes hashes them and checks only the
+lines after them, so an append parses O(1) records and hashes O(n) bytes. The
+seal is a cached proof, not a second loader: without it, or with one that is
+ill formed or does not match, the writer checks the whole store, with the same
+outcome.
 """
 
 from __future__ import annotations
@@ -327,12 +328,21 @@ def _sealed_prefix(store_path: str, f):
                 if not chunk:
                     break
                 digest.update(chunk)
-            if f.tell() == length and digest.hexdigest() == seal["sha256"]:
+            if f.tell() == length and _seal_digest(digest, length, seal["lines"],
+                                                   seal["projects"]) == seal["sha256"]:
                 return length, seal["lines"], seal["projects"], digest
     except (OSError, ValueError, RecursionError):  # missing, unreadable or nested too deep
         pass
     f.seek(0)
     return 0, 0, {}, hashlib.sha256()
+
+
+def _seal_digest(prefix, length: int, lines: int, projects: dict) -> str:
+    """The sha256 a seal carries: of its prefix, then of its summary, so that an
+    edit to either misses."""
+    digest = prefix.copy()
+    digest.update(json.dumps([length, lines, projects], sort_keys=True).encode("ascii"))
+    return digest.hexdigest()
 
 
 def _write_seal(store_path: str, seal: dict) -> None:
@@ -400,8 +410,10 @@ def _update(store_path: str, project_id: str,
         os.fsync(f.fileno())
         if tail.endswith(b"\n"):
             digest.update(tail)
-            _write_seal(store_path, {"length": length + len(tail), "lines": count,
-                                     "sha256": digest.hexdigest(), "projects": seen})
+            length += len(tail)
+            _write_seal(store_path, {"length": length, "lines": count,
+                                     "sha256": _seal_digest(digest, length, count, seen),
+                                     "projects": seen})
     return snapshot
 
 

@@ -1,16 +1,19 @@
 """Comment- and string-aware line census for C-like source files.
 
 Classifies every physical line as code, comment, or blank and counts
-``for``/``while`` keywords. One compiled token regex finds the comments and
-literals (line comment, block comment, string literal, char literal; escapes
-inside literals are part of the token, so ``"/*"`` in a string never opens a
-comment), and a single ``re.sub`` turns the text into a *code mask*: each
-comment becomes one space plus its newlines, and each line segment of a
-literal becomes one ``"`` if it holds a non-space character and stays as it
-is otherwise. Every newline survives, so the mask's lines line up with the
-text's. A line is code when its mask line is not blank; otherwise it is a
-comment when the original line is not blank or starts inside a block
-comment, and blank when neither holds. Keywords are counted on the mask.
+``for``/``while`` keywords. One compiled token regex splits the text into
+code and tokens, the comments and literals (line comment, block comment,
+string literal, char literal; escapes inside literals are part of the token,
+so ``"/*"`` in a string never opens a comment), and turns it into a *code
+mask*: a comment becomes ``//`` on each of its lines, and each line segment of
+a literal becomes one ``"`` if it holds a non-space character and stays as it
+is otherwise. ``//`` cannot come from code, where it would have opened a
+comment. Every newline survives, so the mask's lines line up with the text's.
+On the mask, two multi-line regexes count in C: a code line holds a
+non-space character outside the ``//`` markers, and a blank line holds only
+spaces; every other line holds a marker and nothing else, so it is a comment
+line, also when it starts inside a block comment. Keywords are counted on the
+mask too.
 ``\\w``, ``\\b`` and ``\\s`` in a ``str`` pattern follow ``str.isalnum()``/``_``
 and ``str.isspace()``, which keeps the conventions below.
 
@@ -48,93 +51,74 @@ class LineClass(enum.Enum):
     BLANK = "blank"
 
 
-def split_lines(text: str) -> list[str]:
-    """Physical lines split on LF and CRLF only; a final newline ends, not
-    opens, a line. Unlike ``str.splitlines`` a lone CR, form feed or Unicode
-    line separator stays inside its line."""
-    text = text.replace("\r\n", "\n")
-    if not text:
-        return []
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 # Leftmost match wins, so a token starts only where the text is code: a
 # ``/*`` inside a literal or a quote inside a comment is consumed by the
 # token that encloses it. Every alternative starts with a literal character,
-# so the engine skips straight to the next ``/``, ``"`` or ``'``.
+# so the engine skips straight to the next ``/``, ``"`` or ``'``. The loops are
+# unrolled (``normal* (special normal*)*``), and the one group makes
+# ``_TOKEN.split`` put the tokens at the odd indexes.
 _TOKEN = re.compile(
-    r"""
-      //[^\n]*                # line comment
-    | /\*(?:.*?\*/|.*)         # block comment; an unterminated one runs to EOF
-    | "(?:[^"\\\n]|\\.)*"?     # string literal; a backslash escapes even a newline
-    | '(?:[^'\\\n]|\\.)*'?     # char literal
-    """,
+    r"""(
+      //[^\n]*                          # line comment
+    | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/    # block comment
+    | /\*.*                             # unterminated block comment: runs to EOF
+    | "[^"\\\n]*(?:\\.[^"\\\n]*)*"?      # string literal; a backslash escapes even a newline
+    | '[^'\\\n]*(?:\\.[^'\\\n]*)*'?      # char literal
+    )""",
     re.VERBOSE | re.DOTALL,
 )
+# On the mask: a code line holds a non-space character outside the ``//``
+# markers, and a blank line holds nothing but spaces.
+_CODE_LINE = re.compile(r"^(?:[^\S\n]|//)*(?!//)\S", re.MULTILINE)
+_BLANK_LINE = re.compile(r"^[^\S\n]*$", re.MULTILINE)
 # ``kw(?<=\bkw)\b`` is ``\bkw\b`` that starts with a literal, so the engine
 # searches for the keyword instead of testing a boundary at every offset.
 _LOOPS = {kw: re.compile(rf"{kw}(?<=\b{kw})\b") for kw in LOOP_KEYWORDS}
 
 
-def _analyze(source_text: str) -> tuple[list[LineClass], int, int, bool]:
-    lines = split_lines(source_text)
+def _mask(source_text: str) -> tuple[str, int, bool]:
+    """The code mask of ``source_text``, its number of lines and whether a block
+    comment is left open."""
     text = source_text.replace("\r\n", "\n")
-    block_lines: list[int] = []  # indexes of lines that start inside a block comment
-    line_no = 0  # index of the line that holds ``pos``
-    pos = 0
-    unterminated = False
-
-    def mask(m: re.Match[str]) -> str:
-        nonlocal line_no, pos, unterminated
-        token = m[0]
-        if token[0] != "/":  # literal: each of its lines becomes blank or one quote
-            return "\n".join('"' if seg.strip() else seg for seg in token.split("\n"))
-        newlines = token.count("\n")
-        if token[1] == "*":
-            line_no += text.count("\n", pos, m.start())
-            pos = m.end()
-            block_lines.extend(range(line_no + 1, line_no + newlines + 1))
-            line_no += newlines
-            unterminated = len(token) < 4 or not token.endswith("*/")  # "/*/" stays open
-        return " " + "\n" * newlines
-
-    code = _TOKEN.sub(mask, text)
-    classes = [
-        LineClass.CODE if code_line.strip()
-        else LineClass.COMMENT if line.strip()
-        else LineClass.BLANK
-        for line, code_line in zip(lines, code.split("\n"))
+    total = text.count("\n") + (text != "" and not text.endswith("\n"))
+    parts = _TOKEN.split(text)
+    last = parts[-2] if len(parts) > 1 else ""
+    unterminated = last.startswith("/*") and (len(last) < 4 or not last.endswith("*/"))
+    parts[1::2] = [
+        "//" + "\n//" * token.count("\n") if token[0] == "/"
+        else '"' if "\n" not in token
+        else "\n".join('"' if seg.strip() else seg for seg in token.split("\n"))
+        for token in parts[1::2]
     ]
-    for j in block_lines:  # a final newline inside a comment opens no line
-        if j < len(classes) and classes[j] is LineClass.BLANK:
-            classes[j] = LineClass.COMMENT
-    for_count = len(_LOOPS["for"].findall(code))
-    while_count = len(_LOOPS["while"].findall(code))
-    return classes, for_count, while_count, unterminated
+    return "".join(parts), total, unterminated
 
 
 def classify_lines(source_text: str) -> list[LineClass]:
     """Classify each physical line of ``source_text`` as code/comment/blank."""
-    return _analyze(source_text)[0]
+    mask, total, _ = _mask(source_text)
+    return [
+        LineClass.CODE if _CODE_LINE.match(line)
+        else LineClass.COMMENT if line.strip()
+        else LineClass.BLANK
+        for line in mask.split("\n", total)[:total]
+    ]
 
 
 def scan_source(source_text: str, file_name: str = "") -> SourceStats:
     """Census ``source_text``: line classes plus for/while keyword counts."""
-    classes, for_count, while_count, unterminated = _analyze(source_text)
-    total = len(classes)
-    comment = sum(1 for c in classes if c is LineClass.COMMENT)
-    blank = sum(1 for c in classes if c is LineClass.BLANK)
+    mask, total, unterminated = _mask(source_text)
+    code = len(_CODE_LINE.findall(mask))
+    # A final newline opens no line: the empty one after it is not counted. One
+    # inside a block comment leaves ``//`` there, which is neither code nor blank.
+    blank = len(_BLANK_LINE.findall(mask)) - (mask == "" or mask.endswith("\n"))
     return SourceStats(
         file_name=file_name,
         total_lines=total,
-        comment_lines=comment,
+        comment_lines=total - code - blank,
         blank_lines=blank,
-        loc=total - comment,
-        for_count=for_count,
-        while_count=while_count,
+        loc=code + blank,
+        for_count=len(_LOOPS["for"].findall(mask)),
+        while_count=len(_LOOPS["while"].findall(mask)),
         unterminated_comment=unterminated,
     )
 

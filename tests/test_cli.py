@@ -366,6 +366,24 @@ def test_record_store_not_utf8_exits_7_with_or_without_seal(clean_src, tmp_path,
         assert store.read_bytes() == before
 
 
+def test_record_misses_a_seal_whose_summary_was_edited(clean_src, tmp_path, capsys):
+    store = tmp_path / "s.jsonl"
+    for project, t in [("p", "0"), ("p", "1"), ("p", "2"), ("q", "0")]:
+        assert main(["record", clean_src, "--project", project, "--store", str(store),
+                     "--t-hours", t]) == 0
+    seal = json.loads(store.with_suffix(".jsonl.seal").read_text(encoding="utf-8"))
+    assert seal["projects"]["p"][1] == 2.0
+    seal["projects"]["p"][1] = 0.25  # the digest is kept
+    store.with_suffix(".jsonl.seal").write_text(json.dumps(seal), encoding="utf-8")
+    before = store.read_bytes()
+    capsys.readouterr()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "1.5"]) == 7
+    assert "store already holds t = 2.0 h" in capsys.readouterr().err
+    assert store.read_bytes() == before
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+
+
 def test_concurrent_records_take_turns(clean_src, tmp_path):
     store = tmp_path / "store.jsonl"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

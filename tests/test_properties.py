@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excellence import cli
-from excellence.diaglog import DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors
+from excellence.diaglog import (DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors,
+                                count_errors_in_file)
 from excellence.history import QualitySnapshot, append_snapshot, load_trajectory, record_snapshot
 from excellence.scanner import SourceStats, classify_lines, scan_source
 
@@ -70,6 +71,35 @@ def test_default_error_pattern_matches_old_text(lines, newline):
     per_line = count_errors(log, ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)"))
     new = count_errors(log)
     assert new.matched_line_numbers == old.matched_line_numbers == per_line.matched_line_numbers
+
+
+# Log bytes: error heads in mixed case, bytes that are not UTF-8 (a stray
+# continuation byte, a cut sequence, an encoded surrogate, a byte never in
+# UTF-8), the UTF-8 of İ ı ſ and the Kelvin sign, a lone CR and CRLF.
+_LOG_BYTES = (
+    b"error", b"ERROR", b"Error", b"eRRoR", b"error:", b"ERROR C2065:", b"terror", b"eRr",
+    b"Or:", b" ", b"\t", b":", b"C", b"7", b"x",
+    b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff", b"\xe2\x82",
+    "İ ı ſ \u212a".encode("utf-8"), "error İ5:".encode("utf-8"),
+    "error \u212a12:".encode("utf-8"), b"\r", b"\r\n", b"\n",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_LOG_BYTES), st.binary(max_size=3)), max_size=30)
+       .map(b"".join))
+def test_log_file_folded_as_bytes_matches_per_line_search(raw):
+    # Any other pattern text is searched line by line, on the text decoded first.
+    per_line = ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)")
+    want = count_errors(raw.decode("utf-8", "replace"), per_line)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "build.log")
+        with open(path, "wb") as f:
+            f.write(raw)
+        got = count_errors_in_file(path)
+        assert count_errors_in_file(path, per_line) == want._replace(log_name=path)
+    assert got == want._replace(log_name=path)
+    assert count_errors(raw, per_line) == want
 
 
 def test_default_pattern_case_folding_facts_hold_for_every_code_point():
@@ -236,7 +266,7 @@ _BAD_TAILS = (b"garbage\n", b"\n \n", b"\r", b"{}\n", b'{"project": "p"', b"\xff
 
 
 # One field of a writer's own seal made ill typed or out of range, its digest
-# kept; ``None`` in a path stands for the first project's id.
+# kept; ``None`` in a path stands for a project's id.
 _SEAL_EDITS = (
     (("lines",), "x"), (("lines",), -5), (("lines",), True), (("length",), -1),
     (("length",), True), (("sha256",), None), (("projects",), []), (("projects",), {"p": 5}),
@@ -247,11 +277,21 @@ _SEAL_EDITS = (
     (("projects", None, 1), 1), (("projects", None, 2), 0), (("projects", None, 2), "1"),
     (("projects", None, 2), True), (("projects", None, 2), 10**6),
 )
+# The same, well typed but wrong: a lower last hours, another line, another
+# first clock, another line count.
+_WRONG_SUMMARIES = (
+    (("projects", None, 1), 0.0), (("projects", None, 2), 1),
+    (("projects", None, 0), "2026-04-30T00:00:00+00:00"), (("lines",), 10**6),
+)
 
 
-def _edited_seal(seal, path, value):
+def _edited_seal(seal, path, value, project):
+    """``seal`` with ``value`` at ``path``; ``None`` there stands for ``project``,
+    or for the first project when the seal does not hold ``project``."""
     obj = json.loads(seal)
-    *keys, last = [next(iter(obj["projects"])) if key is None else key for key in path]
+    if project not in obj["projects"]:
+        project = next(iter(obj["projects"]))
+    *keys, last = [project if key is None else key for key in path]
     target = obj
     for key in keys:
         target = target[key]
@@ -321,18 +361,21 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
         elif mutation == "not UTF-8":
             at = data.draw(st.integers(0, len(stored)))
             stored[at:at] = data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
+        project = data.draw(st.sampled_from(_SEAL_PROJECTS))
         seals = [seal, None, _read(_write_store(other, other_steps) + ".seal"),
                  data.draw(st.binary(max_size=40)), b'{"length": 0, "sha256": 1}', b"[]",
                  b"[" * 100_000]
         if seal is not None:
-            seals.append(_edited_seal(seal, *data.draw(st.sampled_from(_SEAL_EDITS))))
+            seals.append(_edited_seal(seal, *data.draw(st.sampled_from(_SEAL_EDITS)), project))
+            # A wrong summary changes only some outcomes: it gets a third of the draws.
+            seals += [_edited_seal(seal, *data.draw(st.sampled_from(_WRONG_SUMMARIES)),
+                                   project)] * 4
         seal = data.draw(st.sampled_from(seals))
 
         src = os.path.join(tmp, "probe.c")
         with open(src, "w", encoding="utf-8") as f:
             f.write(data.draw(st.sampled_from(("int x;\n", "// only a comment\n"))))
-        argv = ["record", src, "--project", data.draw(st.sampled_from(_SEAL_PROJECTS)),
-                "--store", store]
+        argv = ["record", src, "--project", project, "--store", store]
         hours = data.draw(st.sampled_from((None, "0", "1", "2.25", "9")))
         argv += [] if hours is None else ["--t-hours", hours]
         clock = _SEAL_T0 + timedelta(hours=data.draw(st.sampled_from((-1, 0, 1.5, 9))))

@@ -190,6 +190,24 @@ def test_agrees_with_oracle_on_random_sources():
             f"case {case}: {text!r}")
 
 
+# Edges of the code mask (a comment becomes ``//`` per line, a literal ``"``):
+# a final newline inside an open comment, comments that close at once, code
+# ``/`` touching a comment, a literal line that holds only spaces, and control
+# characters that are code (NUL) or space (form feed).
+_MASK_EDGES = (
+    "/*\n", "/*\n\n", "/*", "/*/", "/**/", "/**/\n", "/**//x", "a/ /**/", "/**/ /",
+    "/* a */ // b", "/* a */ // b\n", '"a\\\n   \nint x;\n', '"a\\\n \t',
+    "'\\\n\x0c\n", "\x00", "int\x00x;\n", "\x0c\n", "a\x0cb\n", "/*\x0c*/\x00\n",
+)
+
+
+@pytest.mark.parametrize("text", _MASK_EDGES)
+def test_mask_edges_agree_with_oracle(text):
+    expected = oracle_scan(text)
+    assert as_dict(scan_source(text)) == {name: expected[name] for name in _FIELDS}
+    assert [c.value for c in classify_lines(text)] == expected["classes"]
+
+
 def test_scan_file_reads_and_names(tmp_path):
     path = tmp_path / "unit.c"
     path.write_text("int main(){\n/* hi */\n}\n", encoding="utf-8")
