@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import NamedTuple
 
 from .errors import ExcellenceError, InsufficientDataError, UndefinedMetricError
@@ -27,16 +26,21 @@ from .metrics import QualityMetrics, SourceStats, compute_metrics
 
 PROG = "excellence"
 STORE_ENV_VAR = "EXCEL_STORE"
-# Quantizes every finite float: up to 309 integer digits, then two decimals.
-_EVERY_FLOAT = Context(prec=sys.float_info.max_10_exp + 3)
 
 
 def format_2dp(value: float) -> str:
-    """Display rounding: two decimals, ties away from zero."""
+    """Display rounding: two decimals of the value's shortest repr, ties away from zero."""
     if value == 0.0:
         value = 0.0  # avoid "-0.00"
+    # "%.2f" rounds the binary value, ties to even. That differs from rounding the
+    # repr only at a tie of the repr, whose third decimal "%.3f" shows as 5, or
+    # where the float spacing nears 0.01 and the repr may drop digits.
+    if abs(value) < 2.0 ** 46 and ("%.3f" % value)[-1] != "5":
+        return "%.2f" % value
+    from decimal import ROUND_HALF_UP, Context, Decimal
+    every_float = Context(prec=sys.float_info.max_10_exp + 3)  # 309 integer digits, 2 decimals
     return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP,
-                                             context=_EVERY_FLOAT))
+                                             context=every_float))
 
 
 class ReportRendering(NamedTuple):

@@ -14,7 +14,12 @@ Stored metrics are redundant with the stored counts on purpose; the loader
 recomputes them and treats any mismatch as corruption. ``load_trajectory``
 costs O(n) in the n records of the whole store, because every field of every
 record of every project is checked; snapshot objects are built for the asked
-project alone. A writer also leaves ``<store>.seal``: the length and line count
+project alone. The store is checked in blocks of whole lines. A block whose
+lines are all exactly what the writer writes is checked in bulk: one regex pass
+splits it into columns, and each rule runs over a whole column. A block with
+any other line, or with any rule broken, is checked record by record instead,
+which names the line and the fault; both cost O(n).
+A writer also leaves ``<store>.seal``: the length and line count
 of the prefix it read and checked, each project's first wall clock and last
 hours there, and one sha256 over that prefix and this summary. The next writer
 whose store still starts with those bytes hashes them and checks only the
@@ -29,7 +34,9 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import os
+import re
 import sys
 from datetime import datetime
 from typing import Callable, NamedTuple
@@ -227,10 +234,10 @@ def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
     return MissingFileError(f"cannot open store: {store_path} ({exc.strerror})")
 
 
-def _lines(data: bytes, offset: int, before: int) -> list[str]:
-    """The lines of ``data``, which follows ``offset`` bytes and ``before`` lines of
-    the store, split where reading in text mode splits; a byte that is not UTF-8
-    corrupts the line it sits on."""
+def _decode(data: bytes, offset: int, before: int) -> str:
+    """``data``, which follows ``offset`` bytes and ``before`` lines of the store, as
+    text whose lines end in ``\n`` alone, as reading in text mode ends them; a byte
+    that is not UTF-8 corrupts the line it sits on."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -238,20 +245,85 @@ def _lines(data: bytes, offset: int, before: int) -> list[str]:
         number = before + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
                               f"(byte offset {offset + exc.start})", number) from exc
-    del data  # a reader that keeps no other reference frees the bytes before the split
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return text
 
 
-def _check(lines: list[str], before: int, seen: dict, project_id: "str | None" = None
-           ) -> tuple[list[QualitySnapshot], int]:
-    """Check every line of ``lines``, which follow ``before`` lines of the store.
+def _writer_line() -> str:
+    """A regex for the exact line ``_line`` writes, one group per field in ``_FIELDS``
+    order: strings holding nothing that JSON escapes, counts as non-negative int
+    literals, and the three reals in float syntax alone, with a ``.`` or an exponent."""
+    text = r'"([^"\\\x00-\x1f]*)"'
+    real = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+    slots = {"project": text, "wall_clock": text, "file": text,
+             "t_hours": real, "el_percent": real, "x": real}
+    return "^{" + ", ".join(f'"{key}": {slots.get(key, "(0|[1-9][0-9]*)")}'
+                            for key in _FIELDS) + "}$"
 
-    ``seen`` maps each project to its first wall clock, its last hours and that
-    record's line number, and is updated. Returns the snapshots of ``project_id``
-    and ``before`` plus the line breaks between ``lines``.
-    """
+
+_WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use: a short tail never is
+_BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole line
+
+
+def _check_bulk(text: str, start: int, end: int, before: int, seen: dict,
+                project_id: "str | None") -> "list[QualitySnapshot] | None":
+    """``_check`` of the lines in ``text[start:end]`` a column at a time, for lines
+    that are all the writer's own. None, with ``seen`` untouched, when a line is not
+    or a record breaks any rule, so that the record-by-record check names the fault."""
+    rows = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
+    unended = end == len(text) and not text.endswith("\n")  # a last line without \n
+    if len(rows) != text.count("\n", start, end) + unended:
+        return None
+    (projects, clocks, hours, files, totals, comments, blanks, locs, fors, whiles, errors,
+     percents, degrees) = zip(*rows)
+    try:
+        hours, percents, degrees = (list(map(float, column))
+                                    for column in (hours, percents, degrees))
+        totals, comments, blanks, locs, fors, whiles, errors = (
+            list(map(int, column))
+            for column in (totals, comments, blanks, locs, fors, whiles, errors))
+        wall_clocks = list(map(_clock, clocks))
+    except ValueError:  # a clock that is no timestamp, or an int of too many digits
+        return None
+    # A finite el_percent that re-derives leaves x = 100 - el_percent finite too.
+    if not (all(map(math.isfinite, hours)) and all(map(math.isfinite, percents))
+            and min(hours) >= 0
+            # loc == total - comment > 0 also keeps comment_lines below total_lines.
+            and list(map(operator.sub, totals, comments)) == locs and min(locs) > 0
+            and all(map(operator.le, blanks, totals))
+            and None not in map(datetime.utcoffset, wall_clocks)):
+        return None
+    try:  # error_levels, a column at a time
+        fractions = list(map(operator.truediv, errors, locs))
+    except OverflowError:
+        return None
+    derived = [100.0 * fraction for fraction in fractions]
+    excellence = [100.0 - percent for percent in derived]
+    if derived != percents or excellence != degrees:
+        return None
+    last = {project: entry[1] for project, entry in seen.items()}
+    for project, t_hours in zip(projects, hours):
+        if t_hours <= last.get(project, -1.0):  # hours are >= 0: -1 is "none yet"
+            return None
+        last[project] = t_hours
+
+    firsts = dict(zip(reversed(projects), reversed(clocks)))
+    lines = range(before + 1, before + 1 + len(projects))
+    for project, line in dict(zip(projects, lines)).items():  # in first-seen order
+        previous = seen.get(project)
+        seen[project] = (firsts[project] if previous is None else previous[0],
+                         last[project], line)
+    return [QualitySnapshot(project, wall_clocks[i], hours[i],
+                            SourceStats(files[i], totals[i], comments[i], blanks[i], locs[i],
+                                        fors[i], whiles[i]),
+                            errors[i], QualityMetrics(fractions[i], derived[i], excellence[i]))
+            for i, project in enumerate(projects) if project == project_id]
+
+
+def _check_lines(lines: list[str], before: int, seen: dict, project_id: "str | None"
+                 ) -> list[QualitySnapshot]:
+    """``_check`` record by record, naming the first line that breaks a rule."""
     snapshots = []
     for number, line in enumerate(lines, start=before + 1):
         if line.strip() == "":
@@ -275,7 +347,30 @@ def _check(lines: list[str], before: int, seen: dict, project_id: "str | None" =
                                 obj["while_count"])
             snapshots.append(QualitySnapshot(project, wall_clock, t_hours, stats,
                                              obj["errors"], QualityMetrics(*levels)))
-    return snapshots, before + len(lines) - 1
+    return snapshots
+
+
+def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
+           ) -> tuple[list[QualitySnapshot], int]:
+    """Check every line of ``text``, which follows ``before`` lines of the store.
+
+    ``seen`` maps each project to its first wall clock, its last hours and that
+    record's line number, and is updated. Returns the snapshots of ``project_id``
+    and ``before`` plus the line breaks in ``text``. Blocks of whole lines whose
+    every line is the writer's own are checked in bulk, others record by record.
+    """
+    bulk = text.find("\n", 0, len(text) - 1) >= 0  # two lines or more: worth the pattern
+    snapshots = []
+    start = 0
+    while start < len(text):  # in blocks: few strings alive at once
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        block = _check_bulk(text, start, end, before, seen, project_id) if bulk else None
+        if block is None:
+            block = _check_lines(text[start:end].split("\n"), before, seen, project_id)
+        snapshots += block
+        before += text.count("\n", start, end)
+        start = end
+    return snapshots, before
 
 
 def _is_count(value) -> bool:
@@ -392,13 +487,13 @@ def _update(store_path: str, project_id: str,
     with _open_locked(store_path, place) as f:
         length, count, seen, digest = _sealed_prefix(store_path, f)
         tail = f.read()
-        count = _check(_lines(tail, length, count), count, seen)[1]
+        count = _check(_decode(tail, length, count), count, seen)[1]
         stored = seen.get(project_id)
         snapshot = place(None if stored is None else _clock(stored[0]))
         if stored is not None and snapshot.t_hours <= stored[1]:
             # Read in full to name the earliest stored time that blocks this one.
             f.seek(0)
-            ts = [s.t_hours for s in _check(_lines(f.read(), 0, 0), 0, {}, project_id)[0]]
+            ts = [s.t_hours for s in _check(_decode(f.read(), 0, 0), 0, {}, project_id)[0]]
             later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
             raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance project "
                                 f"{project_id!r}; store already holds t = {later} h")
@@ -464,8 +559,8 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     """
     try:
         with open(store_path, "rb") as f:
-            lines = _lines(f.read(), 0, 0)
+            text = _decode(f.read(), 0, 0)
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
     return Trajectory(project_id=project_id,
-                      snapshots=tuple(_check(lines, 0, {}, project_id)[0]))
+                      snapshots=tuple(_check(text, 0, {}, project_id)[0]))

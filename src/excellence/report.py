@@ -100,6 +100,10 @@ def _svg_scale(values: list[float], lo_px: float, hi_px: float) -> "tuple[float,
     return lo, hi, scale
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(traj: Trajectory) -> str:
     width, height = 640, 400
     left, right, top, bottom = 70.0, 620.0, 30.0, 350.0
@@ -118,7 +122,7 @@ def render_svg(traj: Trajectory) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{(left + right) / 2:.2f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{traj.project_id}</text>',
+        f'font-family="sans-serif" font-size="14">{_xml_text(traj.project_id)}</text>',
     ]
     ticks = 5
     for i in range(ticks):

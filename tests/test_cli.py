@@ -234,14 +234,21 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
     for project, t in [("q", "0"), ("p", "0"), ("q", "1"), ("q", "2"), ("q", "3")]:
         assert main(["record", clean_src, "--project", project, "--store", store,
                      "--t-hours", t]) == 0
-    parse_record = history._parse_record
+    parse_record, check_bulk = history._parse_record, history._check_bulk
     calls = []
 
     def counting(line, line_number):
         calls.append(line_number)
         return parse_record(line, line_number)
 
+    def counting_bulk(text, start, end, before, seen, project_id):
+        snapshots = check_bulk(text, start, end, before, seen, project_id)
+        if snapshots is not None:  # it checked every line; each ends in a newline here
+            calls.extend(range(before + 1, before + 1 + text.count("\n", start, end)))
+        return snapshots
+
     monkeypatch.setattr(history, "_parse_record", counting)
+    monkeypatch.setattr(history, "_check_bulk", counting_bulk)
     time_flag = [] if t_hours is None else ["--t-hours", t_hours]
     data = (tmp_path / "store.jsonl").read_bytes()
 
@@ -251,13 +258,42 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
     seal = tmp_path / "store.jsonl.seal"
     sealed = seal.read_bytes()
 
-    # Without the seal every line is parsed once, and the same seal is written.
+    # Without the seal every line is checked once, and the same seal is written.
     (tmp_path / "store.jsonl").write_bytes(data)
     seal.unlink()
     calls.clear()
     assert main(["record", clean_src, "--project", "p", "--store", store, *time_flag]) == 0
     assert sorted(calls) == [1, 2, 3, 4, 5]
     assert seal.read_bytes() == sealed
+
+
+def test_writer_store_needs_no_record_by_record_check(clean_src, tmp_path, monkeypatch):
+    # The bulk pass checks the writer's own lines; were it to miss them, every
+    # store would quietly take the slower record-by-record path.
+    store = str(tmp_path / "store.jsonl")
+    for project, t in [("q", "0"), ("p", "0"), ("q", "1"), ("p", "2.5"), ("q", "3")]:
+        assert main(["record", clean_src, "--project", project, "--store", store,
+                     "--t-hours", t]) == 0
+    expected = oracle_load_trajectory(store, "p")
+
+    def refuse(*args):
+        raise AssertionError(f"unexpected check of {args!r}")
+
+    parse_record = history._parse_record
+    monkeypatch.setattr(history, "_parse_record", refuse)
+    assert load_trajectory(store, "p") == expected
+    unended = tmp_path / "unended.jsonl"  # a last record whose newline is missing
+    unended.write_bytes((tmp_path / "store.jsonl").read_bytes()[:-1])
+    assert load_trajectory(str(unended), "p") == expected
+    os.remove(store + ".seal")
+    assert main(["record", clean_src, "--project", "p", "--store", store,
+                 "--t-hours", "4"]) == 0
+    assert [s.t_hours for s in load_trajectory(store, "p").snapshots] == [0.0, 2.5, 4.0]
+    # The seal leaves a one-record tail, which is not worth compiling the pattern for.
+    monkeypatch.setattr(history, "_parse_record", parse_record)
+    monkeypatch.setattr(history, "_check_bulk", refuse)
+    assert main(["record", clean_src, "--project", "p", "--store", store,
+                 "--t-hours", "5"]) == 0
 
 
 def test_record_starts_a_fresh_line_after_a_final_record_without_newline(
@@ -582,6 +618,22 @@ def test_svg_report_shape(clean_src, faulty_src, error_log, tmp_path, capsys):
     assert out.count("<circle ") == 3
     assert "time (hours)" in out
     assert "Degree of Excellence (%)" in out
+
+
+def test_svg_report_escapes_the_project_id(clean_src, tmp_path, capsys):
+    import xml.etree.ElementTree as ET
+    store = str(tmp_path / "store.jsonl")
+    project = "R&D <1> > 0"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", project, "--store", store,
+                     "--t-hours", t]) == 0
+    capsys.readouterr()
+    assert main(["report", "--project", project, "--store", store, "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    titles = [e.text for e in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert titles[0] == project
+    assert main(["report", "--project", project, "--store", store]) == 0
+    assert capsys.readouterr().out.startswith(f"Project : {project}\n")
 
 
 def test_svg_single_snapshot_has_padded_range(clean_src, tmp_path, capsys):

@@ -257,6 +257,39 @@ def test_interleaved_many_snapshot_round_trip(tmp_path):
         assert load_trajectory(store, project).snapshots == tuple(snaps)
 
 
+@pytest.mark.parametrize("block", [1, 700, 1 << 18])
+@pytest.mark.parametrize("split", [0, 7])
+def test_bulk_check_agrees_with_record_by_record_check(tmp_path, monkeypatch, block, split):
+    # The same snapshots, line count and ``seen`` (its order too, which the seal
+    # keeps), from one block or many, and after a prefix that a seal covered.
+    store = str(tmp_path / "store.jsonl")
+    rng = random.Random(11)
+    t = {}
+    for _ in range(25):
+        project = rng.choice(("alpha", "beta", "\u00e9\u00e8 <&>"))
+        t[project] = t[project] + rng.uniform(0.1, 4.0) if project in t else 0.0
+        append_snapshot(store, make_snapshot(project=project, t=t[project],
+                                             errors=rng.randint(0, 40), loc=rng.randint(1, 99)))
+    with open(store, "rb") as f:
+        lines = f.read().decode("utf-8").split("\n")
+    prefix, tail = "\n".join(lines[:split]), "\n".join(lines[split:])
+
+    def check(bulk):
+        seen = {}
+        history._check(prefix, 0, seen)
+        snapshots, count = history._check(tail, split, seen, "beta")
+        assert (history._check_bulk(tail, 0, len(tail), split, {}, "beta") is not None) == bulk
+        return snapshots, count, list(seen.items())
+
+    monkeypatch.setattr(history, "_BLOCK", block)
+    expected = check(True)
+    assert expected[1] == len(lines) - 1
+    assert {project: entry[2] for project, entry in expected[2]} == \
+        {json.loads(line)["project"]: number for number, line in enumerate(lines, 1) if line}
+    monkeypatch.setattr(history, "_check_bulk", lambda *args: None)
+    assert check(False) == expected
+
+
 def test_trajectory_validates_membership_and_order():
     a0 = make_snapshot(project="alpha", t=0.0)
     a1 = make_snapshot(project="alpha", t=1.0)

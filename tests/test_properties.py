@@ -9,10 +9,11 @@ import re
 import string
 import tempfile
 from datetime import datetime, timedelta, timezone
+from decimal import ROUND_HALF_UP, Context, Decimal
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from excellence import cli
@@ -254,6 +255,129 @@ def test_loader_matches_reference_loader(lines, end, project):
             f.write(("\n".join(lines) + end).encode("utf-8"))
         assert _outcome(load_trajectory, store, project) == \
             _outcome(oracle_load_trajectory, store, project)
+
+
+# Stores of the writer's own lines, as ``json.dumps(..., ensure_ascii=False)``
+# writes them, from two or three projects, with one edit or none. The edits
+# keep each line a JSON object with the writer's keys, so they reach the bulk
+# pass's own checks and its fallback to the record-by-record path.
+_WRITER_T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
+_ESCAPED_NAMES = ('say "hi"', "back\\slash", "bell\x01")
+_STORE_EDITS = (
+    "int hours", "int percent", "int x", "huge percent", "escaped name", "negative hours",
+    "out of order", "zero loc", "loc mismatch", "comment over total", "blank over total",
+    "1e400", "huge errors", "overflowing percent", "naive clock", "Z clock", "bad clock",
+    "whitespace line", "CRLF", "no final newline",
+)
+
+
+@st.composite
+def _writer_store(draw, edit):
+    """The bytes of a writer-shaped store with ``edit`` made, and its projects."""
+    names = draw(st.lists(st.sampled_from(("p", "q", "\u00e9", "\u65e5\u672c <1>")),
+                          min_size=2, max_size=3, unique=True))
+    records, last = [], {}
+    for project in draw(st.lists(st.sampled_from(names), min_size=2, max_size=8)):
+        t = last[project] = last[project] + draw(st.sampled_from((1e-3, 0.5, 1.0, 2.25))) \
+            if project in last else 0.0
+        comments, loc, errors = draw(st.integers(0, 30)), draw(st.integers(1, 30)), \
+            draw(st.integers(0, 60))
+        el = 100.0 * (errors / loc)
+        records.append({
+            "project": project, "wall_clock": (_WRITER_T0 + timedelta(hours=t)).isoformat(),
+            "t_hours": t, "file": draw(st.sampled_from(("m.c", "\u00fc.c"))),
+            "total_lines": comments + loc, "comment_lines": comments,
+            "blank_lines": draw(st.integers(0, comments + loc)), "loc": loc,
+            "for_count": draw(st.integers(0, 3)), "while_count": draw(st.integers(0, 3)),
+            "errors": errors, "el_percent": el, "x": 100.0 - el,
+        })
+    r = draw(st.sampled_from(records))
+    key = {"int hours": "t_hours", "int percent": "el_percent", "int x": "x"}.get(edit)
+    if key:
+        r[key] = int(r[key])
+    elif edit == "huge percent":  # an int that only rounds to the derived float
+        r.update(errors=10**15, loc=1, comment_lines=r["total_lines"] - 1,
+                 el_percent=10**17 + 1, x=100.0 - 1e17)
+    elif edit == "escaped name":
+        r["project"] = draw(st.sampled_from(_ESCAPED_NAMES))
+    elif edit == "negative hours":  # -0.0 is valid, -0.5 is not
+        records[0]["t_hours"] = draw(st.sampled_from((-0.0, -0.5)))
+    elif edit == "out of order":  # the same hours again, in a record of its own
+        records.append(dict(r))
+    elif edit == "zero loc":
+        r.update(loc=0, comment_lines=r["total_lines"], errors=0, el_percent=0.0, x=100.0)
+    elif edit == "loc mismatch":
+        el = 100.0 * (r["errors"] / (r["loc"] + 1))
+        r.update(loc=r["loc"] + 1, el_percent=el, x=100.0 - el)
+    elif edit == "comment over total":
+        r.update(comment_lines=r["total_lines"] + 1, loc=-1)
+    elif edit == "blank over total":
+        r["blank_lines"] = r["total_lines"] + 1
+    elif edit == "1e400":  # in the last record: no later record's order check hides it
+        records[-1][draw(st.sampled_from(("t_hours", "el_percent", "x")))] = math.inf
+    elif edit == "huge errors":  # no float holds errors / loc
+        r.update(errors=10**400, el_percent=0.0, x=100.0)
+    elif edit == "overflowing percent":  # errors / loc is a float, 100 times it is not
+        r.update(errors=10**307, loc=1, comment_lines=r["total_lines"] - 1,
+                 el_percent=math.inf, x=-math.inf)
+    elif edit in ("naive clock", "Z clock"):
+        r["wall_clock"] = r["wall_clock"].replace("+00:00", "" if edit == "naive clock" else "Z")
+    elif edit == "bad clock":
+        r["wall_clock"] = r["wall_clock"].replace("-01-01", "-13-01")
+    lines = [json.dumps(record, ensure_ascii=False).replace("Infinity", "1e400")
+             for record in records]
+    if edit == "whitespace line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from((" ", "\t"))))
+    text = ("\r\n" if edit == "CRLF" else "\n").join(lines)
+    text += "" if edit == "no final newline" else "\r\n" if edit == "CRLF" else "\n"
+    return text.encode("utf-8"), sorted({record["project"] for record in records})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((None,) + _STORE_EDITS), st.data())
+def test_writer_shaped_store_loads_as_reference_loader(edit, data):
+    event(f"edit: {edit}")
+    content, projects = data.draw(_writer_store(edit))
+    project = data.draw(st.sampled_from(projects + ["absent"]))
+    block = data.draw(st.sampled_from((1, 400, 1 << 18)))  # characters per bulk block
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "store.jsonl")
+        with open(path, "wb") as f:
+            f.write(content)
+        with mock.patch("excellence.history._BLOCK", block):
+            loaded = _outcome(load_trajectory, path, project)
+        assert loaded == _outcome(oracle_load_trajectory, path, project)
+
+
+def _reference_2dp(value):
+    """Two decimals of the shortest repr, ties away from zero; ``-0.0`` shows as ``0.00``."""
+    return str(Decimal(repr(value + 0.0)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP,
+                                                   context=Context(prec=400)))
+
+
+_EDGE = 2.0 ** 46  # from here on the float spacing nears 0.01
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, sign: sign * (k + 0.5) / 100,  # ties on .xx5
+              st.integers(0, 10**12), st.sampled_from((1, -1))),
+    st.builds(lambda e, l: 100.0 - 100.0 * (e / l), st.integers(0, 10**4), st.integers(1, 10**4)),
+    st.floats(_EDGE / 4, _EDGE * 4).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.floats(-0.01, 0.0),
+    st.floats(min_value=1e26, allow_infinity=False).flatmap(lambda v: st.sampled_from((v, -v))),
+))
+@example(-0.0)
+@example(-1e-5)
+@example(_EDGE)
+@example(-_EDGE)
+@example(math.nextafter(_EDGE, 0.0))
+@example(math.nextafter(-_EDGE, 0.0))
+@example(1e26)
+@example(2.675)
+def test_format_2dp_rounds_the_shortest_repr(value):
+    assert cli.format_2dp(value) == _reference_2dp(value)
 
 
 # A store that record_snapshot wrote, with the seal its last call left, then
