@@ -15,7 +15,6 @@ before the decode gives the text that folding after it would.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import MissingFileError, PatternError
@@ -57,7 +56,7 @@ class ErrorPattern(NamedTuple):
     def compile(self) -> re.Pattern[str]:
         flags = 0 if self.case_sensitive else re.IGNORECASE
         try:
-            return _compile(self.pattern_text, flags)
+            return re.compile(self.pattern_text, flags)
         except re.error as exc:
             pos = getattr(exc, "pos", None)
             where = f" at position {pos}" if pos is not None else ""
@@ -67,11 +66,6 @@ class ErrorPattern(NamedTuple):
 
 
 DEFAULT_ERROR_PATTERN = ErrorPattern()
-
-
-@lru_cache(maxsize=32)
-def _compile(pattern_text: str, flags: int) -> re.Pattern[str]:
-    return re.compile(pattern_text, flags)
 
 
 class ErrorReport(NamedTuple):

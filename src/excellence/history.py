@@ -18,7 +18,9 @@ project alone. The store is checked in blocks of whole lines. A block whose
 lines are all exactly what the writer writes is checked in bulk: one regex pass
 splits it into columns, and each rule runs over a whole column. A block with
 any other line, or with any rule broken, is checked record by record instead,
-which names the line and the fault; both cost O(n).
+which names the line and the fault; both cost O(n). Both checks yield rows,
+lazily and in line order, to one pass that applies the per-project order rule,
+updates the projects' summary and builds the snapshots.
 A writer also leaves ``<store>.seal``: the length and line count
 of the prefix it read and checked, each project's first wall clock and last
 hours there, and one sha256 over that prefix and this summary. The next writer
@@ -60,7 +62,6 @@ _FIELDS = (
     "x",
 )
 _FIELD_SET = frozenset(_FIELDS)
-_raw_decode = json.JSONDecoder().raw_decode
 
 
 class QualitySnapshot(NamedTuple):
@@ -165,22 +166,18 @@ def _clock(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 
-def _parse_record(line: str, line_number: int
-                  ) -> tuple[dict, datetime, tuple[float, float, float]]:
-    """Check every field of one store line; return it, its clock and its error levels."""
+def _parse_record(line: str, line_number: int) -> tuple:
+    """Check every field of one store line; return its row (see ``_check``)."""
     def bad(reason: str) -> CorruptionError:
         return CorruptionError(f"store record at line {line_number} is invalid: {reason}",
                                line_number)
 
     try:
-        obj, end = _raw_decode(line)
-    except json.JSONDecodeError:
-        end = -1
-    if end != len(line):  # surrounding whitespace, trailing data, a BOM: json.loads rules
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise bad(f"not valid JSON ({exc.msg})") from exc
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise bad(f"not valid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # an int of too many digits; nesting too deep
+        raise bad(f"cannot be decoded ({exc})") from exc
     # json yields only dict, list, str, int, float, bool and None: a bool is not an int.
     if type(obj) is not dict:
         raise bad("record is not a JSON object")
@@ -222,7 +219,10 @@ def _parse_record(line: str, line_number: int
         raise bad(f"metrics cannot be derived: {exc}") from exc
     if levels[1] != obj["el_percent"] or levels[2] != obj["x"]:
         raise bad("stored metrics do not re-derive from stored counts")
-    return obj, wall_clock, levels
+    return (line_number, obj["project"], obj["wall_clock"], float(obj["t_hours"]), wall_clock,
+            (obj["file"], obj["total_lines"], obj["comment_lines"], obj["blank_lines"],
+             obj["loc"], obj["for_count"], obj["while_count"]),
+            obj["errors"], levels)
 
 
 def _require_utc_offset(wall_clock: datetime) -> None:
@@ -266,17 +266,17 @@ _WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use: a sho
 _BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole line
 
 
-def _check_bulk(text: str, start: int, end: int, before: int, seen: dict,
-                project_id: "str | None") -> "list[QualitySnapshot] | None":
-    """``_check`` of the lines in ``text[start:end]`` a column at a time, for lines
-    that are all the writer's own. None, with ``seen`` untouched, when a line is not
-    or a record breaks any rule, so that the record-by-record check names the fault."""
-    rows = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
+def _check_bulk(text: str, start: int, end: int, before: int):
+    """The rows of the lines in ``text[start:end]``, each rule checked a column at a
+    time, for lines that are all the writer's own. None when a line is not or a
+    record breaks a rule, so that the record-by-record check names the fault. The
+    order of each project's hours is ``_check``'s to apply."""
+    lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
     unended = end == len(text) and not text.endswith("\n")  # a last line without \n
-    if len(rows) != text.count("\n", start, end) + unended:
+    if len(lines) != text.count("\n", start, end) + unended:
         return None
     (projects, clocks, hours, files, totals, comments, blanks, locs, fors, whiles, errors,
-     percents, degrees) = zip(*rows)
+     percents, degrees) = zip(*lines)
     try:
         hours, percents, degrees = (list(map(float, column))
                                     for column in (hours, percents, degrees))
@@ -302,52 +302,9 @@ def _check_bulk(text: str, start: int, end: int, before: int, seen: dict,
     excellence = [100.0 - percent for percent in derived]
     if derived != percents or excellence != degrees:
         return None
-    last = {project: entry[1] for project, entry in seen.items()}
-    for project, t_hours in zip(projects, hours):
-        if t_hours <= last.get(project, -1.0):  # hours are >= 0: -1 is "none yet"
-            return None
-        last[project] = t_hours
-
-    firsts = dict(zip(reversed(projects), reversed(clocks)))
-    lines = range(before + 1, before + 1 + len(projects))
-    for project, line in dict(zip(projects, lines)).items():  # in first-seen order
-        previous = seen.get(project)
-        seen[project] = (firsts[project] if previous is None else previous[0],
-                         last[project], line)
-    return [QualitySnapshot(project, wall_clocks[i], hours[i],
-                            SourceStats(files[i], totals[i], comments[i], blanks[i], locs[i],
-                                        fors[i], whiles[i]),
-                            errors[i], QualityMetrics(fractions[i], derived[i], excellence[i]))
-            for i, project in enumerate(projects) if project == project_id]
-
-
-def _check_lines(lines: list[str], before: int, seen: dict, project_id: "str | None"
-                 ) -> list[QualitySnapshot]:
-    """``_check`` record by record, naming the first line that breaks a rule."""
-    snapshots = []
-    for number, line in enumerate(lines, start=before + 1):
-        if line.strip() == "":
-            continue
-        obj, wall_clock, levels = _parse_record(line, number)
-        project, t_hours = obj["project"], float(obj["t_hours"])
-        previous = seen.get(project)
-        if previous is None:
-            seen[project] = (obj["wall_clock"], t_hours, number)
-        elif t_hours <= previous[1]:
-            raise CorruptionError(
-                f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                f"advance project {project!r} (line {previous[2]} has {previous[1]})",
-                number,
-            )
-        else:
-            seen[project] = (previous[0], t_hours, number)
-        if project == project_id:
-            stats = SourceStats(obj["file"], obj["total_lines"], obj["comment_lines"],
-                                obj["blank_lines"], obj["loc"], obj["for_count"],
-                                obj["while_count"])
-            snapshots.append(QualitySnapshot(project, wall_clock, t_hours, stats,
-                                             obj["errors"], QualityMetrics(*levels)))
-    return snapshots
+    return zip(range(before + 1, before + 1 + len(projects)), projects, clocks, hours,
+               wall_clocks, zip(files, totals, comments, blanks, locs, fors, whiles), errors,
+               zip(fractions, derived, excellence))
 
 
 def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
@@ -355,19 +312,39 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
     """Check every line of ``text``, which follows ``before`` lines of the store.
 
     ``seen`` maps each project to its first wall clock, its last hours and that
-    record's line number, and is updated. Returns the snapshots of ``project_id``
-    and ``before`` plus the line breaks in ``text``. Blocks of whole lines whose
-    every line is the writer's own are checked in bulk, others record by record.
+    record's line number, and is updated in first-seen order. Returns the snapshots
+    of ``project_id`` and ``before`` plus the line breaks in ``text``. Blocks of
+    whole lines whose every line is the writer's own are checked in bulk, others
+    record by record. Both yield rows: the line number, the project, the wall clock
+    as stored and parsed, the hours, the ``SourceStats`` fields, the error count and
+    the error levels. The record-by-record rows are lazy, so the first fault in
+    line order is the one reported.
     """
     bulk = text.find("\n", 0, len(text) - 1) >= 0  # two lines or more: worth the pattern
     snapshots = []
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        block = _check_bulk(text, start, end, before, seen, project_id) if bulk else None
-        if block is None:
-            block = _check_lines(text[start:end].split("\n"), before, seen, project_id)
-        snapshots += block
+        rows = _check_bulk(text, start, end, before) if bulk else None
+        if rows is None:
+            rows = (_parse_record(line, number)
+                    for number, line in enumerate(text[start:end].split("\n"), start=before + 1)
+                    if line.strip() != "")
+        for number, project, clock, t_hours, wall_clock, stats, errors, levels in rows:
+            previous = seen.get(project)
+            if previous is None:
+                seen[project] = (clock, t_hours, number)
+            elif t_hours <= previous[1]:
+                raise CorruptionError(
+                    f"store record at line {number} is invalid: t_hours {t_hours} does not "
+                    f"advance project {project!r} (line {previous[2]} has {previous[1]})",
+                    number,
+                )
+            else:
+                seen[project] = (previous[0], t_hours, number)
+            if project == project_id:
+                snapshots.append(QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats),
+                                                 errors, QualityMetrics(*levels)))
         before += text.count("\n", start, end)
         start = end
     return snapshots, before
@@ -492,8 +469,7 @@ def _update(store_path: str, project_id: str,
         snapshot = place(None if stored is None else _clock(stored[0]))
         if stored is not None and snapshot.t_hours <= stored[1]:
             # Read in full to name the earliest stored time that blocks this one.
-            f.seek(0)
-            ts = [s.t_hours for s in _check(_decode(f.read(), 0, 0), 0, {}, project_id)[0]]
+            ts = load_trajectory(store_path, project_id).ts
             later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
             raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance project "
                                 f"{project_id!r}; store already holds t = {later} h")
@@ -541,13 +517,8 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
 
 def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
     """Durably append one snapshot, enforcing the per-project time order."""
-    expected = compute_metrics(snapshot.error_count, snapshot.stats.loc)
-    if expected != snapshot.metrics:
+    if QualitySnapshot.create(*snapshot[:5]) != snapshot:  # create checks t_hours
         raise ValueError("snapshot metrics do not match its counts")
-    if not math.isfinite(snapshot.t_hours):
-        raise ValueError(f"t_hours must be finite, got {snapshot.t_hours}")
-    if snapshot.t_hours < 0:
-        raise ValueError(f"t_hours must be >= 0, got {snapshot.t_hours}")
     _require_utc_offset(snapshot.wall_clock)
     _update(store_path, snapshot.project_id, lambda first: snapshot)
 

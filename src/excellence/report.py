@@ -100,8 +100,14 @@ def _svg_scale(values: list[float], lo_px: float, hi_px: float) -> "tuple[float,
     return lo, hi, scale
 
 
+# XML 1.0 forbids these code points even as character references: each becomes U+FFFD.
+_XML_TEXT = {**dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF],
+                             "\ufffd"),
+             ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
+
+
 def _xml_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_XML_TEXT)
 
 
 def render_svg(traj: Trajectory) -> str:

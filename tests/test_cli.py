@@ -241,8 +241,8 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
         calls.append(line_number)
         return parse_record(line, line_number)
 
-    def counting_bulk(text, start, end, before, seen, project_id):
-        snapshots = check_bulk(text, start, end, before, seen, project_id)
+    def counting_bulk(text, start, end, before):
+        snapshots = check_bulk(text, start, end, before)
         if snapshots is not None:  # it checked every line; each ends in a newline here
             calls.extend(range(before + 1, before + 1 + text.count("\n", start, end)))
         return snapshots
@@ -502,6 +502,40 @@ def test_report_non_finite_store_number_exits_7(clean_src, tmp_path, capsys, tok
     assert "t_hours must be finite" in err
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param("digits", marks=pytest.mark.skipif(
+        not 0 < _DIGIT_LIMIT < 5001, reason="no int-digit limit below 5 001 digits")),
+    "nesting",
+])
+def test_undecodable_store_line_exits_7_with_or_without_seal(clean_src, tmp_path, capsys,
+                                                             edit):
+    # json raises ValueError for an int past the digit limit and RecursionError for
+    # nesting too deep, not JSONDecodeError: each is a corrupt line, not a crash.
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    assert (tmp_path / "store.jsonl.seal").exists()  # it covers line 1
+    first, second = store.read_text(encoding="utf-8").splitlines()
+    second = (second.replace('"for_count": 20', '"for_count": ' + "9" * 5001)
+              if edit == "digits" else "[" * 100_000)
+    store.write_text(f"{first}\n{second}\n", encoding="utf-8")
+    before = store.read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 7
+    assert "store record at line 2 is invalid" in capsys.readouterr().err
+    for sealed in (True, False):
+        if not sealed:
+            os.remove(tmp_path / "store.jsonl.seal")
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", "2"]) == 7
+        assert "store record at line 2 is invalid" in capsys.readouterr().err
+        assert store.read_bytes() == before
+
+
 def test_report_single_snapshot_degrades_gracefully(clean_src, tmp_path, capsys):
     store = str(tmp_path / "store.jsonl")
     main(["record", clean_src, "--project", "p", "--store", store])
@@ -634,6 +668,31 @@ def test_svg_report_escapes_the_project_id(clean_src, tmp_path, capsys):
     assert titles[0] == project
     assert main(["report", "--project", project, "--store", store]) == 0
     assert capsys.readouterr().out.startswith(f"Project : {project}\n")
+
+
+def test_svg_report_replaces_characters_xml_forbids(clean_src, tmp_path, capsys):
+    import xml.etree.ElementTree as ET
+    store = str(tmp_path / "store.jsonl")
+    forbidden = "\x00\x01\x08\x0b\x0c\x0e\x1f\ufffe\uffff"
+    project = f"a{forbidden}\tb"
+    for name in (project, "plain"):
+        for t in ("0", "1"):
+            assert main(["record", clean_src, "--project", name, "--store", store,
+                         "--t-hours", t]) == 0
+    capsys.readouterr()
+    assert main(["report", "--project", project, "--store", store, "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    titles = [e.text for e in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert titles[0] == "a" + "\ufffd" * len(forbidden) + "\tb"
+    # The text and csv reports print the id as it is.
+    outputs = {}
+    for name in (project, "plain"):
+        for fmt in ("text", "csv"):
+            assert main(["report", "--project", name, "--store", store, "--format", fmt]) == 0
+            outputs[name, fmt] = capsys.readouterr().out
+    assert outputs[project, "text"] == outputs["plain", "text"].replace(
+        "Project : plain\n", f"Project : {project}\n", 1)
+    assert outputs[project, "csv"] == outputs["plain", "csv"]
 
 
 def test_svg_single_snapshot_has_padded_range(clean_src, tmp_path, capsys):

@@ -23,6 +23,8 @@ from excellence.history import (
 )
 from excellence.scanner import SourceStats
 
+from store_oracle import oracle_load_trajectory
+
 T0 = datetime(2026, 3, 1, 9, 30, 15, 123456, tzinfo=timezone.utc)
 
 
@@ -278,7 +280,7 @@ def test_bulk_check_agrees_with_record_by_record_check(tmp_path, monkeypatch, bl
         seen = {}
         history._check(prefix, 0, seen)
         snapshots, count = history._check(tail, split, seen, "beta")
-        assert (history._check_bulk(tail, 0, len(tail), split, {}, "beta") is not None) == bulk
+        assert (history._check_bulk(tail, 0, len(tail), split) is not None) == bulk
         return snapshots, count, list(seen.items())
 
     monkeypatch.setattr(history, "_BLOCK", block)
@@ -288,6 +290,30 @@ def test_bulk_check_agrees_with_record_by_record_check(tmp_path, monkeypatch, bl
         {json.loads(line)["project"]: number for number, line in enumerate(lines, 1) if line}
     monkeypatch.setattr(history, "_check_bulk", lambda *args: None)
     assert check(False) == expected
+
+
+@pytest.mark.parametrize("block", [1, 700, 1 << 18])
+@pytest.mark.parametrize("order_line, metrics_line", [(3, 5), (5, 3)])
+def test_first_fault_in_line_order_is_reported(tmp_path, monkeypatch, block, order_line,
+                                               metrics_line):
+    # Rows are checked lazily, so a block that the bulk check hands back to the
+    # record-by-record check still stops at its first fault, not at a later one.
+    store = tmp_path / "store.jsonl"
+    for t in (0.0, 1.0, 2.0):
+        for project in ("alpha", "beta"):
+            append_snapshot(str(store), make_snapshot(project=project, t=t))
+    records = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    records[order_line - 1]["t_hours"] = records[order_line - 3]["t_hours"]
+    records[metrics_line - 1]["x"] += 1.0
+    store.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                     encoding="utf-8")
+    monkeypatch.setattr(history, "_BLOCK", block)
+    with pytest.raises(CorruptionError) as got:
+        load_trajectory(str(store), "alpha")
+    with pytest.raises(CorruptionError) as want:
+        oracle_load_trajectory(str(store), "alpha")
+    assert (str(got.value), got.value.line_number) == (str(want.value), want.value.line_number)
+    assert got.value.line_number == 3
 
 
 def test_trajectory_validates_membership_and_order():
