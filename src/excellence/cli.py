@@ -92,14 +92,19 @@ def _gather(source_path: str, log_path: "str | None",
     return stats, report.error_count
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    stats, error_count = _gather(args.src, args.log, args.error_pattern)
+def _write_report(stats: SourceStats, error_count: int) -> "QualityMetrics | None":
+    """Write the scan report; return its metrics, None when they are undefined."""
     try:
         metrics = compute_metrics(error_count, stats.loc)
     except UndefinedMetricError:
         metrics = None
     sys.stdout.write(render_report(stats, error_count, metrics).text)
-    if metrics is None:
+    return metrics
+
+
+def cmd_scan(args: argparse.Namespace) -> int:
+    stats, error_count = _gather(args.src, args.log, args.error_pattern)
+    if _write_report(stats, error_count) is None:
         _warn("error: metrics are undefined for loc = 0")
         return UndefinedMetricError.exit_code
     return 0
@@ -145,12 +150,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
                     log = input("Enter the name of the log file (blank for none) : ").strip()
                 except EOFError:
                     log = ""
-                error_count = (diaglog.count_errors_in_file(log).error_count if log else 0)
-                try:
-                    metrics = compute_metrics(error_count, stats.loc)
-                except UndefinedMetricError:
-                    metrics = None
-                sys.stdout.write(render_report(stats, error_count, metrics).text)
+                _write_report(stats, diaglog.count_errors_in_file(log).error_count if log else 0)
             except ExcellenceError as exc:
                 _warn(f"error: {exc}")
         try:

@@ -20,7 +20,10 @@ splits it into columns, and each rule runs over a whole column. A block with
 any other line, or with any rule broken, is checked record by record instead,
 which names the line and the fault; both cost O(n). Both checks yield rows,
 lazily and in line order, to one pass that applies the per-project order rule,
-updates the projects' summary and builds the snapshots.
+updates the projects' summary and builds the snapshots. A record's shape is
+stated once, in ``_FIELDS``, and its value rules once, in ``_rows``: the writer,
+the bulk check and the record-by-record check all use these two, so the writer
+refuses any record the loader would reject.
 A writer also leaves ``<store>.seal``: the length and line count
 of the prefix it read and checked, each project's first wall clock and last
 hours there, and one sha256 over that prefix and this summary. The next writer
@@ -43,25 +46,14 @@ import sys
 from datetime import datetime
 from typing import Callable, NamedTuple
 
-from .errors import CorruptionError, MissingFileError, OrderingError
+from .errors import CorruptionError, MissingFileError, OrderingError, UndefinedMetricError
 from .metrics import QualityMetrics, SourceStats, compute_metrics, error_levels
 
-_FIELDS = (
-    "project",
-    "wall_clock",
-    "t_hours",
-    "file",
-    "total_lines",
-    "comment_lines",
-    "blank_lines",
-    "loc",
-    "for_count",
-    "while_count",
-    "errors",
-    "el_percent",
-    "x",
-)
-_FIELD_SET = frozenset(_FIELDS)
+_FIELDS = {  # a record's keys, in the order the writer writes them, and their JSON types
+    "project": str, "wall_clock": str, "t_hours": float, "file": str,
+    "total_lines": int, "comment_lines": int, "blank_lines": int, "loc": int,
+    "for_count": int, "while_count": int, "errors": int, "el_percent": float, "x": float,
+}
 
 
 class QualitySnapshot(NamedTuple):
@@ -144,26 +136,74 @@ class Trajectory:
 
 
 def _record_dict(snapshot: QualitySnapshot) -> dict:
-    s = snapshot.stats
-    return {
-        "project": snapshot.project_id,
-        "wall_clock": snapshot.wall_clock.isoformat(),
-        "t_hours": snapshot.t_hours,
-        "file": s.file_name,
-        "total_lines": s.total_lines,
-        "comment_lines": s.comment_lines,
-        "blank_lines": s.blank_lines,
-        "loc": s.loc,
-        "for_count": s.for_count,
-        "while_count": s.while_count,
-        "errors": snapshot.error_count,
-        "el_percent": snapshot.metrics.error_level_percent,
-        "x": snapshot.metrics.degree_of_excellence,
-    }
+    return dict(zip(_FIELDS, (snapshot.project_id, snapshot.wall_clock.isoformat(),
+                              snapshot.t_hours, *snapshot.stats[:7], snapshot.error_count,
+                              *snapshot.metrics[1:])))
 
 
 def _clock(text: str) -> datetime:
-    return datetime.fromisoformat(text.replace("Z", "+00:00"))
+    try:
+        return datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError as exc:
+        raise ValueError(f"wall_clock is not an RFC 3339 timestamp: {text!r}") from exc
+
+
+_PERCENT, _DEGREE = operator.itemgetter(1), operator.itemgetter(2)
+
+
+def _rows(first: int, columns: list) -> zip:
+    """The rows (see ``_check``) of records given as columns in ``_FIELDS`` order,
+    their types and finiteness already checked, numbered from ``first``. Each value
+    rule runs over whole columns, in this order; the first one broken raises
+    ValueError in its words."""
+    (projects, clocks, hours, files, totals, comments, blanks, locs, fors, whiles, errors,
+     percents, degrees) = columns
+    if min(hours) < 0:
+        raise ValueError("t_hours must be >= 0")
+    if list(map(operator.sub, totals, comments)) != locs:
+        raise ValueError("loc != total_lines - comment_lines")
+    # loc = total_lines - comment_lines >= 0 already keeps comment_lines within total_lines.
+    if not all(map(operator.le, blanks, totals)):
+        raise ValueError("comment/blank counts exceed total_lines")
+    wall_clocks = list(map(_clock, clocks))
+    offsets = list(map(datetime.utcoffset, wall_clocks))
+    if None in offsets:
+        raise ValueError(f"wall_clock has no UTC offset: {clocks[offsets.index(None)]!r}")
+    try:
+        levels = list(map(error_levels, errors, locs))
+    except (UndefinedMetricError, OverflowError) as exc:  # loc = 0; errors / loc too large
+        raise ValueError(f"metrics cannot be derived: {exc}") from exc
+    # As decoded: an int el_percent may equal no float, though it rounds to one.
+    if list(map(_PERCENT, levels)) != percents or list(map(_DEGREE, levels)) != degrees:
+        raise ValueError("stored metrics do not re-derive from stored counts")
+    return zip(range(first, first + len(projects)), projects, clocks, map(float, hours),
+               wall_clocks, zip(files, totals, comments, blanks, locs, fors, whiles), errors,
+               levels)
+
+
+_TYPE_ORDER = [(key, kind) for kind in (int, str, float)  # the order faults are named in
+               for key, field_kind in _FIELDS.items() if field_kind is kind]
+_TYPE_WORDS = {int: "a nonnegative integer", str: "a string", float: "a number"}
+
+
+def _row(obj, line_number: int) -> tuple:
+    """The row of one decoded record, every field checked; ValueError names its
+    first fault: the keys, then the types of counts, strings and reals, then the
+    value rules of ``_rows``."""
+    # json yields only dict, list, str, int, float, bool and None: a bool is not an int.
+    if type(obj) is not dict:
+        raise ValueError("record is not a JSON object")
+    if obj.keys() != _FIELDS.keys():
+        raise ValueError(f"field mismatch (missing {sorted(_FIELDS.keys() - obj.keys())}, "
+                         f"unexpected {sorted(obj.keys() - _FIELDS.keys())})")
+    for key, kind in _TYPE_ORDER:
+        value = obj[key]
+        if not (type(value) is kind or kind is float and type(value) is int) \
+                or kind is int and value < 0:
+            raise ValueError(f"{key} must be {_TYPE_WORDS[kind]}")
+        if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, a huge int
+            raise ValueError(f"{key} must be finite")
+    return next(_rows(line_number, [[obj[key]] for key in _FIELDS]))
 
 
 def _parse_record(line: str, line_number: int) -> tuple:
@@ -178,51 +218,10 @@ def _parse_record(line: str, line_number: int) -> tuple:
         raise bad(f"not valid JSON ({exc.msg})") from exc
     except (ValueError, RecursionError) as exc:  # an int of too many digits; nesting too deep
         raise bad(f"cannot be decoded ({exc})") from exc
-    # json yields only dict, list, str, int, float, bool and None: a bool is not an int.
-    if type(obj) is not dict:
-        raise bad("record is not a JSON object")
-    if obj.keys() != _FIELD_SET:
-        missing = sorted(_FIELD_SET - obj.keys())
-        extra = sorted(obj.keys() - _FIELD_SET)
-        raise bad(f"field mismatch (missing {missing}, unexpected {extra})")
-
-    for key in ("total_lines", "comment_lines", "blank_lines", "loc",
-                "for_count", "while_count", "errors"):
-        if type(obj[key]) is not int or obj[key] < 0:
-            raise bad(f"{key} must be a nonnegative integer")
-    for key in ("project", "wall_clock", "file"):
-        if type(obj[key]) is not str:
-            raise bad(f"{key} must be a string")
-    for key in ("t_hours", "el_percent", "x"):
-        if type(obj[key]) is not float and type(obj[key]) is not int:
-            raise bad(f"{key} must be a number")
-        if not abs(obj[key]) <= sys.float_info.max:  # NaN, infinity, or an oversized int
-            raise bad(f"{key} must be finite")
-
-    if obj["t_hours"] < 0:
-        raise bad("t_hours must be >= 0")
-    if obj["loc"] != obj["total_lines"] - obj["comment_lines"]:
-        raise bad("loc != total_lines - comment_lines")
-    if obj["comment_lines"] > obj["total_lines"] or obj["blank_lines"] > obj["total_lines"]:
-        raise bad("comment/blank counts exceed total_lines")
-
     try:
-        wall_clock = _clock(obj["wall_clock"])
+        return _row(obj, line_number)
     except ValueError as exc:
-        raise bad(f"wall_clock is not an RFC 3339 timestamp: {obj['wall_clock']!r}") from exc
-    if wall_clock.utcoffset() is None:
-        raise bad(f"wall_clock has no UTC offset: {obj['wall_clock']!r}")
-
-    try:
-        levels = error_levels(obj["errors"], obj["loc"])
-    except Exception as exc:
-        raise bad(f"metrics cannot be derived: {exc}") from exc
-    if levels[1] != obj["el_percent"] or levels[2] != obj["x"]:
-        raise bad("stored metrics do not re-derive from stored counts")
-    return (line_number, obj["project"], obj["wall_clock"], float(obj["t_hours"]), wall_clock,
-            (obj["file"], obj["total_lines"], obj["comment_lines"], obj["blank_lines"],
-             obj["loc"], obj["for_count"], obj["while_count"]),
-            obj["errors"], levels)
+        raise bad(str(exc)) from exc
 
 
 def _require_utc_offset(wall_clock: datetime) -> None:
@@ -254,12 +253,9 @@ def _writer_line() -> str:
     """A regex for the exact line ``_line`` writes, one group per field in ``_FIELDS``
     order: strings holding nothing that JSON escapes, counts as non-negative int
     literals, and the three reals in float syntax alone, with a ``.`` or an exponent."""
-    text = r'"([^"\\\x00-\x1f]*)"'
-    real = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-    slots = {"project": text, "wall_clock": text, "file": text,
-             "t_hours": real, "el_percent": real, "x": real}
-    return "^{" + ", ".join(f'"{key}": {slots.get(key, "(0|[1-9][0-9]*)")}'
-                            for key in _FIELDS) + "}$"
+    slots = {str: r'"([^"\\\x00-\x1f]*)"', int: "(0|[1-9][0-9]*)",
+             float: r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"}
+    return "^{" + ", ".join(f'"{key}": {slots[kind]}' for key, kind in _FIELDS.items()) + "}$"
 
 
 _WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use: a short tail never is
@@ -275,36 +271,15 @@ def _check_bulk(text: str, start: int, end: int, before: int):
     unended = end == len(text) and not text.endswith("\n")  # a last line without \n
     if len(lines) != text.count("\n", start, end) + unended:
         return None
-    (projects, clocks, hours, files, totals, comments, blanks, locs, fors, whiles, errors,
-     percents, degrees) = zip(*lines)
-    try:
-        hours, percents, degrees = (list(map(float, column))
-                                    for column in (hours, percents, degrees))
-        totals, comments, blanks, locs, fors, whiles, errors = (
-            list(map(int, column))
-            for column in (totals, comments, blanks, locs, fors, whiles, errors))
-        wall_clocks = list(map(_clock, clocks))
-    except ValueError:  # a clock that is no timestamp, or an int of too many digits
-        return None
-    # A finite el_percent that re-derives leaves x = 100 - el_percent finite too.
-    if not (all(map(math.isfinite, hours)) and all(map(math.isfinite, percents))
-            and min(hours) >= 0
-            # loc == total - comment > 0 also keeps comment_lines below total_lines.
-            and list(map(operator.sub, totals, comments)) == locs and min(locs) > 0
-            and all(map(operator.le, blanks, totals))
-            and None not in map(datetime.utcoffset, wall_clocks)):
-        return None
-    try:  # error_levels, a column at a time
-        fractions = list(map(operator.truediv, errors, locs))
-    except OverflowError:
-        return None
-    derived = [100.0 * fraction for fraction in fractions]
-    excellence = [100.0 - percent for percent in derived]
-    if derived != percents or excellence != degrees:
-        return None
-    return zip(range(before + 1, before + 1 + len(projects)), projects, clocks, hours,
-               wall_clocks, zip(files, totals, comments, blanks, locs, fors, whiles), errors,
-               zip(fractions, derived, excellence))
+    try:  # ValueError: an int of too many digits, or a rule broken
+        columns = [column if kind is str else list(map(kind, column))
+                   for kind, column in zip(_FIELDS.values(), zip(*lines))]
+        if all(all(map(math.isfinite, column))
+               for kind, column in zip(_FIELDS.values(), columns) if kind is float):
+            return _rows(before + 1, columns)
+    except ValueError:
+        pass
+    return None
 
 
 def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
@@ -429,9 +404,14 @@ def _write_seal(store_path: str, seal: dict) -> None:
 
 
 def _line(snapshot: QualitySnapshot) -> bytes:
+    """The store line of ``snapshot``; ValueError if the loader would reject it."""
+    text = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
+    try:
+        _row(json.loads(text), 0)
+    except ValueError as exc:
+        raise ValueError(f"snapshot cannot be stored: {exc}") from exc
     # A lone surrogate in the project or file name raises UnicodeEncodeError here.
-    return (json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
-            + "\n").encode("utf-8")
+    return (text + "\n").encode("utf-8")
 
 
 def _open_locked(store_path: str, place: "Callable[[datetime | None], QualitySnapshot]"):
@@ -517,10 +497,11 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
 
 def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
     """Durably append one snapshot, enforcing the per-project time order."""
-    if QualitySnapshot.create(*snapshot[:5]) != snapshot:  # create checks t_hours
+    created = QualitySnapshot.create(*snapshot[:5])  # checks t_hours, and makes it a float
+    if created != snapshot:
         raise ValueError("snapshot metrics do not match its counts")
     _require_utc_offset(snapshot.wall_clock)
-    _update(store_path, snapshot.project_id, lambda first: snapshot)
+    _update(store_path, snapshot.project_id, lambda first: created)
 
 
 def load_trajectory(store_path: str, project_id: str) -> Trajectory:

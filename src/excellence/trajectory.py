@@ -221,7 +221,7 @@ def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:
         raise InsufficientDataError(
             f"trend classification needs at least 2 snapshots, have {len(traj.snapshots)}"
         )
-    return _classify_slopes([r.value for r in interval_rates(traj)], tolerance)
+    return _classify_slopes(_slopes(traj), tolerance)
 
 
 def _classify_slopes(slopes: list[float], tolerance: float) -> TrendClass:

@@ -316,6 +316,147 @@ def test_first_fault_in_line_order_is_reported(tmp_path, monkeypatch, block, ord
     assert got.value.line_number == 3
 
 
+def _set(**fields):
+    """An edit that sets each field of a record to a value or to a function of the record."""
+    return lambda r: r.update({key: value(r) if callable(value) else value
+                               for key, value in fields.items()})
+
+
+def _each(*edits):
+    def edit(record):
+        for one in edits:
+            one(record)
+    return edit
+
+
+_NEGATIVE_HOURS = _set(t_hours=-0.5)
+_LOC_MISMATCH = _set(loc=lambda r: r["loc"] + 1)
+_BLANK_OVER = _set(blank_lines=lambda r: r["total_lines"] + 1)
+_BAD_CLOCK = _set(wall_clock=lambda r: r["wall_clock"].replace("2026-03", "2026-13"))
+_NAIVE_CLOCK = _set(wall_clock=lambda r: r["wall_clock"].replace("+00:00", ""))
+_ZERO_LOC = _set(loc=0, comment_lines=lambda r: r["total_lines"], errors=0, el_percent=0.0,
+                 x=100.0)
+_HUGE_ERRORS = _set(errors=10**400)
+
+# Each edit of line 3 gives one message of the checks; an edit of two fields
+# gives the message of the one checked first.
+_FAULTS = {
+    "total_lines negative": _set(total_lines=-1),
+    "comment_lines real": _set(comment_lines=1.5),
+    "blank_lines bool": _set(blank_lines=True),
+    "loc string": _set(loc="7"),
+    "for_count null": _set(for_count=None),
+    "while_count negative": _set(while_count=-1),
+    "errors integral real": _set(errors=2.0),
+    "project int": _set(project=3),
+    "wall_clock null": _set(wall_clock=None),
+    "file bool": _set(file=True),
+    "t_hours bool": _set(t_hours=True),
+    "el_percent string": _set(el_percent="1"),
+    "x null": _set(x=None),
+    "t_hours 1e400": _set(t_hours=math.inf),
+    "el_percent NaN": _set(el_percent=math.nan),
+    "x -1e400": _set(x=-math.inf),
+    "negative hours": _NEGATIVE_HOURS,
+    "loc mismatch": _LOC_MISMATCH,
+    "blank over total": _BLANK_OVER,
+    "not a timestamp": _BAD_CLOCK,
+    "no UTC offset": _NAIVE_CLOCK,
+    "zero loc": _ZERO_LOC,
+    "overflowing error level": _HUGE_ERRORS,
+    "tampered x": _set(x=lambda r: r["x"] + 1.0),
+    "tampered percent": _set(el_percent=lambda r: r["el_percent"] + 1.0),
+    "int percent off the float": _set(errors=10**15, loc=1, el_percent=10**17 + 1,
+                                      comment_lines=lambda r: r["total_lines"] - 1,
+                                      x=100.0 - 1e17),
+    "missing field": lambda r: r.pop("loc"),
+    "extra field": _set(bogus=1),
+    "counts before strings": _set(errors=True, project=3),
+    "strings before reals": _set(file=None, t_hours="1"),
+    "types before rules": _set(t_hours=-1.0, for_count=True),
+    "hours before loc": _each(_NEGATIVE_HOURS, _LOC_MISMATCH),
+    "loc before blank": _each(_LOC_MISMATCH, _set(blank_lines=lambda r: r["total_lines"] + 5)),
+    "blank before timestamp": _each(_BLANK_OVER, _BAD_CLOCK),
+    "blank before offset": _each(_BLANK_OVER, _NAIVE_CLOCK),
+    "timestamp before metrics": _each(_BAD_CLOCK, _ZERO_LOC),
+    "offset before metrics": _each(_NAIVE_CLOCK, _ZERO_LOC),
+    "metrics before re-derive": _each(_HUGE_ERRORS, _set(x=1.0)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 1 << 18])
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_every_fault_is_named_alike_by_both_checks(tmp_path, monkeypatch, block, fault):
+    # The bulk check hands the block back, and the record-by-record check names
+    # the fault as the reference loader does.
+    store = tmp_path / "store.jsonl"
+    for t in (0.0, 1.0, 2.0):
+        for project in ("alpha", "beta"):
+            append_snapshot(str(store), make_snapshot(project=project, t=t, errors=7, loc=33))
+    records = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    _FAULTS[fault](records[2])
+    store.write_text("".join(json.dumps(r, ensure_ascii=False).replace("Infinity", "1e400")
+                             + "\n" for r in records), encoding="utf-8")
+    bulk, check_bulk = [], history._check_bulk
+
+    def spy(text, start, end, before):
+        bulk.append((before, check_bulk(text, start, end, before)))
+        return bulk[-1][1]
+
+    monkeypatch.setattr(history, "_BLOCK", block)
+    monkeypatch.setattr(history, "_check_bulk", spy)
+    with pytest.raises(CorruptionError) as got:
+        load_trajectory(str(store), "alpha")
+    with pytest.raises(CorruptionError) as want:
+        oracle_load_trajectory(str(store), "alpha")
+    assert (str(got.value), got.value.line_number) == (str(want.value), want.value.line_number)
+    assert got.value.line_number == 3
+    assert bulk[-1] == (2 if block == 1 else 0, None)
+
+
+# Snapshots that ``QualitySnapshot.create`` takes but whose record the loader
+# rejects: a bool is not a count, nor is an integral float.
+_UNSTORABLE = {
+    "bool errors": (make_stats(), True),
+    "bool for_count": (make_stats()._replace(for_count=True), 1),
+    "float total_lines": (make_stats()._replace(total_lines=110.0), 1),
+    "float loc": (make_stats()._replace(loc=100.0), 1),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("writer", ["append_snapshot", "record_snapshot"])
+@pytest.mark.parametrize("fault", list(_UNSTORABLE))
+def test_writer_refuses_what_its_loader_rejects(tmp_path, existing, writer, fault):
+    store = tmp_path / "store.jsonl"
+    if existing:
+        append_snapshot(str(store), make_snapshot(t=0.0))
+    before = store.read_bytes() if existing else None
+    stats, errors = _UNSTORABLE[fault]
+    clock = T0 + timedelta(hours=1)
+    with pytest.raises(ValueError, match="^snapshot cannot be stored: .* must be a nonneg"):
+        if writer == "append_snapshot":
+            append_snapshot(str(store), QualitySnapshot.create("alpha", clock, 1.0, stats, errors))
+        else:
+            record_snapshot(str(store), "alpha", clock, stats, errors, t_hours=1.0)
+    assert (store.read_bytes() if store.exists() else None) == before
+
+
+def test_hours_given_as_int_or_bool_are_stored_as_floats(tmp_path, monkeypatch):
+    # As the writer's own lines, which the bulk check takes whole.
+    store = str(tmp_path / "store.jsonl")
+    for t in (False, True, 2):
+        append_snapshot(store, make_snapshot(t=float(t))._replace(t_hours=t))
+    assert [json.loads(line)["t_hours"] for line in open(store, encoding="utf-8")] == \
+        [0.0, 1.0, 2.0]
+
+    def refuse(*args):
+        raise AssertionError(f"unexpected check of {args!r}")
+
+    monkeypatch.setattr(history, "_parse_record", refuse)
+    assert [type(t) for t in load_trajectory(store, "alpha").ts] == [float] * 3
+
+
 def test_trajectory_validates_membership_and_order():
     a0 = make_snapshot(project="alpha", t=0.0)
     a1 = make_snapshot(project="alpha", t=1.0)
