@@ -7,9 +7,10 @@ head line. The default pattern covers the two mainstream shapes,
 
 The default pattern is one case-sensitive search over the whole log with its
 ASCII letters lowered; a user pattern is searched line by line. Both count
-the same lines. A log file is folded as bytes and decoded once: ``bytes.lower``
-changes only 0x41-0x5A, which no UTF-8 multibyte sequence holds, so folding
-before the decode gives the text that folding after it would.
+the same lines. Every log is folded as bytes and decoded once, a str encoded
+first: ``bytes.lower`` changes only 0x41-0x5A, which no UTF-8 multibyte
+sequence holds, so folding before the decode gives the text that folding after
+it would.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ def count_errors(
 
 def _default_matches(log_text: "str | bytes") -> tuple[int, ...]:
     """Numbers of the lines the default pattern matches, in one pass."""
-    # Lowers ASCII letters only, keeping the length and every other code point.
-    if isinstance(log_text, bytes):
-        folded = log_text.lower().decode("utf-8", errors="replace")
-    else:
-        folded = log_text.encode("utf-8", "surrogatepass").lower().decode("utf-8", "surrogatepass")
+    # Lowers ASCII letters only. A str's lone surrogates come back as U+FFFD; neither
+    # is a word character, whitespace, a digit, a newline or a colon, so no match moves.
+    if isinstance(log_text, str):
+        log_text = log_text.encode("utf-8", "surrogatepass")
+    folded = log_text.lower().decode("utf-8", errors="replace")
     matched: list[int] = []
     number, counted_to = 1, 0
     for hit in _FOLDED_DEFAULT.finditer(folded):

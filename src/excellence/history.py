@@ -1,37 +1,31 @@
 """Append-only JSON Lines store for timestamped quality snapshots.
 
-One JSON object per line, keyed by project id. Time is kept on two axes:
-an absolute RFC 3339 wall-clock stamp, which must carry a UTC offset, and
-decimal hours since the project's first snapshot; rate estimation uses the
-hours axis. This module owns that axis: ``record_snapshot`` places a new
-snapshot on it from its wall clock. Appends are atomic at record granularity
-and start on a fresh line; a torn final record never corrupts earlier ones,
-and the loader reports the offending line number. A writer holds an
-exclusive ``flock`` on the store across its read, checks, append and seal,
-so concurrent writers on one host take turns.
+One JSON object per line, keyed by project id. Time is kept on two axes: an
+RFC 3339 wall-clock stamp with a UTC offset, in the one grammar that
+``datetime.fromisoformat`` takes on every supported Python, and decimal hours since
+the project's first snapshot, which rate estimation uses; ``record_snapshot``
+places a new snapshot on the hours axis from its wall clock. Appends are atomic at
+record granularity and start on a fresh line; a torn final record never corrupts
+earlier ones, and the loader reports the offending line number. A writer holds an
+exclusive ``flock`` on the store across its read, checks, append and seal, so
+concurrent writers on one host take turns.
 
-Stored metrics are redundant with the stored counts on purpose; the loader
-recomputes them and treats any mismatch as corruption. ``load_trajectory``
-costs O(n) in the n records of the whole store, because every field of every
-record of every project is checked; snapshot objects are built for the asked
-project alone. The store is checked in blocks of whole lines. A block whose
-lines are all exactly what the writer writes is checked in bulk: one regex pass
-splits it into columns, and each rule runs over a whole column. A block with
-any other line, or with any rule broken, is checked record by record instead,
-which names the line and the fault; both cost O(n). Both checks yield rows,
-lazily and in line order, to one pass that applies the per-project order rule,
-updates the projects' summary and builds the snapshots. A record's shape is
-stated once, in ``_FIELDS``, and its value rules once, in ``_rows``: the writer,
-the bulk check and the record-by-record check all use these two, so the writer
-refuses any record the loader would reject.
-A writer also leaves ``<store>.seal``: the length and line count
-of the prefix it read and checked, each project's first wall clock and last
-hours there, and one sha256 over that prefix and this summary. The next writer
-whose store still starts with those bytes hashes them and checks only the
-lines after them, so an append parses O(1) records and hashes O(n) bytes. The
-seal is a cached proof, not a second loader: without it, or with one that is
-ill formed or does not match, the writer checks the whole store, with the same
-outcome.
+One function, ``_read``, reads the store's bytes, on the handle its caller opened:
+for ``load_trajectory``, for a writer, and for a writer's ordering refusal. Every
+field of every record is checked, in O(n) for n records; stored metrics are
+redundant with the stored counts on purpose, and a mismatch is corruption.
+Snapshots are built for the asked project alone. Blocks of lines that are all the
+writer's own are checked in bulk, by one regex pass into columns and each rule over
+a column; any other block is checked record by record, which names the line and
+the fault. A record's shape is stated once, in ``_FIELDS``, and its value rules
+once, in ``_rows``, so the writer refuses any record the loader would reject.
+
+A writer also leaves ``<store>.seal``: the length and line count of the prefix it
+read, each project's first wall clock and last hours there, and one sha256 over
+that prefix and this summary. Only a writer honours it: while the store starts with
+those bytes it hashes them and checks only the lines after them, so an append
+parses O(1) records and hashes O(n) bytes. Without a seal, or with one ill formed
+or unmatched, the writer checks the whole store, with the same outcome.
 """
 
 from __future__ import annotations
@@ -80,14 +74,8 @@ class QualitySnapshot(NamedTuple):
             raise ValueError(f"t_hours must be finite, got {t_hours}")
         if t_hours < 0:
             raise ValueError(f"t_hours must be >= 0, got {t_hours}")
-        return cls(
-            project_id=project_id,
-            wall_clock=wall_clock,
-            t_hours=float(t_hours),
-            stats=stats,
-            error_count=error_count,
-            metrics=compute_metrics(error_count, stats.loc),
-        )
+        return cls(project_id, wall_clock, float(t_hours), stats, error_count,
+                   compute_metrics(error_count, stats.loc))
 
 
 class Trajectory:
@@ -141,11 +129,27 @@ def _record_dict(snapshot: QualitySnapshot) -> dict:
                               *snapshot.metrics[1:])))
 
 
+# The grammar that Python 3.10 documents for ``datetime.fromisoformat`` and later
+# versions widen, YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]] with *
+# any one character and ASCII digits: a clock outside it is corrupt on every Python.
+_ISO_CLOCK = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}"
+                        r"(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?(?:[+-][0-9]{2}:[0-9]{2}"
+                        r"(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?", re.S)
+
+
 def _clock(text: str) -> datetime:
+    """The wall clock ``text`` states; ValueError, in a store fault's words, unless it
+    fits ``_ISO_CLOCK``, parses and has a UTC offset."""
+    iso = text.replace("Z", "+00:00")
     try:
-        return datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if not _ISO_CLOCK.fullmatch(iso):
+            raise ValueError("outside the grammar of _ISO_CLOCK")
+        clock = datetime.fromisoformat(iso)
     except ValueError as exc:
         raise ValueError(f"wall_clock is not an RFC 3339 timestamp: {text!r}") from exc
+    if clock.utcoffset() is None:
+        raise ValueError(f"wall_clock has no UTC offset: {text!r}")
+    return clock
 
 
 _PERCENT, _DEGREE = operator.itemgetter(1), operator.itemgetter(2)
@@ -165,10 +169,7 @@ def _rows(first: int, columns: list) -> zip:
     # loc = total_lines - comment_lines >= 0 already keeps comment_lines within total_lines.
     if not all(map(operator.le, blanks, totals)):
         raise ValueError("comment/blank counts exceed total_lines")
-    wall_clocks = list(map(_clock, clocks))
-    offsets = list(map(datetime.utcoffset, wall_clocks))
-    if None in offsets:
-        raise ValueError(f"wall_clock has no UTC offset: {clocks[offsets.index(None)]!r}")
+    wall_clocks = list(map(_clock, clocks))  # RFC 3339, then the UTC offset, clock by clock
     try:
         levels = list(map(error_levels, errors, locs))
     except (UndefinedMetricError, OverflowError) as exc:  # loc = 0; errors / loc too large
@@ -231,22 +232,6 @@ def _require_utc_offset(wall_clock: datetime) -> None:
 
 def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
     return MissingFileError(f"cannot open store: {store_path} ({exc.strerror})")
-
-
-def _decode(data: bytes, offset: int, before: int) -> str:
-    """``data``, which follows ``offset`` bytes and ``before`` lines of the store, as
-    text whose lines end in ``\n`` alone, as reading in text mode ends them; a byte
-    that is not UTF-8 corrupts the line it sits on."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        number = before + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
-                              f"(byte offset {offset + exc.start})", number) from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def _writer_line() -> str:
@@ -325,10 +310,6 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
     return snapshots, before
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
 def _well_formed(seal) -> bool:
     """Whether ``seal`` has the shape ``_update`` writes: non-negative int ``length``
     and ``lines``, a str ``sha256``, and ``projects`` mapping each id (a JSON key is
@@ -337,8 +318,8 @@ def _well_formed(seal) -> bool:
     if type(seal) is not dict or seal.keys() != {"length", "lines", "sha256", "projects"}:
         return False
     lines, projects = seal["lines"], seal["projects"]
-    if not (_is_count(seal["length"]) and _is_count(lines) and type(seal["sha256"]) is str
-            and type(projects) is dict):
+    if not (type(seal["length"]) is int and type(lines) is int and min(seal["length"], lines) >= 0
+            and type(seal["sha256"]) is str and type(projects) is dict):
         return False
     for entry in projects.values():
         if type(entry) is not list or len(entry) != 3:
@@ -348,40 +329,60 @@ def _well_formed(seal) -> bool:
                 and type(line) is int and 1 <= line <= lines):
             return False
         try:
-            if _clock(clock).utcoffset() is None:
-                return False
+            _clock(clock)
         except ValueError:
             return False
     return True
 
 
-def _sealed_prefix(store_path: str, f):
-    """Hash the prefix of the store ``f`` that its seal covers.
+def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
+    """Check the store open as ``f``, from its start: the snapshots of ``project_id``,
+    the line count, ``seen`` (see ``_check``), the running sha256 and the length it
+    covers, and whether bytes followed the seal and ended in ``\n``.
 
-    When the seal is well formed and its digest matches, ``f`` is left at the
-    prefix's end, and the seal's length, line count and ``seen`` come back with
-    the running sha256. Otherwise ``f`` is rewound, and those of the empty prefix
-    come back.
-    """
-    import hashlib  # here, not at module level: scan and report never hash
-    digest = hashlib.sha256()
-    try:
-        with open(store_path + ".seal", "rb") as seal_file:
-            seal = json.load(seal_file)
-        if _well_formed(seal):
-            length = seal["length"]
-            while f.tell() < length:  # in chunks: the prefix is never held whole
-                chunk = f.read(min(1 << 16, length - f.tell()))
-                if not chunk:
-                    break
-                digest.update(chunk)
-            if f.tell() == length and _seal_digest(digest, length, seal["lines"],
-                                                   seal["projects"]) == seal["sha256"]:
-                return length, seal["lines"], seal["projects"], digest
-    except (OSError, ValueError, RecursionError):  # missing, unreadable or nested too deep
-        pass
+    Only given ``seal_path`` does it trust a seal, well formed and matching: the
+    prefix the seal covers is hashed, not checked, and the bytes after it are hashed
+    on. Without it the digest is None. Lines end in ``\n`` alone, as in text mode; a
+    byte that is not UTF-8 corrupts its line."""
     f.seek(0)
-    return 0, 0, {}, hashlib.sha256()
+    length, lines, seen, digest = 0, 0, {}, None
+    if seal_path is not None:
+        import hashlib  # here, not at module level: scan and report never hash
+        digest = hashlib.sha256()
+        try:
+            with open(seal_path, "rb") as seal_file:
+                seal = json.load(seal_file)
+            if _well_formed(seal):
+                while f.tell() < seal["length"]:  # in chunks: the prefix is never held whole
+                    chunk = f.read(min(1 << 16, seal["length"] - f.tell()))
+                    if not chunk:
+                        break
+                    digest.update(chunk)
+                if f.tell() == seal["length"] and _seal_digest(
+                        digest, seal["length"], seal["lines"], seal["projects"]) == seal["sha256"]:
+                    length, lines, seen = seal["length"], seal["lines"], seal["projects"]
+        except (OSError, ValueError, RecursionError):  # missing, unreadable or nested too deep
+            pass
+        if f.tell() != length:  # no seal, or one that does not match: check from the start
+            f.seek(0)
+            digest = hashlib.sha256()
+    tail = f.read()
+    try:
+        text = tail.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = tail[:exc.start]
+        number = lines + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
+                              f"(byte offset {length + exc.start})", number) from exc
+    ended = tail.endswith(b"\n")
+    if digest is not None and ended:
+        digest.update(tail)
+        length += len(tail)
+    del tail  # the text alone stays alive through the check
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    snapshots, lines = _check(text, lines, seen, project_id)
+    return snapshots, lines, seen, digest, length, ended
 
 
 def _seal_digest(prefix, length: int, lines: int, projects: dict) -> str:
@@ -442,26 +443,22 @@ def _update(store_path: str, project_id: str,
     ``first`` is the project's first wall clock, None for a new project.
     """
     with _open_locked(store_path, place) as f:
-        length, count, seen, digest = _sealed_prefix(store_path, f)
-        tail = f.read()
-        count = _check(_decode(tail, length, count), count, seen)[1]
+        _, count, seen, digest, length, ended = _read(f, None, store_path + ".seal")
         stored = seen.get(project_id)
         snapshot = place(None if stored is None else _clock(stored[0]))
         if stored is not None and snapshot.t_hours <= stored[1]:
-            # Read in full to name the earliest stored time that blocks this one.
-            ts = load_trajectory(store_path, project_id).ts
+            # Read this handle again, in full, to name the earliest stored time that blocks.
+            ts = [snap.t_hours for snap in _read(f, project_id)[0]]
             later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
             raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance project "
                                 f"{project_id!r}; store already holds t = {later} h")
         line = _line(snapshot)
-        if tail and not tail.endswith(b"\n"):  # the last record lacks its newline
+        if f.tell() > length:  # the last record, past what a seal may cover, lacks its newline
             line = b"\n" + line
         f.write(line)
         f.flush()
         os.fsync(f.fileno())
-        if tail.endswith(b"\n"):
-            digest.update(tail)
-            length += len(tail)
+        if ended:
             _write_seal(store_path, {"length": length, "lines": count,
                                      "sha256": _seal_digest(digest, length, count, seen),
                                      "projects": seen})
@@ -511,8 +508,7 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     """
     try:
         with open(store_path, "rb") as f:
-            text = _decode(f.read(), 0, 0)
+            snapshots = _read(f, project_id)[0]
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    return Trajectory(project_id=project_id,
-                      snapshots=tuple(_check(text, 0, {}, project_id)[0]))
+    return Trajectory(project_id=project_id, snapshots=tuple(snapshots))

@@ -71,22 +71,13 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
 
 
 def render_csv(traj: Trajectory) -> str:
-    import csv  # here, not at module level: only this format writes csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_hours", "x", "el_percent", "errors", "loc", "rate_from_prev"])
+    # Floats, ints and one empty field: csv.writer would write each as str writes it,
+    # unquoted, so plain joins give its bytes.
     rates = ["", *trajectory._slopes(traj)]  # the first snapshot has no previous one
-    for snap, rate in zip(traj.snapshots, rates):
-        writer.writerow([
-            snap.t_hours,
-            snap.metrics.degree_of_excellence,
-            snap.metrics.error_level_percent,
-            snap.error_count,
-            snap.stats.loc,
-            rate,
-        ])
-    return buf.getvalue()
+    rows = [("t_hours", "x", "el_percent", "errors", "loc", "rate_from_prev")]
+    rows += [(snap.t_hours, snap.metrics.degree_of_excellence, snap.metrics.error_level_percent,
+              snap.error_count, snap.stats.loc, rate) for snap, rate in zip(traj.snapshots, rates)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _svg_scale(values: list[float], lo_px: float, hi_px: float) -> "tuple[float, float, float]":

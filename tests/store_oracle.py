@@ -10,6 +10,7 @@ must agree with it on every line: the same snapshots, or the same
 from __future__ import annotations
 
 import json
+import re
 import sys
 from datetime import datetime
 
@@ -22,6 +23,12 @@ _FIELDS = (
     "project", "wall_clock", "t_hours", "file", "total_lines", "comment_lines",
     "blank_lines", "loc", "for_count", "while_count", "errors", "el_percent", "x",
 )
+
+# What Python 3.10's fromisoformat documents, which later versions widen:
+# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], * any one character.
+_TIME = r"\d\d(:\d\d(:\d\d(\.(\d{3}|\d{6}))?)?)?"
+_OFFSET = r"[+-]\d\d:\d\d(:\d\d(\.\d{6})?)?"
+_CLOCK = re.compile(rf"\d{{4}}-\d\d-\d\d(.{_TIME}({_OFFSET})?)?", re.ASCII | re.DOTALL)
 
 
 def oracle_parse_record(line: str, line_number: int) -> QualitySnapshot:
@@ -60,10 +67,13 @@ def oracle_parse_record(line: str, line_number: int) -> QualitySnapshot:
     if obj["comment_lines"] > obj["total_lines"] or obj["blank_lines"] > obj["total_lines"]:
         raise bad("comment/blank counts exceed total_lines")
 
+    iso = obj["wall_clock"].replace("Z", "+00:00")
     try:
-        wall_clock = datetime.fromisoformat(obj["wall_clock"].replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise bad(f"wall_clock is not an RFC 3339 timestamp: {obj['wall_clock']!r}") from exc
+        wall_clock = datetime.fromisoformat(iso) if _CLOCK.fullmatch(iso) else None
+    except ValueError:
+        wall_clock = None
+    if wall_clock is None:
+        raise bad(f"wall_clock is not an RFC 3339 timestamp: {obj['wall_clock']!r}")
     if wall_clock.utcoffset() is None:
         raise bad(f"wall_clock has no UTC offset: {obj['wall_clock']!r}")
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -317,6 +318,122 @@ def test_record_starts_a_fresh_line_after_a_final_record_without_newline(
     assert store.read_bytes().startswith(before)
     assert added.endswith(b"\n") and added.count(b"\n") == 1
     assert json.loads(added)["t_hours"] == 2.0
+
+
+def test_record_after_a_cut_back_to_the_sealed_length_appends_one_line(clean_src, tmp_path):
+    # The benchmark's record workload cuts its store back like this before each append.
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1", "2"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    seal = tmp_path / "store.jsonl.seal"
+    sealed = seal.read_bytes()
+    length = json.loads(sealed)["length"]
+    prefix = store.read_bytes()[:length]
+    assert prefix.count(b"\n") == 2 and prefix.endswith(b"\n")
+    store.write_bytes(prefix)
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "3"]) == 0
+    data = store.read_bytes()
+    added = data[length:]
+    assert data.startswith(prefix)
+    assert added.count(b"\n") == 1 and added.endswith(b"\n")  # no blank line before it
+    assert json.loads(added)["t_hours"] == 3.0
+    assert seal.read_bytes() == sealed  # nothing followed the seal: it still covers the prefix
+
+
+@pytest.mark.parametrize("sealed", [True, False])
+def test_record_refusal_reads_the_store_it_locked(clean_src, tmp_path, monkeypatch, capsys,
+                                                  sealed):
+    # An editor saving over the store during a record replaces the path, not the
+    # file the record locked and read: the refusal names that file's time.
+    store, other = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
+    for project, path, t in [("p", store, "0"), ("p", store, "1"), ("q", other, "0")]:
+        assert main(["record", clean_src, "--project", project, "--store", str(path),
+                     "--t-hours", t]) == 0
+    seal = tmp_path / "store.jsonl.seal"
+    if not sealed:
+        seal.unlink()
+    locked = tmp_path / "locked.jsonl"
+    os.link(store, locked)  # the file the record locks, still reachable once replaced
+    before, replacement = store.read_bytes(), other.read_bytes()
+    seal_before = seal.read_bytes() if sealed else None
+    check = history._check
+
+    def check_then_replace(*args):
+        result = check(*args)
+        if other.exists():
+            os.replace(other, store)
+        return result
+
+    monkeypatch.setattr(history, "_check", check_then_replace)
+    capsys.readouterr()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0.5"]) == 7
+    assert "store already holds t = 1.0 h" in capsys.readouterr().err
+    assert not other.exists()
+    assert store.read_bytes() == replacement
+    assert locked.read_bytes() == before
+    assert (seal.read_bytes() if seal.exists() else None) == seal_before
+
+
+# ISO 8601 forms that ``datetime.fromisoformat`` takes from Python 3.11 on, outside
+# the grammar that 3.10 documents: a week date, the basic format, a one-digit fraction.
+_WIDER_CLOCKS = ["2026-W01-1T00:00+00:00", "20260101T000000+0000",
+                 "2026-01-01T00:00:00.5+00:00"]
+
+
+@pytest.mark.parametrize("clock", _WIDER_CLOCKS)
+def test_clock_only_later_pythons_parse_is_corrupt_exit_7(clean_src, tmp_path, capsys, clock):
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])  # past the seal, which covers line 1
+    record["wall_clock"] = clock
+    lines[1] = json.dumps(record) + "\n"
+    store.write_text("".join(lines), encoding="utf-8")
+    before = store.read_bytes()
+    message = f"store record at line 2 is invalid: wall_clock is not an RFC 3339 timestamp: " \
+              f"{clock!r}"
+    record_argv = ["record", clean_src, "--project", "p", "--store", str(store), "--t-hours", "2"]
+    for argv, seal in [(["report", "--project", "p", "--store", str(store)], True),
+                       (record_argv, True), (record_argv, False)]:
+        if not seal:
+            os.remove(f"{store}.seal")
+        capsys.readouterr()
+        assert main(argv) == 7
+        assert message in capsys.readouterr().err
+        assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("first", [*_WIDER_CLOCKS, "2026-05-01T00:00:00", None])
+def test_seal_with_a_bad_first_clock_gets_the_full_check(clean_src, tmp_path, monkeypatch,
+                                                         first):
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1", "2"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    seal_path = tmp_path / "store.jsonl.seal"
+    seal = json.loads(seal_path.read_bytes())
+    if first is not None:  # None: the seal as written, its digest recomputed all the same
+        seal["projects"]["p"][0] = first
+    prefix = hashlib.sha256(store.read_bytes()[:seal["length"]])
+    seal["sha256"] = history._seal_digest(prefix, seal["length"], seal["lines"],
+                                          seal["projects"])
+    seal_path.write_text(json.dumps(seal), encoding="utf-8")
+    befores = []
+    check = history._check
+
+    def counting(text, before, *rest):
+        befores.append(before)
+        return check(text, before, *rest)
+
+    monkeypatch.setattr(history, "_check", counting)
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "3"]) == 0
+    assert befores == [2 if first is None else 0]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

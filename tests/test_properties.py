@@ -1,6 +1,8 @@
 """Property-based tests: generated inputs against independent references."""
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import math
@@ -16,10 +18,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from excellence import cli
+from excellence import cli, history, report
 from excellence.diaglog import (DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors,
                                 count_errors_in_file)
-from excellence.history import QualitySnapshot, append_snapshot, load_trajectory, record_snapshot
+from excellence.history import (QualitySnapshot, Trajectory, append_snapshot, load_trajectory,
+                                record_snapshot)
+from excellence.metrics import QualityMetrics
 from excellence.scanner import SourceStats, classify_lines, scan_source
 
 from scanner_oracle import oracle_scan
@@ -179,7 +183,8 @@ def test_store_round_trip(snapshots):
 _BAD_VALUES = ("true", "false", "null", "1.0", "-1", "NaN", "Infinity", "-Infinity",
                "1e400", "1" + "0" * 400, '"7"', "[]", "{}", "0", "2.5")
 _CLOCKS = ("2026-01-01T00:00:00+00:00", "2026-01-01T00:00:00Z", "2026-01-01T05:30:00+05:30",
-           "2026-01-01T00:00:00", "2026-13-01T00:00:00+00:00", "yesterday", "")
+           "2026-01-01T00:00:00", "2026-13-01T00:00:00+00:00", "yesterday", "",
+           "2026-W01-1T00:00+00:00", "20260101T000000+0000", "2026-01-01T00:00:00.5+00:00")
 _EDGES = ("", " ", "\t", "\r", " \t\r", "\x0c", "\ufeff", "\u3000")
 _TAILS = _EDGES + ("x", "}", "{}", ",", "\x00")
 
@@ -409,9 +414,10 @@ _WRONG_SUMMARIES = (
 )
 
 
-def _edited_seal(seal, path, value, project):
+def _edited_seal(seal, path, value, project, prefix=None):
     """``seal`` with ``value`` at ``path``; ``None`` there stands for ``project``,
-    or for the first project when the seal does not hold ``project``."""
+    or for the first project when the seal does not hold ``project``. Given the
+    ``prefix`` bytes, the digest is made anew for the edited summary."""
     obj = json.loads(seal)
     if project not in obj["projects"]:
         project = next(iter(obj["projects"]))
@@ -420,6 +426,9 @@ def _edited_seal(seal, path, value, project):
     for key in keys:
         target = target[key]
     target[last] = value
+    if prefix is not None:
+        obj["sha256"] = history._seal_digest(hashlib.sha256(prefix), obj["length"], obj["lines"],
+                                             obj["projects"])
     return json.dumps(obj).encode("utf-8")
 
 
@@ -470,6 +479,7 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
         stored = bytearray(_read(store))
         seal = _read(store + ".seal")
         sealed = json.loads(seal)["length"] if seal else len(stored)
+        prefix = bytes(stored[:sealed])
 
         mutation = data.draw(st.sampled_from(
             ("none", "flip", "cut at line end", "cut inside line", "append", "not UTF-8")))
@@ -490,7 +500,10 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
                  data.draw(st.binary(max_size=40)), b'{"length": 0, "sha256": 1}', b"[]",
                  b"[" * 100_000]
         if seal is not None:
-            seals.append(_edited_seal(seal, *data.draw(st.sampled_from(_SEAL_EDITS)), project))
+            edit = data.draw(st.sampled_from(_SEAL_EDITS))
+            seals.append(_edited_seal(seal, *edit, project))
+            # The same edit under a digest made for it, which only the shape check refuses.
+            seals.append(_edited_seal(seal, *edit, project, prefix))
             # A wrong summary changes only some outcomes: it gets a third of the draws.
             seals += [_edited_seal(seal, *data.draw(st.sampled_from(_WRONG_SUMMARIES)),
                                    project)] * 4
@@ -515,3 +528,85 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
                 os.remove(store + ".seal")
             outcomes.append(_record_outcome(store, argv, clock))
         assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("path, value", [edit for edit in _SEAL_EDITS if edit[0] != ("sha256",)])
+def test_seal_edit_under_a_matching_digest_gets_the_full_check(tmp_path, monkeypatch, path,
+                                                                value):
+    # The seal covers lines 1-3, where p last has 1.5 h, so it decides whether 1.0 h
+    # is refused; the edited seal must be ignored, and every line checked instead.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored, seal = _read(store), _read(store + ".seal")
+    edited = _edited_seal(seal, path, value, "p", stored[:json.loads(seal)["length"]])
+    src = os.path.join(str(tmp_path), "probe.c")
+    with open(src, "w", encoding="utf-8") as f:
+        f.write("int x;\n")
+    argv = ["record", src, "--project", "p", "--store", store, "--t-hours", "1"]
+    befores, check = [], history._check
+
+    def counting(text, before, *rest):
+        befores.append(before)
+        return check(text, before, *rest)
+
+    monkeypatch.setattr(history, "_check", counting)
+    outcomes = []
+    for with_seal in (True, False):
+        with open(store, "wb") as f:
+            f.write(stored)
+        if with_seal:
+            with open(store + ".seal", "wb") as f:
+                f.write(edited)
+        elif os.path.exists(store + ".seal"):
+            os.remove(store + ".seal")
+        outcomes.append(_record_outcome(store, argv, _SEAL_T0))
+    assert befores[0] == 0
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 7 and "store already holds t = 1.5 h" in outcomes[0][2]
+
+
+_DAY, _TICK = timedelta(hours=24), timedelta(microseconds=1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.datetimes(), st.timedeltas(min_value=_TICK - _DAY, max_value=_DAY - _TICK))
+def test_isoformat_of_an_aware_clock_loads_back(naive, offset):
+    clock = naive.replace(tzinfo=timezone(offset))
+    text = clock.isoformat()
+    loaded = history._clock(text)  # the grammar refuses nothing isoformat writes
+    assert loaded.isoformat() == datetime.fromisoformat(text).isoformat()
+    # CPython 3.11 reads an offset of microseconds alone, +00:00:00.000001, as UTC.
+    if offset % timedelta(seconds=1) == timedelta(0) or abs(offset) >= timedelta(seconds=1):
+        assert loaded == clock and loaded.utcoffset() == offset
+        assert loaded.isoformat() == text
+
+
+def _reference_csv(traj):
+    """The csv report as ``csv.writer`` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t_hours", "x", "el_percent", "errors", "loc", "rate_from_prev"])
+    previous = None
+    for snap in traj.snapshots:
+        x = snap.metrics.degree_of_excellence
+        rate = "" if previous is None else (x - previous[1]) / (snap.t_hours - previous[0])
+        writer.writerow([snap.t_hours, x, snap.metrics.error_level_percent, snap.error_count,
+                         snap.stats.loc, rate])
+        previous = snap.t_hours, x
+    return buf.getvalue()
+
+
+_CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1e300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _CSV_FLOATS,
+                          _CSV_FLOATS, st.integers(0, 10**30), st.integers(1, 10**30)),
+                max_size=6, unique_by=lambda row: row[0]))
+def test_csv_report_is_what_csv_writer_writes(rows):
+    snapshots = tuple(
+        QualitySnapshot("p", _SEAL_T0, t, SourceStats("m.c", loc, 0, 0, loc, 0, 0), errors,
+                        QualityMetrics(0.0, percent, x))
+        for t, x, percent, errors, loc in sorted(rows, key=lambda row: row[0]))
+    traj = Trajectory("p", snapshots)
+    assert report.render_csv(traj) == _reference_csv(traj)

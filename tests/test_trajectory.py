@@ -342,7 +342,8 @@ def test_import_does_not_load_numpy(tmp_path):
     reports = [_loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl",
                                         "--format", format), tmp_path)
                for format in ("csv", "svg")]
-    assert "csv" in reports[0]
+    assert "excellence.report" in reports[0]
+    assert "csv" not in reports[0]
     assert not {"excellence.scanner", "csv"} & reports[1]
     usage = _loaded_modules("from excellence.cli import main\ntry:\n    main(['--help'])\n"
                             "except SystemExit as exit:\n    assert exit.code == 0", tmp_path)
