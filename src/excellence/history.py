@@ -15,10 +15,13 @@ for ``load_trajectory``, for a writer, and for a writer's ordering refusal. Ever
 field of every record is checked, in O(n) for n records; stored metrics are
 redundant with the stored counts on purpose, and a mismatch is corruption.
 Snapshots are built for the asked project alone. Blocks of lines that are all the
-writer's own are checked in bulk, by one regex pass into columns and each rule over
-a column; any other block is checked record by record, which names the line and
+writer's own, wall clocks as ``isoformat()`` writes them included, are checked in
+bulk, by one regex pass into columns and each rule over a column, with no JSON
+decoder; any other block is checked record by record, which names the line and
 the fault. A record's shape is stated once, in ``_FIELDS``, and its value rules
-once, in ``_rows``, so the writer refuses any record the loader would reject.
+once, in ``_rows``, so the writer refuses any record the loader would reject, and
+any clock it would read back as another. ``json`` is imported only where it is
+used: the record-by-record check, the seal and the writer.
 
 A writer also leaves ``<store>.seal``: the length and line count of the prefix it
 read, each project's first wall clock and last hours there, and one sha256 over
@@ -31,13 +34,13 @@ or unmatched, the writer checks the whole store, with the same outcome.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import operator
 import os
 import re
 import sys
 from datetime import datetime
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .errors import CorruptionError, MissingFileError, OrderingError, UndefinedMetricError
@@ -155,11 +158,12 @@ def _clock(text: str) -> datetime:
 _PERCENT, _DEGREE = operator.itemgetter(1), operator.itemgetter(2)
 
 
-def _rows(first: int, columns: list) -> zip:
-    """The rows (see ``_check``) of records given as columns in ``_FIELDS`` order,
-    their types and finiteness already checked, numbered from ``first``. Each value
-    rule runs over whole columns, in this order; the first one broken raises
-    ValueError in its words."""
+def _rows(first: int, columns: list, clock: "Callable[[str], datetime]" = _clock) -> tuple:
+    """The block (see ``_check``) of records given as columns in ``_FIELDS`` order,
+    their types and finiteness already checked, hours as floats, numbered from
+    ``first``. Each value rule runs over whole columns, in this order; the first one
+    broken raises ValueError in its words. ``clock`` reads the wall clocks: ``_clock``,
+    or ``datetime.fromisoformat`` for clocks already known to fit ``_WRITER_CLOCK``."""
     (projects, clocks, hours, files, totals, comments, blanks, locs, fors, whiles, errors,
      percents, degrees) = columns
     if min(hours) < 0:
@@ -169,7 +173,7 @@ def _rows(first: int, columns: list) -> zip:
     # loc = total_lines - comment_lines >= 0 already keeps comment_lines within total_lines.
     if not all(map(operator.le, blanks, totals)):
         raise ValueError("comment/blank counts exceed total_lines")
-    wall_clocks = list(map(_clock, clocks))  # RFC 3339, then the UTC offset, clock by clock
+    wall_clocks = list(map(clock, clocks))  # RFC 3339, then the UTC offset, clock by clock
     try:
         levels = list(map(error_levels, errors, locs))
     except (UndefinedMetricError, OverflowError) as exc:  # loc = 0; errors / loc too large
@@ -177,9 +181,9 @@ def _rows(first: int, columns: list) -> zip:
     # As decoded: an int el_percent may equal no float, though it rounds to one.
     if list(map(_PERCENT, levels)) != percents or list(map(_DEGREE, levels)) != degrees:
         raise ValueError("stored metrics do not re-derive from stored counts")
-    return zip(range(first, first + len(projects)), projects, clocks, map(float, hours),
-               wall_clocks, zip(files, totals, comments, blanks, locs, fors, whiles), errors,
-               levels)
+    return (zip(range(first, first + len(projects)), projects, clocks, hours), projects,
+            zip(wall_clocks, hours, zip(files, totals, comments, blanks, locs, fors, whiles),
+                errors, levels))
 
 
 _TYPE_ORDER = [(key, kind) for kind in (int, str, float)  # the order faults are named in
@@ -188,9 +192,9 @@ _TYPE_WORDS = {int: "a nonnegative integer", str: "a string", float: "a number"}
 
 
 def _row(obj, line_number: int) -> tuple:
-    """The row of one decoded record, every field checked; ValueError names its
-    first fault: the keys, then the types of counts, strings and reals, then the
-    value rules of ``_rows``."""
+    """The block (see ``_check``) of one decoded record, every field checked;
+    ValueError names its first fault: the keys, then the types of counts, strings and
+    reals, then the value rules of ``_rows``."""
     # json yields only dict, list, str, int, float, bool and None: a bool is not an int.
     if type(obj) is not dict:
         raise ValueError("record is not a JSON object")
@@ -204,11 +208,15 @@ def _row(obj, line_number: int) -> tuple:
             raise ValueError(f"{key} must be {_TYPE_WORDS[kind]}")
         if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, a huge int
             raise ValueError(f"{key} must be finite")
-    return next(_rows(line_number, [[obj[key]] for key in _FIELDS]))
+    columns = [[obj[key]] for key in _FIELDS]
+    columns[2] = [float(obj["t_hours"])]  # an int is a number of hours too
+    return _rows(line_number, columns)
 
 
 def _parse_record(line: str, line_number: int) -> tuple:
-    """Check every field of one store line; return its row (see ``_check``)."""
+    """Check every field of one store line; return its block (see ``_check``)."""
+    import json  # here, not at module level: the writer's own lines need no decoder
+
     def bad(reason: str) -> CorruptionError:
         return CorruptionError(f"store record at line {line_number} is invalid: {reason}",
                                line_number)
@@ -234,13 +242,24 @@ def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
     return MissingFileError(f"cannot open store: {store_path} ({exc.strerror})")
 
 
+# The wall clock as ``isoformat()`` writes an aware one: ``T``, seconds always, an
+# optional 6-digit fraction, and a ``±HH:MM`` offset with optional ``:SS[.ffffff]``.
+# All it matches fits _ISO_CLOCK and holds nothing that JSON escapes, so
+# ``datetime.fromisoformat`` alone reads it as ``_clock`` would.
+_WRITER_CLOCK = (r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{6})?"
+                 r"[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?")
+
+
 def _writer_line() -> str:
     """A regex for the exact line ``_line`` writes, one group per field in ``_FIELDS``
-    order: strings holding nothing that JSON escapes, counts as non-negative int
-    literals, and the three reals in float syntax alone, with a ``.`` or an exponent."""
+    order: the wall clock as ``_WRITER_CLOCK``, other strings holding nothing that
+    JSON escapes, counts as non-negative int literals, and the three reals in float
+    syntax alone, with a ``.`` or an exponent."""
     slots = {str: r'"([^"\\\x00-\x1f]*)"', int: "(0|[1-9][0-9]*)",
              float: r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"}
-    return "^{" + ", ".join(f'"{key}": {slots[kind]}' for key, kind in _FIELDS.items()) + "}$"
+    return "^{" + ", ".join(
+        f'"{key}": ' + (f'"({_WRITER_CLOCK})"' if key == "wall_clock" else slots[kind])
+        for key, kind in _FIELDS.items()) + "}$"
 
 
 _WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use: a short tail never is
@@ -248,20 +267,21 @@ _BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole lin
 
 
 def _check_bulk(text: str, start: int, end: int, before: int):
-    """The rows of the lines in ``text[start:end]``, each rule checked a column at a
-    time, for lines that are all the writer's own. None when a line is not or a
-    record breaks a rule, so that the record-by-record check names the fault. The
-    order of each project's hours is ``_check``'s to apply."""
+    """The block (see ``_check``) of the lines in ``text[start:end]``, each rule
+    checked a column at a time, for lines that are all the writer's own, and the
+    line breaks there. None when a line is not or a record breaks a rule, so that
+    the record-by-record check names the fault. The order of each project's hours
+    is ``_check``'s to apply."""
     lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
-    unended = end == len(text) and not text.endswith("\n")  # a last line without \n
-    if len(lines) != text.count("\n", start, end) + unended:
+    breaks = text.count("\n", start, end)
+    if len(lines) != breaks + (text[end - 1] != "\n"):  # the last line may lack its \n
         return None
     try:  # ValueError: an int of too many digits, or a rule broken
         columns = [column if kind is str else list(map(kind, column))
                    for kind, column in zip(_FIELDS.values(), zip(*lines))]
         if all(all(map(math.isfinite, column))
                for kind, column in zip(_FIELDS.values(), columns) if kind is float):
-            return _rows(before + 1, columns)
+            return _rows(before + 1, columns, datetime.fromisoformat), breaks
     except ValueError:
         pass
     return None
@@ -275,37 +295,45 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
     record's line number, and is updated in first-seen order. Returns the snapshots
     of ``project_id`` and ``before`` plus the line breaks in ``text``. Blocks of
     whole lines whose every line is the writer's own are checked in bulk, others
-    record by record. Both yield rows: the line number, the project, the wall clock
-    as stored and parsed, the hours, the ``SourceStats`` fields, the error count and
-    the error levels. The record-by-record rows are lazy, so the first fault in
-    line order is the one reported.
+    record by record. Both give blocks of three: the rows the order rule reads
+    (line number, project, wall clock as stored, hours), the projects, and per
+    record its wall clock as parsed, hours, ``SourceStats`` fields, error count and
+    error levels. The record-by-record blocks are lazy, one record each, so the
+    first fault in line order is the one reported.
     """
     bulk = text.find("\n", 0, len(text) - 1) >= 0  # two lines or more: worth the pattern
     snapshots = []
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        rows = _check_bulk(text, start, end, before) if bulk else None
-        if rows is None:
-            rows = (_parse_record(line, number)
-                    for number, line in enumerate(text[start:end].split("\n"), start=before + 1)
-                    if line.strip() != "")
-        for number, project, clock, t_hours, wall_clock, stats, errors, levels in rows:
-            previous = seen.get(project)
-            if previous is None:
-                seen[project] = (clock, t_hours, number)
-            elif t_hours <= previous[1]:
-                raise CorruptionError(
-                    f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                    f"advance project {project!r} (line {previous[2]} has {previous[1]})",
-                    number,
-                )
-            else:
-                seen[project] = (previous[0], t_hours, number)
-            if project == project_id:
-                snapshots.append(QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats),
-                                                 errors, QualityMetrics(*levels)))
-        before += text.count("\n", start, end)
+        checked = _check_bulk(text, start, end, before) if bulk else None
+        if checked is not None:
+            block, breaks = checked
+            blocks = (block,)
+        else:
+            lines = text[start:end].split("\n")
+            blocks = (_parse_record(line, number)
+                      for number, line in enumerate(lines, start=before + 1) if line.strip() != "")
+            breaks = len(lines) - 1
+        for rows, projects, records in blocks:
+            for number, project, clock, t_hours in rows:
+                previous = seen.get(project)
+                if previous is None:
+                    seen[project] = (clock, t_hours, number)
+                elif t_hours <= previous[1]:
+                    raise CorruptionError(
+                        f"store record at line {number} is invalid: t_hours {t_hours} does not "
+                        f"advance project {project!r} (line {previous[2]} has {previous[1]})",
+                        number,
+                    )
+                else:
+                    seen[project] = (previous[0], t_hours, number)
+            if project_id in projects:
+                snapshots += [QualitySnapshot(project_id, wall_clock, t_hours, SourceStats(*stats),
+                                              errors, QualityMetrics(*levels))
+                              for wall_clock, t_hours, stats, errors, levels
+                              in compress(records, map(project_id.__eq__, projects))]
+        before += breaks
         start = end
     return snapshots, before
 
@@ -348,6 +376,7 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
     length, lines, seen, digest = 0, 0, {}, None
     if seal_path is not None:
         import hashlib  # here, not at module level: scan and report never hash
+        import json  # nor read a seal
         digest = hashlib.sha256()
         try:
             with open(seal_path, "rb") as seal_file:
@@ -388,12 +417,14 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
 def _seal_digest(prefix, length: int, lines: int, projects: dict) -> str:
     """The sha256 a seal carries: of its prefix, then of its summary, so that an
     edit to either misses."""
+    import json
     digest = prefix.copy()
     digest.update(json.dumps([length, lines, projects], sort_keys=True).encode("ascii"))
     return digest.hexdigest()
 
 
 def _write_seal(store_path: str, seal: dict) -> None:
+    import json
     # A seal that cannot be written costs the next writer a full check, nothing more.
     temp = store_path + ".seal.tmp"  # the store's lock keeps other writers out
     try:
@@ -405,10 +436,18 @@ def _write_seal(store_path: str, seal: dict) -> None:
 
 
 def _line(snapshot: QualitySnapshot) -> bytes:
-    """The store line of ``snapshot``; ValueError if the loader would reject it."""
+    """The store line of ``snapshot``; ValueError if the loader would reject it or
+    read back another wall clock."""
+    import json
     text = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
     try:
-        _row(json.loads(text), 0)
+        _, _, records = _row(json.loads(text), 0)
+        wall_clock = next(records)[0]
+        # An offset of microseconds alone, +00:00:00.000001, reads back as UTC on 3.11.
+        if wall_clock != snapshot.wall_clock or \
+                wall_clock.utcoffset() != snapshot.wall_clock.utcoffset():
+            raise ValueError(f"wall_clock {snapshot.wall_clock.isoformat()} reads back as "
+                             f"{wall_clock.isoformat()}")
     except ValueError as exc:
         raise ValueError(f"snapshot cannot be stored: {exc}") from exc
     # A lone surrogate in the project or file name raises UnicodeEncodeError here.

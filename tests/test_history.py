@@ -442,6 +442,35 @@ def test_writer_refuses_what_its_loader_rejects(tmp_path, existing, writer, faul
     assert (store.read_bytes() if store.exists() else None) == before
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("writer", ["append_snapshot", "record_snapshot"])
+def test_writer_refuses_a_clock_that_reads_back_as_another(tmp_path, existing, writer):
+    # isoformat writes an offset of one microsecond as +00:00:00.000001, which
+    # CPython 3.11 reads back as UTC: the stored instant would be 1 us off.
+    store = tmp_path / "store.jsonl"
+    if existing:
+        append_snapshot(str(store), make_snapshot(t=0.0))
+    before = store.read_bytes() if existing else None
+    clock = (T0 + timedelta(hours=1)).astimezone(timezone(timedelta(microseconds=1)))
+    read_back = datetime.fromisoformat(clock.isoformat())
+
+    def write():
+        if writer == "append_snapshot":
+            append_snapshot(str(store), QualitySnapshot.create("alpha", clock, 1.0, make_stats(), 3))
+        else:
+            record_snapshot(str(store), "alpha", clock, make_stats(), 3, t_hours=1.0)
+
+    if read_back.utcoffset() == clock.utcoffset():  # a Python that reads the offset whole
+        write()
+        loaded = load_trajectory(str(store), "alpha").snapshots[-1].wall_clock
+        assert loaded == clock and loaded.utcoffset() == clock.utcoffset()
+        return
+    with pytest.raises(ValueError, match=r"^snapshot cannot be stored: wall_clock "
+                                         r"\S+\+00:00:00\.000001 reads back as \S+\+00:00$"):
+        write()
+    assert (store.read_bytes() if store.exists() else None) == before
+
+
 def test_hours_given_as_int_or_bool_are_stored_as_floats(tmp_path, monkeypatch):
     # As the writer's own lines, which the bulk check takes whole.
     store = str(tmp_path / "store.jsonl")

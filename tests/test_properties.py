@@ -10,6 +10,7 @@ import os
 import re
 import string
 import tempfile
+import unicodedata
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Context, Decimal
 from unittest import mock
@@ -182,9 +183,16 @@ def test_store_round_trip(snapshots):
 # loader in store_oracle loads it.
 _BAD_VALUES = ("true", "false", "null", "1.0", "-1", "NaN", "Infinity", "-Infinity",
                "1e400", "1" + "0" * 400, '"7"', "[]", "{}", "0", "2.5")
+# The first three are valid. The bulk check's clock slot, history._WRITER_CLOCK,
+# takes only what isoformat writes; every other clock goes record by record.
 _CLOCKS = ("2026-01-01T00:00:00+00:00", "2026-01-01T00:00:00Z", "2026-01-01T05:30:00+05:30",
            "2026-01-01T00:00:00", "2026-13-01T00:00:00+00:00", "yesterday", "",
-           "2026-W01-1T00:00+00:00", "20260101T000000+0000", "2026-01-01T00:00:00.5+00:00")
+           "2026-W01-1T00:00+00:00", "20260101T000000+0000", "2026-01-01T00:00:00.5+00:00",
+           # _ISO_CLOCK takes these and the slot does not; +05:30:15 the slot takes too.
+           "2026-01-01 00:00:00+00:00", "2026-01-01T00:00:00.123+00:00",
+           "2026-01-01T00:00+00:00", "2026-01-01T00:00:00+05:30:15",
+           # In the slot's shape, but fromisoformat refuses them.
+           "2026-01-01T24:00:00+00:00", "2026-01-01T00:00:00+24:00")
 _EDGES = ("", " ", "\t", "\r", " \t\r", "\x0c", "\ufeff", "\u3000")
 _TAILS = _EDGES + ("x", "}", "{}", ",", "\x00")
 
@@ -272,7 +280,7 @@ _STORE_EDITS = (
     "int hours", "int percent", "int x", "huge percent", "escaped name", "negative hours",
     "out of order", "zero loc", "loc mismatch", "comment over total", "blank over total",
     "1e400", "huge errors", "overflowing percent", "naive clock", "Z clock", "bad clock",
-    "whitespace line", "CRLF", "no final newline",
+    "other clock", "whitespace line", "CRLF", "no final newline",
 )
 
 
@@ -329,6 +337,8 @@ def _writer_store(draw, edit):
         r["wall_clock"] = r["wall_clock"].replace("+00:00", "" if edit == "naive clock" else "Z")
     elif edit == "bad clock":
         r["wall_clock"] = r["wall_clock"].replace("-01-01", "-13-01")
+    elif edit == "other clock":
+        r["wall_clock"] = draw(st.sampled_from(_CLOCKS))
     lines = [json.dumps(record, ensure_ascii=False).replace("Infinity", "1e400")
              for record in records]
     if edit == "whitespace line":
@@ -381,8 +391,23 @@ _EDGE = 2.0 ** 46  # from here on the float spacing nears 0.01
 @example(math.nextafter(-_EDGE, 0.0))
 @example(1e26)
 @example(2.675)
+@example(0.995)  # ties below 2**46 round repr's digits as integers; these carry
+@example(9.995)
+@example(99.995)
+@example(-2.675)
+@example(-0.005)
+@example(70368744177663.945)  # the largest tie below 2**46
 def test_format_2dp_rounds_the_shortest_repr(value):
     assert cli.format_2dp(value) == _reference_2dp(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(history._WRITER_CLOCK, fullmatch=True))
+def test_writer_clock_slot_is_inside_the_clock_grammar(text):
+    # So a clock the bulk check reads with fromisoformat alone is one _clock takes
+    # the same way, and its JSON string needs no escape.
+    assert history._ISO_CLOCK.fullmatch(text)
+    assert not any(ch in '"\\' or unicodedata.category(ch)[0] == "C" for ch in text)
 
 
 # A store that record_snapshot wrote, with the seal its last call left, then
@@ -465,7 +490,8 @@ def _record_outcome(store, argv, clock):
             return clock
 
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "datetime", FixedClock), \
+    # cmd_record imports the clock when it runs, from the datetime module.
+    with mock.patch("datetime.datetime", FixedClock), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue(), _read(store)

@@ -324,9 +324,10 @@ def test_import_does_not_load_numpy(tmp_path):
     (tmp_path / "one.c").write_text("int x;\n", encoding="utf-8")
     scan = _loaded_modules(_command("scan", "one.c"), tmp_path)
     assert {"excellence.scanner", "excellence.diaglog", "excellence.metrics"} <= scan
-    # Neither 100.00 nor 0.00 is a rounding tie, so no decimal either.
+    # Neither 100.00 nor 0.00 is a rounding tie, so no decimal either; only record
+    # reads the clock.
     assert not {"excellence.history", "excellence.trajectory", "excellence.report",
-                "json", "csv", "hashlib", "decimal"} & scan
+                "json", "csv", "hashlib", "decimal", "datetime"} & scan
     record = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "0"), tmp_path)
     assert "excellence.history" in record
@@ -338,7 +339,9 @@ def test_import_does_not_load_numpy(tmp_path):
     report = _loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl"),
                              tmp_path)
     assert {"excellence.report", "excellence.trajectory"} <= report
-    assert not {"excellence.diaglog", "excellence.scanner", "csv"} & report
+    # The writer's own lines are checked in bulk, with no JSON decoder, and a
+    # rounding tie is rounded without decimal.
+    assert not {"excellence.diaglog", "excellence.scanner", "csv", "json", "decimal"} & report
     reports = [_loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl",
                                         "--format", format), tmp_path)
                for format in ("csv", "svg")]
