@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from typing import NamedTuple
 
 from .errors import ExcellenceError, InsufficientDataError, UndefinedMetricError
 from .metrics import QualityMetrics, SourceStats, compute_metrics
@@ -49,33 +48,24 @@ def format_2dp(value: float) -> str:
                                              context=every_float))
 
 
-class ReportRendering(NamedTuple):
-    """The scan report, one string per output line."""
-
-    lines: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
 def render_report(stats: SourceStats, error_count: int,
-                  metrics: "QualityMetrics | None") -> ReportRendering:
+                  metrics: "QualityMetrics | None") -> str:
+    """The eight-line scan report."""
     if metrics is not None:
         el = format_2dp(metrics.error_level_percent)
         x = format_2dp(metrics.degree_of_excellence)
     else:
         el = x = "undefined (loc = 0)"
-    return ReportRendering(lines=(
-        f"The number of lines in the file is : {stats.total_lines}",
-        f"Number of comment lines is : {stats.comment_lines}",
-        f"The number of for loops is : {stats.for_count}",
-        f"The number of while loops is : {stats.while_count}",
-        f"Number of errors = {error_count}",
-        f"loc = {stats.loc}",
-        f"Error level w.r.t LOC = {el}",
-        f"Quality Level or Degree of excellence = {x}",
-    ))
+    return (
+        f"The number of lines in the file is : {stats.total_lines}\n"
+        f"Number of comment lines is : {stats.comment_lines}\n"
+        f"The number of for loops is : {stats.for_count}\n"
+        f"The number of while loops is : {stats.while_count}\n"
+        f"Number of errors = {error_count}\n"
+        f"loc = {stats.loc}\n"
+        f"Error level w.r.t LOC = {el}\n"
+        f"Quality Level or Degree of excellence = {x}\n"
+    )
 
 
 def _warn(message: str) -> None:
@@ -104,7 +94,7 @@ def _write_report(stats: SourceStats, error_count: int) -> "QualityMetrics | Non
         metrics = compute_metrics(error_count, stats.loc)
     except UndefinedMetricError:
         metrics = None
-    sys.stdout.write(render_report(stats, error_count, metrics).text)
+    sys.stdout.write(render_report(stats, error_count, metrics))
     return metrics
 
 
@@ -145,27 +135,28 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_interactive(args: argparse.Namespace) -> int:
     from . import diaglog, scanner
-    while True:
+
+    def ask(prompt: str) -> "str | None":
+        """The answer, stripped; None at end of input."""
         try:
-            path = input("Enter the name of the file : ").strip()
+            return input(prompt).strip()
         except EOFError:
+            return None
+
+    while True:
+        path = ask("Enter the name of the file : ")
+        if path is None:
             return 0
         if path:
             try:
                 stats = scanner.scan_file(path)
                 print("File opened successfully!")
-                try:
-                    log = input("Enter the name of the log file (blank for none) : ").strip()
-                except EOFError:
-                    log = ""
+                log = ask("Enter the name of the log file (blank for none) : ")
                 _write_report(stats, diaglog.count_errors_in_file(log).error_count if log else 0)
             except ExcellenceError as exc:
                 _warn(f"error: {exc}")
-        try:
-            answer = input("Want to continue? y/n : ").strip().lower()
-        except EOFError:
-            return 0
-        if answer not in ("y", "yes"):
+        answer = ask("Want to continue? y/n : ")
+        if answer is None or answer.lower() not in ("y", "yes"):
             return 0
 
 

@@ -39,10 +39,7 @@ def split_lines(text: str) -> list[str]:
     """Physical lines split on LF and CRLF only; a final newline ends, not
     opens, a line. Unlike ``str.splitlines`` a lone CR, form feed or Unicode
     line separator stays inside its line."""
-    text = text.replace("\r\n", "\n")
-    if not text:
-        return []
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -233,11 +233,6 @@ def _parse_record(line: str, line_number: int) -> tuple:
         raise bad(str(exc)) from exc
 
 
-def _require_utc_offset(wall_clock: datetime) -> None:
-    if wall_clock.utcoffset() is None:
-        raise ValueError(f"wall_clock must carry a UTC offset, got {wall_clock.isoformat()}")
-
-
 def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
     return MissingFileError(f"cannot open store: {store_path} ({exc.strerror})")
 
@@ -370,8 +365,9 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
 
     Only given ``seal_path`` does it trust a seal, well formed and matching: the
     prefix the seal covers is hashed, not checked, and the bytes after it are hashed
-    on. Without it the digest is None. Lines end in ``\n`` alone, as in text mode; a
-    byte that is not UTF-8 corrupts its line."""
+    on. Without it the digest is None. A line ends at ``\n``, a ``\r`` just before
+    it is part of the break, and any other ``\r`` is a character of its line, as
+    for the scanner and the log counter; a byte that is not UTF-8 corrupts its line."""
     f.seek(0)
     length, lines, seen, digest = 0, 0, {}, None
     if seal_path is not None:
@@ -400,7 +396,7 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
         text = tail.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = tail[:exc.start]
-        number = lines + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        number = lines + head.count(b"\n") + 1
         raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
                               f"(byte offset {length + exc.start})", number) from exc
     ended = tail.endswith(b"\n")
@@ -409,7 +405,7 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
         length += len(tail)
     del tail  # the text alone stays alive through the check
     if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = text.replace("\r\n", "\n")
     snapshots, lines = _check(text, lines, seen, project_id)
     return snapshots, lines, seen, digest, length, ended
 
@@ -513,7 +509,7 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
     wall clock to ``wall_clock``, or at 0 if it is the project's first. The
     store is read once.
     """
-    _require_utc_offset(wall_clock)
+    _clock(wall_clock.isoformat())  # an aware clock, or no hours can be taken from it
 
     def place(first: "datetime | None") -> QualitySnapshot:
         hours = t_hours
@@ -536,7 +532,6 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
     created = QualitySnapshot.create(*snapshot[:5])  # checks t_hours, and makes it a float
     if created != snapshot:
         raise ValueError("snapshot metrics do not match its counts")
-    _require_utc_offset(snapshot.wall_clock)
     _update(store_path, snapshot.project_id, lambda first: created)
 
 

@@ -1,10 +1,11 @@
 """Reference store loader, for tests: the ``json.loads``-based reader that
-``excellence.history.load_trajectory`` replaced, kept as it was.
+``excellence.history.load_trajectory`` replaced.
 
 It builds a snapshot for every record of every project with ``isinstance``
-checks, and keeps only the asked project's at the end. The library's loader
-must agree with it on every line: the same snapshots, or the same
-``CorruptionError`` message and line number.
+checks, and keeps only the asked project's at the end. It ends a line at LF
+or CRLF, as the scanner and the log counter do, and not at a lone CR as text
+mode would. The library's loader must agree with it on every line: the same
+snapshots, or the same ``CorruptionError`` message and line number.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def oracle_parse_record(line: str, line_number: int) -> QualitySnapshot:
 
 def oracle_load_trajectory(store_path: str, project_id: str) -> Trajectory:
     try:
-        with open(store_path, "r", encoding="utf-8") as f:
-            raw_lines = f.read().split("\n")
+        with open(store_path, "r", encoding="utf-8", newline="") as f:
+            raw_lines = re.split("\r?\n", f.read())
     except OSError as exc:
         raise MissingFileError(f"cannot open store: {store_path} ({exc.strerror})") from exc
 

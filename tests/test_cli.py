@@ -823,11 +823,66 @@ def test_svg_single_snapshot_has_padded_range(clean_src, tmp_path, capsys):
     assert "</svg>" in out
 
 
+def test_store_lines_end_at_lf_as_source_and_log_lines_do(clean_src, tmp_path, capsys):
+    # A "\r" just before a "\n" is part of the line break; any other "\r" is a
+    # character of its line, where JSON reads it as whitespace.
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    lf = store.read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    report = capsys.readouterr()
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert main(["report", "--project", "p", "--store", str(crlf)]) == 0
+    assert capsys.readouterr() == report
+    lone_cr = tmp_path / "cr.jsonl"
+    lone_cr.write_bytes(lf.replace(b"\n", b"\r", 1))
+    before = lone_cr.read_bytes()
+    for argv in (["report"], ["record", clean_src, "--t-hours", "2"]):
+        assert main([*argv, "--project", "p", "--store", str(lone_cr)]) == 7
+        assert "store record at line 1 is invalid: not valid JSON (Extra data)" in \
+            capsys.readouterr().err
+    assert lone_cr.read_bytes() == before
+
+
+def test_unwritable_seal_costs_only_the_seal(clean_src, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    (tmp_path / "store.jsonl.seal.tmp").mkdir()
+    for t in ("0", "1", "2"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+        assert not (tmp_path / "store.jsonl.seal").exists()
+    assert [snap.t_hours for snap in load_trajectory(str(store), "p").snapshots] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("flag, value", [("--t-hours", "-1"), ("--tolerance", "-0.5")])
+def test_negative_hours_or_tolerance_exit_2(clean_src, tmp_path, capsys, flag, value):
+    command = ["record", clean_src] if flag == "--t-hours" else ["report"]
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--project", "p", "--store", str(tmp_path / "store.jsonl"), flag, value])
+    assert err.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "store.jsonl").exists()
+
+
 # --- interactive ------------------------------------------------------------
 
 def feed_input(monkeypatch, answers):
-    it = iter(answers)
-    monkeypatch.setattr("builtins.input", lambda prompt="": next(it))
+    """Answer the prompts with ``answers``, then end the input; return the prompts asked."""
+    it, prompts = iter(answers), []
+
+    def answer(prompt=""):
+        prompts.append(prompt)
+        line = next(it, None)
+        if line is None:
+            raise EOFError
+        return line
+
+    monkeypatch.setattr("builtins.input", answer)
+    return prompts
 
 
 def test_interactive_scan_and_quit(clean_src, monkeypatch, capsys):
@@ -851,3 +906,21 @@ def test_interactive_with_log(faulty_src, error_log, monkeypatch, capsys):
     assert main(["interactive"]) == 0
     out, _ = capsys.readouterr()
     assert GOLDEN_WITH_ERRORS in out
+
+
+_PROMPTS = ("Enter the name of the file : ", "Enter the name of the log file (blank for none) : ",
+            "Want to continue? y/n : ")
+
+
+@pytest.mark.parametrize("answered", [0, 1, 2])
+def test_interactive_ends_at_end_of_input_at_each_prompt(clean_src, monkeypatch, capsys,
+                                                         answered):
+    prompts = feed_input(monkeypatch, [clean_src, ""][:answered])
+    assert main(["interactive"]) == 0
+    out, _ = capsys.readouterr()
+    if answered == 0:
+        assert prompts == [_PROMPTS[0]]
+        assert out == ""
+    else:  # no log named, at the log prompt or past it: 0 errors
+        assert prompts == list(_PROMPTS)
+        assert out == "File opened successfully!\n" + GOLDEN_CLEAN

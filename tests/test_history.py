@@ -228,9 +228,23 @@ def test_append_rejects_naive_wall_clock(tmp_path):
     before = store.read_bytes()
     naive = make_snapshot(t=1.0)
     naive = naive._replace(wall_clock=naive.wall_clock.replace(tzinfo=None))
-    with pytest.raises(ValueError, match="UTC offset"):
+    with pytest.raises(ValueError,
+                       match="^snapshot cannot be stored: wall_clock has no UTC offset: "):
         append_snapshot(str(store), naive)
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_append_refuses_metrics_that_do_not_match_the_counts(tmp_path, existing):
+    store = tmp_path / "store.jsonl"
+    if existing:
+        append_snapshot(str(store), make_snapshot(t=0.0))
+    before = store.read_bytes() if existing else None
+    snapshot = make_snapshot(t=1.0)
+    tampered = snapshot._replace(metrics=snapshot.metrics._replace(degree_of_excellence=50.0))
+    with pytest.raises(ValueError, match="^snapshot metrics do not match its counts$"):
+        append_snapshot(str(store), tampered)
+    assert (store.read_bytes() if store.exists() else None) == before
 
 
 def test_bad_timestamp_rejected(tmp_path):
@@ -549,7 +563,7 @@ def test_record_snapshot_rejects_early_or_naive_clock(tmp_path):
                        match=r"before the first snapshot .*; pass t_hours \(--t-hours\)"):
         record_snapshot(str(store), "alpha", T0 - timedelta(seconds=1), make_stats(), 0)
     assert store.read_bytes() == before
-    with pytest.raises(ValueError, match="UTC offset"):
+    with pytest.raises(ValueError, match="^wall_clock has no UTC offset: "):
         record_snapshot(str(store), "alpha", T0.replace(tzinfo=None), make_stats(), 0)
     assert store.read_bytes() == before
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from excellence import cli, history, report
 from excellence.diaglog import (DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors,
                                 count_errors_in_file)
+from excellence.errors import CorruptionError
 from excellence.history import (QualitySnapshot, Trajectory, append_snapshot, load_trajectory,
                                 record_snapshot)
 from excellence.metrics import QualityMetrics
@@ -362,6 +363,60 @@ def test_writer_shaped_store_loads_as_reference_loader(edit, data):
         with mock.patch("excellence.history._BLOCK", block):
             loaded = _outcome(load_trajectory, path, project)
         assert loaded == _outcome(oracle_load_trajectory, path, project)
+
+
+# The line rule the scanner, the log counter and the store share: "\n" ends a
+# line, a "\r" just before it is part of the break, and any other "\r" is a
+# character of its line.
+_CR_EDGES = ("", "\r", " \r", "\r\r")
+_STATS = SourceStats("m.c", 10, 2, 1, 8, 1, 0)
+_NOT_UTF8 = "\r\udcff"  # written with surrogateescape: a lone CR, then the byte 0xff
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_source_log_and_store_share_one_line_rule(data):
+    n = data.draw(st.integers(1, 8), label="lines")
+    edges = data.draw(st.lists(st.tuples(st.sampled_from(_CR_EDGES), st.sampled_from(_CR_EDGES)),
+                               min_size=n, max_size=n))
+    breaks = data.draw(st.lists(st.sampled_from(("\n", "\r\n")), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        breaks[-1] = ""  # the last line lacks its break
+
+    def text(cores):
+        return "".join(lead + core + tail + end
+                       for core, (lead, tail), end in zip(cores, edges, breaks))
+
+    cores = st.sampled_from(("int x;", "int\rx;", "// c\r", "/*\r*/", "\r"))
+    source = text(data.draw(st.lists(cores, min_size=n, max_size=n)))
+    assert scan_source(source).total_lines == n
+
+    errors = data.draw(st.sets(st.integers(1, n)), label="error lines")
+    log = text([data.draw(st.sampled_from(("m.c:1: error: bad", "m.c:1: error\r: bad")))
+                if number in errors else data.draw(st.sampled_from(("m.c:2: warning", "error\r")))
+                for number in range(1, n + 1)])
+    for pattern in (ErrorPattern(), ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)")):
+        assert count_errors(log, pattern).matched_line_numbers == tuple(sorted(errors))
+
+    records = [history._line(QualitySnapshot.create("p", _WRITER_T0, float(number), _STATS, 0))
+               .decode("utf-8")[:-1] for number in range(1, n + 1)]
+    bad = data.draw(st.none() | st.integers(1, n), label="bad line")
+    if bad is not None:
+        record = records[bad - 1]
+        records[bad - 1] = data.draw(st.sampled_from((
+            record + "\r" + record, record[:data.draw(st.integers(1, len(record) - 1))], "\r{}",
+            _NOT_UTF8)))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = os.path.join(tmp, "store.jsonl")
+        with open(store, "wb") as f:
+            f.write(text(records).encode("utf-8", "surrogateescape"))
+        loaded = _outcome(load_trajectory, store, "p")
+        if _NOT_UTF8 not in records:  # the reference loader reads UTF-8 alone
+            assert loaded == _outcome(oracle_load_trajectory, store, "p")
+    if bad is None:
+        assert len(loaded) == n
+    else:
+        assert loaded[0] is CorruptionError and loaded[2] == bad
 
 
 def _reference_2dp(value):

@@ -5,7 +5,6 @@ from datetime import datetime, timezone
 import pytest
 
 from excellence import scanner
-from excellence.cli import ReportRendering
 from excellence.diaglog import DEFAULT_PATTERN_TEXT, ErrorPattern, ErrorReport
 from excellence.history import QualitySnapshot, Trajectory
 from excellence.metrics import QualityMetrics, SourceStats
@@ -26,7 +25,6 @@ def test_fields_keep_their_order():
                                       "degree_of_excellence")
     assert ErrorPattern._fields == ("pattern_text", "case_sensitive")
     assert ErrorReport._fields == ("log_name", "error_count", "matched_line_numbers")
-    assert ReportRendering._fields == ("lines",)
     assert QualitySnapshot._fields == ("project_id", "wall_clock", "t_hours", "stats",
                                        "error_count", "metrics")
     assert RateEstimate._fields == ("value", "method", "interval")
@@ -73,7 +71,7 @@ def test_scanner_re_exports_the_census_type():
     (QualityMetrics(0.5, 50.0, 50.0), "degree_of_excellence"),
     (ErrorPattern(), "pattern_text"),
     (ErrorReport("b.log", 0, ()), "error_count"),
-    (ReportRendering(("a",)), "lines"),
+    (EffortEstimate(1.0, RateEstimate(1.0, RateMethod.SECANT, (0.0, 1.0)), 1.0), "effort"),
     (snapshot(), "t_hours"),
     (RateEstimate(1.0, RateMethod.SECANT, (0.0, 1.0)), "value"),
     (PolyFit(1, (1.0, 2.0), 0.0), "degree"),
