@@ -75,6 +75,10 @@ def _warn(message: str) -> None:
 def _gather(source_path: str, log_path: "str | None",
             pattern_text: "str | None") -> tuple[SourceStats, int]:
     from . import diaglog, scanner
+    pattern = diaglog.DEFAULT_ERROR_PATTERN
+    if pattern_text is not None:
+        pattern = diaglog.ErrorPattern(pattern_text)
+        pattern.compile()  # an invalid pattern stops the command before any file is read
     stats = scanner.scan_file(source_path)
     if stats.unterminated_comment:
         _warn(f"warning: {source_path}: unterminated block comment; "
@@ -82,8 +86,6 @@ def _gather(source_path: str, log_path: "str | None",
     if log_path is None:
         _warn("notice: no log file given; error count defaults to 0")
         return stats, 0
-    pattern = (diaglog.ErrorPattern(pattern_text) if pattern_text is not None
-               else diaglog.DEFAULT_ERROR_PATTERN)
     report = diaglog.count_errors_in_file(log_path, pattern)
     return stats, report.error_count
 

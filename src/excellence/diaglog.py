@@ -5,18 +5,19 @@ head line. The default pattern covers the two mainstream shapes,
 ``...: error: ...`` and ``... error C1234: ...``, and deliberately skips
 ``warning:`` and ``note:`` lines. Exotic compilers get a pattern override.
 
-The default pattern is one case-sensitive search over the whole log with its
-ASCII letters lowered; a user pattern is searched line by line. Both count
-the same lines. Every log is folded as bytes and decoded once, a str encoded
-first: ``bytes.lower`` changes only 0x41-0x5A, which no UTF-8 multibyte
-sequence holds, so folding before the decode gives the text that folding after
-it would.
+A log file is read in blocks of whole lines, so memory stays at a few blocks
+whatever its size; both patterns are line-local. The default pattern is one
+case-sensitive search per block with its ASCII letters lowered; a user pattern
+is searched line by line. Both count the same lines. A block is folded as
+bytes and decoded once, a str encoded first: ``bytes.lower`` changes only
+0x41-0x5A, which no UTF-8 multibyte sequence holds, nor the ``\n`` a block
+ends at, so the blocks decode to the text that folding after the decode gives.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import MissingFileError, PatternError
 
@@ -33,6 +34,9 @@ DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
 # ``\r`` of a CRLF is never followed by the ``:`` a match ends with.
 _FOLDED_DEFAULT = re.compile(
     r"error(?<=\berror)\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
+# Bytes per read of a log file, before the rest of the line: below glibc's 128 KiB
+# mmap threshold, so each block reuses the heap pages the last one freed.
+_BLOCK = 1 << 16
 
 
 def split_lines(text: str) -> list[str]:
@@ -75,57 +79,54 @@ class ErrorReport(NamedTuple):
 
 
 def count_errors(
-    log_text: "str | bytes",
+    log_text: "str | bytes | Iterable[bytes]",
     pattern: ErrorPattern = DEFAULT_ERROR_PATTERN,
     log_name: str = "",
 ) -> ErrorReport:
     """Count log lines matching ``pattern``. Line-local and deterministic.
 
-    ``bytes`` are decoded as UTF-8 with replacement.
+    ``log_text`` is text, UTF-8 bytes, or byte blocks each of whole lines but
+    the last; bytes are decoded as UTF-8 with replacement.
     """
-    if pattern == DEFAULT_ERROR_PATTERN:
-        matched = _default_matches(log_text)
-    else:
-        regex = pattern.compile()
-        if isinstance(log_text, bytes):
-            log_text = log_text.decode("utf-8", errors="replace")
-        matched = tuple(
-            number
-            for number, hit in enumerate(map(regex.search, split_lines(log_text)), start=1)
-            if hit
-        )
-    return ErrorReport(log_name=log_name, error_count=len(matched), matched_line_numbers=matched)
-
-
-def _default_matches(log_text: "str | bytes") -> tuple[int, ...]:
-    """Numbers of the lines the default pattern matches, in one pass."""
-    # Lowers ASCII letters only. A str's lone surrogates come back as U+FFFD; neither
-    # is a word character, whitespace, a digit, a newline or a colon, so no match moves.
-    if isinstance(log_text, str):
+    default = pattern == DEFAULT_ERROR_PATTERN
+    regex = _FOLDED_DEFAULT if default else pattern.compile()
+    if isinstance(log_text, str) and default:
+        # The fold lowers ASCII letters only. Lone surrogates come back as U+FFFD; neither
+        # is a word character, whitespace, a digit, a newline or a colon, so no match moves.
         log_text = log_text.encode("utf-8", "surrogatepass")
-    folded = log_text.lower().decode("utf-8", errors="replace")
+    if isinstance(log_text, (str, bytes)):
+        log_text = (log_text,)
     matched: list[int] = []
-    number, counted_to = 1, 0
-    for hit in _FOLDED_DEFAULT.finditer(folded):
-        start = hit.start()
-        number += folded.count("\n", counted_to, start)
-        counted_to = start
-        if not matched or matched[-1] != number:
-            matched.append(number)
-    return tuple(matched)
+    first = 1  # the number of the block's first line
+    for block in log_text:
+        if isinstance(block, bytes):
+            block = (block.lower() if default else block).decode("utf-8", errors="replace")
+        if default:
+            number, counted_to = first, 0
+            for hit in regex.finditer(block):
+                start = hit.start()
+                number += block.count("\n", counted_to, start)
+                counted_to = start
+                if not matched or matched[-1] != number:
+                    matched.append(number)
+            first += block.count("\n")
+        else:
+            lines = split_lines(block)
+            matched.extend(number for number, hit in enumerate(map(regex.search, lines), first)
+                           if hit)
+            first += len(lines)
+    return ErrorReport(log_name, len(matched), tuple(matched))
 
 
 def count_errors_in_file(path: str, pattern: ErrorPattern = DEFAULT_ERROR_PATTERN) -> ErrorReport:
-    """Read a log file and count its error lines.
+    """Read a log file in blocks of whole lines and count its error lines.
 
     Logs are decoded as UTF-8 with replacement; compilers are not trusted to
     emit clean encodings.
     """
     try:
-        with open(path, "rb") as f:
-            log = f.read()
+        with open(path, "rb") as f:  # blocks of _BLOCK bytes, each with the rest of its last line
+            blocks = (block + f.readline() for block in iter(lambda: f.read(_BLOCK), b""))
+            return count_errors(blocks, pattern, log_name=path)
     except OSError as exc:
         raise MissingFileError(f"cannot open log file: {path} ({exc.strerror})") from exc
-    if pattern != DEFAULT_ERROR_PATTERN:  # a per-line search needs only the text: drop the bytes
-        log = log.decode("utf-8", errors="replace")
-    return count_errors(log, pattern, log_name=path)

@@ -9,11 +9,12 @@ mask*: a comment becomes ``//`` on each of its lines, and each line segment of
 a literal becomes one ``"`` if it holds a non-space character and stays as it
 is otherwise. ``//`` cannot come from code, where it would have opened a
 comment. Every newline survives, so the mask's lines line up with the text's.
-On the mask, two multi-line regexes count in C: a code line holds a
-non-space character outside the ``//`` markers, and a blank line holds only
-spaces; every other line holds a marker and nothing else, so it is a comment
-line, also when it starts inside a block comment. Keywords are counted on the
-mask too.
+One multi-line regex counts in C: a blank line holds only spaces, and a code
+line still holds a non-space character once the ``//`` markers are removed (a
+code ``/`` never comes just before a marker, where it would have opened a line
+comment, so removing them from the left keeps it); every other line holds a
+marker and nothing else, so it is a comment line, also when it starts inside a
+block comment. Keywords are counted on the mask too.
 ``\\w``, ``\\b`` and ``\\s`` in a ``str`` pattern follow ``str.isalnum()``/``_``
 and ``str.isspace()``, which keeps the conventions below.
 
@@ -67,9 +68,8 @@ _TOKEN = re.compile(
     )""",
     re.VERBOSE | re.DOTALL,
 )
-# On the mask: a code line holds a non-space character outside the ``//``
-# markers, and a blank line holds nothing but spaces.
-_CODE_LINE = re.compile(r"^(?:[^\S\n]|//)*(?!//)\S", re.MULTILINE)
+# A line of nothing but spaces: on the mask a blank line, on the mask without
+# its markers a line that is not code.
 _BLANK_LINE = re.compile(r"^[^\S\n]*$", re.MULTILINE)
 # ``kw(?<=\bkw)\b`` is ``\bkw\b`` that starts with a literal, so the engine
 # searches for the keyword instead of testing a boundary at every offset.
@@ -97,7 +97,7 @@ def classify_lines(source_text: str) -> list[LineClass]:
     """Classify each physical line of ``source_text`` as code/comment/blank."""
     mask, total, _ = _mask(source_text)
     return [
-        LineClass.CODE if _CODE_LINE.match(line)
+        LineClass.CODE if line.replace("//", "").strip()
         else LineClass.COMMENT if line.strip()
         else LineClass.BLANK
         for line in mask.split("\n", total)[:total]
@@ -107,10 +107,10 @@ def classify_lines(source_text: str) -> list[LineClass]:
 def scan_source(source_text: str, file_name: str = "") -> SourceStats:
     """Census ``source_text``: line classes plus for/while keyword counts."""
     mask, total, unterminated = _mask(source_text)
-    code = len(_CODE_LINE.findall(mask))
     # A final newline opens no line: the empty one after it is not counted. One
-    # inside a block comment leaves ``//`` there, which is neither code nor blank.
+    # inside a block comment leaves ``//`` there: not blank, and without it not code.
     blank = len(_BLANK_LINE.findall(mask)) - (mask == "" or mask.endswith("\n"))
+    code = mask.count("\n") + 1 - len(_BLANK_LINE.findall(mask.replace("//", "")))
     return SourceStats(
         file_name=file_name,
         total_lines=total,

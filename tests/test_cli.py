@@ -122,6 +122,18 @@ def test_scan_bad_pattern_exits_5(clean_src, error_log, capsys):
     assert "pattern" in err
 
 
+@pytest.mark.parametrize("files", ["source only", "missing source", "missing log"])
+def test_scan_bad_pattern_exits_5_before_any_file_is_read(clean_src, tmp_path, files, capsys):
+    argv = {"source only": [clean_src],
+            "missing source": [str(tmp_path / "absent.c")],
+            "missing log": [clean_src, "--log", str(tmp_path / "absent.log")]}[files]
+    assert main(["scan", *argv, "--error-pattern", "("]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("excellence: error: invalid error pattern at position 0: "
+                   "missing ), unterminated subpattern: '('\n")
+
+
 def test_scan_empty_file_metrics_undefined_exit_6(tmp_path, capsys):
     path = tmp_path / "empty.c"
     path.write_text("", encoding="utf-8")

@@ -1,9 +1,11 @@
 """Tests for compiler-log error counting."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from excellence import diaglog
 from excellence.diaglog import (
     DEFAULT_ERROR_PATTERN,
     ErrorPattern,
@@ -138,3 +140,48 @@ def test_missing_log_file():
     with pytest.raises(MissingFileError) as err:
         count_errors_in_file("/no/such/build.log")
     assert err.value.exit_code == 3
+
+
+def test_log_file_is_counted_in_one_call_of_count_errors(tmp_path, monkeypatch):
+    """The log layer's trace reads one ``count_errors`` per file, with the file's count."""
+    path = tmp_path / "build.log"
+    path.write_text(MIXED_LOG * 3, encoding="utf-8")
+    original, calls = diaglog.count_errors, []
+
+    def counted(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(diaglog, "_BLOCK", 64)
+    monkeypatch.setattr(diaglog, "count_errors", counted)
+    report = count_errors_in_file(str(path))
+    assert calls == [report]
+    assert report == count_errors(MIXED_LOG * 3, log_name=str(path))
+
+
+def test_log_blocks_count_like_the_whole_text():
+    blocks = [b"main.c:1: error: a\r\n", b"x.c:2: warning: b\nX.C(3): ERROR C1:\n",
+              b"LINK : error: b"]
+    text = b"".join(blocks).decode()
+    for pattern in (DEFAULT_ERROR_PATTERN, ErrorPattern(r"^\S+: error")):
+        assert count_errors(iter(blocks), pattern) == count_errors(text, pattern)
+    assert count_errors(blocks).matched_line_numbers == (1, 3, 4)
+
+
+def test_log_count_memory_stays_at_a_few_blocks(tmp_path):
+    """A count, not a clock: the traced peak of a 4 MB log stays under 1 MB, where
+    reading the whole log at once peaks at three copies of it."""
+    lines = ["gcc -c -O2 -Wall -o build/unit%d.o src/unit%d.c\n" % (i, i) for i in range(99)]
+    lines.append("src/unit9.c:12:5: error: expected ';' before 'return'\n")
+    chunk = "".join(lines).encode("utf-8")
+    path = tmp_path / "big.log"
+    path.write_bytes(chunk * (4_200_000 // len(chunk) + 1))
+    assert path.stat().st_size >= 4_000_000
+    tracemalloc.start()
+    try:
+        report = count_errors_in_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.error_count == path.stat().st_size // len(chunk)
+    assert peak < 1_000_000

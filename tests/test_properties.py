@@ -19,7 +19,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from excellence import cli, history, report
+from excellence import cli, diaglog, history, report
 from excellence.diaglog import (DEFAULT_PATTERN_TEXT, ErrorPattern, count_errors,
                                 count_errors_in_file)
 from excellence.errors import CorruptionError
@@ -94,12 +94,20 @@ _LOG_BYTES = (
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(_LOG_BYTES), st.binary(max_size=3)), max_size=30)
-       .map(b"".join))
-def test_log_file_folded_as_bytes_matches_per_line_search(raw):
+       .map(b"".join), st.integers(1, 16))
+# The file is read in blocks of whole lines: a line longer than a block, a CRLF or
+# a cut UTF-8 sequence at a block's end, an empty file and no final newline.
+@example(b"x.c:1: ERROR: a line of many blocks", 1)
+@example(b"error:\r\nerror:\r\n", 7)
+@example(b"\xe2\x82\nError C2:\xe2\x82\r\nerror\xed\xa0\x80:\n\x80error:", 4)
+@example(b"", 1)
+@example(b"\n\nerror:", 2)
+def test_log_file_folded_as_bytes_matches_per_line_search(raw, block):
     # Any other pattern text is searched line by line, on the text decoded first.
     per_line = ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)")
     want = count_errors(raw.decode("utf-8", "replace"), per_line)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diaglog, "_BLOCK", block)
         path = os.path.join(tmp, "build.log")
         with open(path, "wb") as f:
             f.write(raw)

@@ -192,12 +192,13 @@ def test_agrees_with_oracle_on_random_sources():
 
 # Edges of the code mask (a comment becomes ``//`` per line, a literal ``"``):
 # a final newline inside an open comment, comments that close at once, code
-# ``/`` touching a comment, a literal line that holds only spaces, and control
-# characters that are code (NUL) or space (form feed).
+# ``/`` touching a comment, markers side by side, a literal line that holds only
+# spaces, and control characters that are code (NUL) or space (form feed).
 _MASK_EDGES = (
     "/*\n", "/*\n\n", "/*", "/*/", "/**/", "/**/\n", "/**//x", "a/ /**/", "/**/ /",
     "/* a */ // b", "/* a */ // b\n", '"a\\\n   \nint x;\n', '"a\\\n \t',
     "'\\\n\x0c\n", "\x00", "int\x00x;\n", "\x0c\n", "a\x0cb\n", "/*\x0c*/\x00\n",
+    "/* a *//x", "/* a *//* b */", "/* x\n", "// c",
 )
 
 
