@@ -7,11 +7,13 @@ head line. The default pattern covers the two mainstream shapes,
 
 A log file is read in blocks of whole lines, so memory stays at a few blocks
 whatever its size; both patterns are line-local. The default pattern is one
-case-sensitive search per block with its ASCII letters lowered; a user pattern
-is searched line by line. Both count the same lines. A block is folded as
-bytes and decoded once, a str encoded first: ``bytes.lower`` changes only
-0x41-0x5A, which no UTF-8 multibyte sequence holds, nor the ``\n`` a block
-ends at, so the blocks decode to the text that folding after the decode gives.
+case-sensitive search per block with its ASCII letters lowered, which checks
+the word boundary before ``error`` on each hit rather than on every ``error``
+the search meets; a user pattern is searched line by line. Both count the same
+lines. A block is folded as bytes and decoded once, a str encoded first:
+``bytes.lower`` changes only 0x41-0x5A, which no UTF-8 multibyte sequence holds,
+nor the ``\n`` a block ends at, so the blocks decode to the text that folding
+after the decode gives.
 """
 
 from __future__ import annotations
@@ -31,9 +33,13 @@ DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
 # IGNORECASE, ``e``/``r``/``o`` match only their ASCII cases and ``[A-Za-z]``
 # matches the ASCII letters plus U+0130, U+0131, U+017F and U+212A, which the
 # ASCII fold leaves alone. ``[^\S\n]`` keeps a match inside one line, and the
-# ``\r`` of a CRLF is never followed by the ``:`` a match ends with.
+# ``\r`` of a CRLF is never followed by the ``:`` a match ends with. It leaves
+# out the ``\b`` before ``error``: ``count_errors`` drops a hit that follows a
+# word character, which ``\w`` is exactly when ``str.isalnum()`` or ``_``. A
+# dropped hit hides no real one: any later ``error`` inside it sits in the
+# ``[a-z...]*\d+`` run, where the ``\b`` after ``error`` fails.
 _FOLDED_DEFAULT = re.compile(
-    r"error(?<=\berror)\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
+    r"error\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
 # Bytes per read of a log file, before the rest of the line: below glibc's 128 KiB
 # mmap threshold, so each block reuses the heap pages the last one freed.
 _BLOCK = 1 << 16
@@ -105,11 +111,13 @@ def count_errors(
             number, counted_to = first, 0
             for hit in regex.finditer(block):
                 start = hit.start()
+                if start and ((c := block[start - 1]).isalnum() or c == "_"):
+                    continue
                 number += block.count("\n", counted_to, start)
                 counted_to = start
                 if not matched or matched[-1] != number:
                     matched.append(number)
-            first += block.count("\n")
+            first = number + block.count("\n", counted_to)
         else:
             lines = split_lines(block)
             matched.extend(number for number, hit in enumerate(map(regex.search, lines), first)

@@ -69,8 +69,10 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 # A line of nothing but spaces: on the mask a blank line, on the mask without
-# its markers a line that is not code.
-_BLANK_LINE = re.compile(r"^[^\S\n]*$", re.MULTILINE)
+# its markers a line that is not code. It is searched on the mask framed by a
+# ``\n`` at each end, so every line has one before and one after it; a leading
+# literal lets the engine skip to each newline instead of trying every offset.
+_BLANK_LINE = re.compile(r"\n[^\S\n]*(?=\n)")
 # ``kw(?<=\bkw)\b`` is ``\bkw\b`` that starts with a literal, so the engine
 # searches for the keyword instead of testing a boundary at every offset.
 _LOOPS = {kw: re.compile(rf"{kw}(?<=\b{kw})\b") for kw in LOOP_KEYWORDS}
@@ -82,6 +84,7 @@ def _mask(source_text: str) -> tuple[str, int, bool]:
     text = source_text.replace("\r\n", "\n")
     total = text.count("\n") + (text != "" and not text.endswith("\n"))
     parts = _TOKEN.split(text)
+    del text  # a CRLF source's copy; the parts hold the text now
     last = parts[-2] if len(parts) > 1 else ""
     unterminated = last.startswith("/*") and (len(last) < 4 or not last.endswith("*/"))
     parts[1::2] = [
@@ -107,10 +110,11 @@ def classify_lines(source_text: str) -> list[LineClass]:
 def scan_source(source_text: str, file_name: str = "") -> SourceStats:
     """Census ``source_text``: line classes plus for/while keyword counts."""
     mask, total, unterminated = _mask(source_text)
+    framed = "\n" + mask + "\n"
     # A final newline opens no line: the empty one after it is not counted. One
     # inside a block comment leaves ``//`` there: not blank, and without it not code.
-    blank = len(_BLANK_LINE.findall(mask)) - (mask == "" or mask.endswith("\n"))
-    code = mask.count("\n") + 1 - len(_BLANK_LINE.findall(mask.replace("//", "")))
+    blank = len(_BLANK_LINE.findall(framed)) - (mask == "" or mask.endswith("\n"))
+    code = mask.count("\n") + 1 - len(_BLANK_LINE.findall(framed.replace("//", "")))
     return SourceStats(
         file_name=file_name,
         total_lines=total,
@@ -136,4 +140,5 @@ def scan_file(path: str) -> SourceStats:
         raise SourceDecodeError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}", exc.start
         ) from exc
+    del raw  # the scan holds the text alone
     return scan_source(text, file_name=os.path.basename(path))

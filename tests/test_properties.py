@@ -46,6 +46,16 @@ _sources = st.lists(st.sampled_from(_SOURCE_ALPHABET), max_size=80).map("".join)
 
 @settings(max_examples=500, deadline=None)
 @given(_sources)
+# Blank-line counting edges: no line, empty and space-only lines with and without
+# a final newline, blank lines inside a block comment, CRLF around spaces.
+@example("")
+@example("\n")
+@example(" ")
+@example("\n\n")
+@example(" \t")
+@example("x\n ")
+@example("/*\n\n*/")
+@example("\r\n \r\n")
 def test_scanner_matches_oracle(text):
     stats = scan_source(text)
     expected = oracle_scan(text)
@@ -59,12 +69,15 @@ _OLD_DEFAULT_PATTERN_TEXT = r"\berror\b(?:\s+[A-Za-z]*\d+)?\s*:"
 
 # İ ı ſ and the Kelvin sign U+212A are the non-ASCII letters that [A-Za-z]
 # matches under IGNORECASE; a lone CR, \x85, \x1c and U+3000 are whitespace
-# that does not end a line.
+# that does not end a line. ² Ⅻ ª are word characters that are not letters or
+# decimal digits, and the combining acute U+0301 is not a word character: the
+# boundary before ``error`` is checked on each hit, with str.isalnum().
 _LOG_ALPHABET = (
     "error", "Error", "ERROR", "eRrOr", "terror", "error_count", "errors.c",
     "Error 1", "_error:", "error C2065:", "error LNK2019", "warning", "é", "ß",
     "٣", "2", "C", "x", "_", ":", " ", "\t", "\x0c", "　", "(", ")", ".",
     "İ", "ı", "ſ", "\u212a", "error İ5:", "error \u212a12:", "\r", "\x85", "\x1c", "\ud800",
+    "²", "Ⅻ", "ª", "\u0301",
 )
 _log_lines = st.lists(st.sampled_from(_LOG_ALPHABET), max_size=12).map("".join)
 
@@ -82,13 +95,15 @@ def test_default_error_pattern_matches_old_text(lines, newline):
 
 # Log bytes: error heads in mixed case, bytes that are not UTF-8 (a stray
 # continuation byte, a cut sequence, an encoded surrogate, a byte never in
-# UTF-8), the UTF-8 of İ ı ſ and the Kelvin sign, a lone CR and CRLF.
+# UTF-8), the UTF-8 of İ ı ſ and the Kelvin sign, of the word characters ² Ⅻ ª
+# and of the non-word combining acute U+0301, a lone CR and CRLF.
 _LOG_BYTES = (
     b"error", b"ERROR", b"Error", b"eRRoR", b"error:", b"ERROR C2065:", b"terror", b"eRr",
-    b"Or:", b" ", b"\t", b":", b"C", b"7", b"x",
+    b"Or:", b" ", b"\t", b":", b"C", b"7", b"x", b"_",
     b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff", b"\xe2\x82",
     "İ ı ſ \u212a".encode("utf-8"), "error İ5:".encode("utf-8"),
-    "error \u212a12:".encode("utf-8"), b"\r", b"\r\n", b"\n",
+    "error \u212a12:".encode("utf-8"), *(c.encode("utf-8") for c in "²Ⅻª\u0301"),
+    b"\r", b"\r\n", b"\n",
 )
 
 
@@ -102,6 +117,10 @@ _LOG_BYTES = (
 @example(b"\xe2\x82\nError C2:\xe2\x82\r\nerror\xed\xa0\x80:\n\x80error:", 4)
 @example(b"", 1)
 @example(b"\n\nerror:", 2)
+# A block starts each line: a lookalike whose ``error`` follows a word character
+# in its block, and real heads whose ``error`` opens the block or follows a non-word mark.
+@example(b"terror: a\n_error: b\nerror: c\n", 1)
+@example("\u00b2error:\n\u216berror:\n\u00aaerror:\n\u0301error:\nERROR:".encode("utf-8"), 1)
 def test_log_file_folded_as_bytes_matches_per_line_search(raw, block):
     # Any other pattern text is searched line by line, on the text decoded first.
     per_line = ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)")
@@ -127,6 +146,13 @@ def test_default_pattern_case_folding_facts_hold_for_every_code_point():
     folded = every.encode("utf-8", "surrogatepass").lower().decode("utf-8", "surrogatepass")
     assert folded == every.translate(str.maketrans(string.ascii_uppercase,
                                                    string.ascii_lowercase))
+
+
+def test_word_characters_are_isalnum_or_underscore_for_every_code_point():
+    """The default search checks the boundary before ``error`` on each hit with
+    str.isalnum() and ``_``, where the pattern text has ``\\b``."""
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
 
 
 
