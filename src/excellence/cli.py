@@ -33,19 +33,17 @@ def format_2dp(value: float) -> str:
     # "%.2f" rounds the binary value, ties to even. That differs from rounding the
     # repr only at a tie of the repr, whose third decimal "%.3f" shows as 5, or
     # where the float spacing nears 0.01 and the repr may drop digits.
-    if abs(value) < 2.0 ** 46:
-        if ("%.3f" % value)[-1] != "5":
-            return "%.2f" % value
-        # A tie is at least 0.0045 and below 1e16, where repr writes no exponent:
-        # round its digits as one integer of hundredths.
-        whole, _, decimals = repr(abs(value)).partition(".")
-        decimals = decimals.ljust(3, "0")
-        cents = int(whole + decimals[:2]) + (decimals[2] >= "5")
-        return "%s%d.%02d" % ("-" if value < 0 else "", *divmod(cents, 100))
-    from decimal import ROUND_HALF_UP, Context, Decimal
-    every_float = Context(prec=sys.float_info.max_10_exp + 3)  # 309 integer digits, 2 decimals
-    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP,
-                                             context=every_float))
+    if abs(value) < 2.0 ** 46 and ("%.3f" % value)[-1] != "5":
+        return "%.2f" % value
+    # Round repr's digits half up as one integer of hundredths. repr writes an
+    # exponent only from 1e16 up, where the value is whole: shift its digits.
+    digits, _, exponent = repr(abs(value)).partition("e")
+    whole, _, decimals = digits.partition(".")
+    if exponent:
+        whole, decimals = whole + decimals + "0" * (int(exponent) - len(decimals)), ""
+    decimals = decimals.ljust(3, "0")
+    cents = int(whole + decimals[:2]) + (decimals[2] >= "5")
+    return "%s%d.%02d" % ("-" if value < 0 else "", *divmod(cents, 100))
 
 
 def render_report(stats: SourceStats, error_count: int,

@@ -14,14 +14,15 @@ One function, ``_read``, reads the store's bytes, on the handle its caller opene
 for ``load_trajectory``, for a writer, and for a writer's ordering refusal. Every
 field of every record is checked, in O(n) for n records; stored metrics are
 redundant with the stored counts on purpose, and a mismatch is corruption.
-Snapshots are built for the asked project alone. Blocks of lines that are all the
-writer's own, wall clocks as ``isoformat()`` writes them included, are checked in
-bulk, by one regex pass into columns and each rule over a column, with no JSON
-decoder; any other block is checked record by record, which names the line and
-the fault. A record's shape is stated once, in ``_FIELDS``, and its value rules
-once, in ``_rows``, so the writer refuses any record the loader would reject, and
-any clock it would read back as another. ``json`` is imported only where it is
-used: the record-by-record check, the seal and the writer.
+Blocks of lines that are all the writer's own, wall clocks as ``isoformat()``
+writes them included, are checked in bulk, by one regex pass into columns and each
+rule over a column, with no JSON decoder; any other block record by record, which
+names the line and the fault. Either way each record gives one row, and one loop
+applies the order rule and builds the asked project's snapshots. A record's shape
+is stated once, in ``_FIELDS``, and its value rules once, in ``_rows``, so the
+writer refuses any record the loader would reject, and any clock it would read back
+as another. ``json`` is imported only where it is used: the record-by-record check,
+the seal and the writer.
 
 A writer also leaves ``<store>.seal``: the length and line count of the prefix it
 read, each project's first wall clock and last hours there, and one sha256 over
@@ -40,7 +41,7 @@ import os
 import re
 import sys
 from datetime import datetime
-from itertools import compress
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .errors import CorruptionError, MissingFileError, OrderingError, UndefinedMetricError
@@ -158,12 +159,12 @@ def _clock(text: str) -> datetime:
 _PERCENT, _DEGREE = operator.itemgetter(1), operator.itemgetter(2)
 
 
-def _rows(first: int, columns: list, clock: "Callable[[str], datetime]" = _clock) -> tuple:
-    """The block (see ``_check``) of records given as columns in ``_FIELDS`` order,
+def _rows(first: int, columns: list, clock: "Callable[[str], datetime]" = _clock):
+    """The rows (see ``_check``) of records given as columns in ``_FIELDS`` order,
     their types and finiteness already checked, hours as floats, numbered from
-    ``first``. Each value rule runs over whole columns, in this order; the first one
-    broken raises ValueError in its words. ``clock`` reads the wall clocks: ``_clock``,
-    or ``datetime.fromisoformat`` for clocks already known to fit ``_WRITER_CLOCK``."""
+    ``first``. Each value rule runs over whole columns, in this order, before a row is
+    given; the first one broken raises ValueError in its words. ``clock`` reads the
+    wall clocks: ``_clock``, or ``fromisoformat`` for clocks that fit ``_WRITER_CLOCK``."""
     (projects, clocks, hours, files, totals, comments, blanks, locs, fors, whiles, errors,
      percents, degrees) = columns
     if min(hours) < 0:
@@ -181,9 +182,8 @@ def _rows(first: int, columns: list, clock: "Callable[[str], datetime]" = _clock
     # As decoded: an int el_percent may equal no float, though it rounds to one.
     if list(map(_PERCENT, levels)) != percents or list(map(_DEGREE, levels)) != degrees:
         raise ValueError("stored metrics do not re-derive from stored counts")
-    return (zip(range(first, first + len(projects)), projects, clocks, hours), projects,
-            zip(wall_clocks, hours, zip(files, totals, comments, blanks, locs, fors, whiles),
-                errors, levels))
+    return zip(range(first, first + len(projects)), projects, clocks, hours, wall_clocks,
+               zip(files, totals, comments, blanks, locs, fors, whiles), errors, levels)
 
 
 _TYPE_ORDER = [(key, kind) for kind in (int, str, float)  # the order faults are named in
@@ -191,8 +191,8 @@ _TYPE_ORDER = [(key, kind) for kind in (int, str, float)  # the order faults are
 _TYPE_WORDS = {int: "a nonnegative integer", str: "a string", float: "a number"}
 
 
-def _row(obj, line_number: int) -> tuple:
-    """The block (see ``_check``) of one decoded record, every field checked;
+def _row(obj, line_number: int):
+    """The one row (see ``_check``) of a decoded record, every field checked;
     ValueError names its first fault: the keys, then the types of counts, strings and
     reals, then the value rules of ``_rows``."""
     # json yields only dict, list, str, int, float, bool and None: a bool is not an int.
@@ -213,8 +213,8 @@ def _row(obj, line_number: int) -> tuple:
     return _rows(line_number, columns)
 
 
-def _parse_record(line: str, line_number: int) -> tuple:
-    """Check every field of one store line; return its block (see ``_check``)."""
+def _parse_record(line: str, line_number: int):
+    """Check every field of one store line; return its one row (see ``_check``)."""
     import json  # here, not at module level: the writer's own lines need no decoder
 
     def bad(reason: str) -> CorruptionError:
@@ -262,7 +262,7 @@ _BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole lin
 
 
 def _check_bulk(text: str, start: int, end: int, before: int):
-    """The block (see ``_check``) of the lines in ``text[start:end]``, each rule
+    """The rows (see ``_check``) of the lines in ``text[start:end]``, each rule
     checked a column at a time, for lines that are all the writer's own, and the
     line breaks there. None when a line is not or a record breaks a rule, so that
     the record-by-record check names the fault. The order of each project's hours
@@ -290,11 +290,10 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
     record's line number, and is updated in first-seen order. Returns the snapshots
     of ``project_id`` and ``before`` plus the line breaks in ``text``. Blocks of
     whole lines whose every line is the writer's own are checked in bulk, others
-    record by record. Both give blocks of three: the rows the order rule reads
-    (line number, project, wall clock as stored, hours), the projects, and per
-    record its wall clock as parsed, hours, ``SourceStats`` fields, error count and
-    error levels. The record-by-record blocks are lazy, one record each, so the
-    first fault in line order is the one reported.
+    record by record. Both give one row per record: line number, project, wall
+    clock as stored, hours, wall clock as parsed, ``SourceStats`` fields, error
+    count and error levels. The record-by-record rows are made lazily, one line at
+    a time, so the first fault in line order is the one reported.
     """
     bulk = text.find("\n", 0, len(text) - 1) >= 0  # two lines or more: worth the pattern
     snapshots = []
@@ -303,31 +302,27 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
         checked = _check_bulk(text, start, end, before) if bulk else None
         if checked is not None:
-            block, breaks = checked
-            blocks = (block,)
+            rows, breaks = checked
         else:
             lines = text[start:end].split("\n")
-            blocks = (_parse_record(line, number)
-                      for number, line in enumerate(lines, start=before + 1) if line.strip() != "")
+            rows = chain.from_iterable(_parse_record(line, number) for number, line
+                                       in enumerate(lines, before + 1) if line.strip() != "")
             breaks = len(lines) - 1
-        for rows, projects, records in blocks:
-            for number, project, clock, t_hours in rows:
-                previous = seen.get(project)
-                if previous is None:
-                    seen[project] = (clock, t_hours, number)
-                elif t_hours <= previous[1]:
-                    raise CorruptionError(
-                        f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                        f"advance project {project!r} (line {previous[2]} has {previous[1]})",
-                        number,
-                    )
-                else:
-                    seen[project] = (previous[0], t_hours, number)
-            if project_id in projects:
-                snapshots += [QualitySnapshot(project_id, wall_clock, t_hours, SourceStats(*stats),
-                                              errors, QualityMetrics(*levels))
-                              for wall_clock, t_hours, stats, errors, levels
-                              in compress(records, map(project_id.__eq__, projects))]
+        for number, project, clock, t_hours, wall_clock, stats, errors, levels in rows:
+            previous = seen.get(project)
+            if previous is None:
+                seen[project] = (clock, t_hours, number)
+            elif t_hours <= previous[1]:
+                raise CorruptionError(
+                    f"store record at line {number} is invalid: t_hours {t_hours} does not "
+                    f"advance project {project!r} (line {previous[2]} has {previous[1]})",
+                    number,
+                )
+            else:
+                seen[project] = (previous[0], t_hours, number)
+            if project == project_id:
+                snapshots.append(QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats),
+                                                 errors, QualityMetrics(*levels)))
         before += breaks
         start = end
     return snapshots, before
@@ -437,8 +432,7 @@ def _line(snapshot: QualitySnapshot) -> bytes:
     import json
     text = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
     try:
-        _, _, records = _row(json.loads(text), 0)
-        wall_clock = next(records)[0]
+        wall_clock = next(_row(json.loads(text), 0))[4]
         # An offset of microseconds alone, +00:00:00.000001, reads back as UTC on 3.11.
         if wall_clock != snapshot.wall_clock or \
                 wall_clock.utcoffset() != snapshot.wall_clock.utcoffset():
@@ -450,8 +444,10 @@ def _line(snapshot: QualitySnapshot) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _open_locked(store_path: str, place: "Callable[[datetime | None], QualitySnapshot]"):
-    """Open the store for update under an exclusive lock.
+def _update(store_path: str, project_id: str,
+            place: "Callable[[datetime | None], QualitySnapshot]") -> QualitySnapshot:
+    """Under the store's exclusive lock: check it, append ``place(first)`` and seal
+    what was read; ``first`` is the project's first wall clock, None for a new one.
 
     A store that does not exist yet holds no records, so ``place(None)`` and its
     line are checked before the store is created: a record that fails leaves no
@@ -467,17 +463,11 @@ def _open_locked(store_path: str, place: "Callable[[datetime | None], QualitySna
             f.seek(0)  # opening for append leaves the file at its end
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-    return f
-
-
-def _update(store_path: str, project_id: str,
-            place: "Callable[[datetime | None], QualitySnapshot]") -> QualitySnapshot:
-    """Under the store's lock: check it, append ``place(first)`` and seal what was read.
-
-    ``first`` is the project's first wall clock, None for a new project.
-    """
-    with _open_locked(store_path, place) as f:
+    with f:
+        try:
+            fcntl.flock(f.fileno(), fcntl.LOCK_EX)
+        except OSError as exc:  # ENOLCK, say, on a file system without locks
+            raise _cannot_open(store_path, exc) from exc
         _, count, seen, digest, length, ended = _read(f, None, store_path + ".seal")
         stored = seen.get(project_id)
         snapshot = place(None if stored is None else _clock(stored[0]))

@@ -92,12 +92,12 @@ def secant_rate(traj: Trajectory, t_i: float, t_f: float) -> RateEstimate:
 
 
 def _three_point_derivative(t0, x0, t1, x1, t2, x2) -> float:
-    # Derivative of the quadratic through three unevenly spaced points at t1.
-    return (
-        x0 * (t1 - t2) / ((t0 - t1) * (t0 - t2))
-        + x1 * (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
-        + x2 * (t1 - t0) / ((t2 - t0) * (t2 - t1))
-    )
+    # Derivative of the quadratic through three unevenly spaced points at t1: the two
+    # secant slopes, each weighted by the other interval. No product of two intervals
+    # is formed, so tiny intervals do not underflow.
+    h1, h2 = t1 - t0, t2 - t1
+    s1, s2 = (x1 - x0) / h1, (x2 - x1) / h2
+    return (h2 * s1 + h1 * s2) / (h1 + h2)
 
 
 def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
@@ -170,12 +170,14 @@ def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
             f"degree-{degree} fit needs at least {degree + 1} snapshots, have {len(ts)}"
         )
     u = [t - ts[0] for t in ts]
-    shifted, rss = _least_squares([[v ** p for v in u] for p in range(degree + 1)], traj.xs)
-    return PolyFit(
-        degree=degree,
-        coefficients=tuple(_unshift(shifted, ts[0])),
-        residual_sum_of_squares=rss,
-    )
+    try:  # powers of the times may underflow to a zero pivot or overflow
+        shifted, rss = _least_squares([[v ** p for v in u] for p in range(degree + 1)], traj.xs)
+        coefficients = tuple(_unshift(shifted, ts[0]))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InsufficientDataError(
+            f"degree-{degree} fit is out of floating-point range for times {ts[0]} to {ts[-1]} h"
+        ) from exc
+    return PolyFit(degree=degree, coefficients=coefficients, residual_sum_of_squares=rss)
 
 
 def fit_derivative_rate(traj: Trajectory, degree: int, t: float) -> RateEstimate:

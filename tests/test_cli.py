@@ -490,6 +490,25 @@ def test_record_store_in_missing_directory_exits_3(clean_src, tmp_path, capsys):
     assert f"cannot open store: {store} (No such file or directory)" in capsys.readouterr().err
 
 
+def test_record_store_that_cannot_be_locked_exits_3(clean_src, tmp_path, monkeypatch, capsys):
+    import errno
+    import fcntl
+    store = tmp_path / "store.jsonl"
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "0"]) == 0
+    before = store.read_bytes()
+
+    def no_locks(fd, operation):  # as on a file system without locks
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(fcntl, "flock", no_locks)
+    capsys.readouterr()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "1"]) == 3
+    assert f"cannot open store: {store} (No locks available)" in capsys.readouterr().err
+    assert store.read_bytes() == before
+
+
 def test_record_zero_loc_source_exit_6(tmp_path, capsys):
     path = tmp_path / "comments.c"
     path.write_text("// only a comment\n", encoding="utf-8")
@@ -735,6 +754,21 @@ def test_report_fit_degree_too_high_for_data(clean_src, tmp_path, capsys):
                  "--fit-degree", "3"]) == 0
     out, _ = capsys.readouterr()
     assert "Polynomial fit (degree 3) : insufficient data" in out
+
+
+@pytest.mark.parametrize("scale, degree", [(1e-200, 1), (1e-200, 2), (1e-200, 3), (1e160, 2)])
+def test_report_fit_on_times_out_of_float_range_exits_0(clean_src, tmp_path, capsys, scale,
+                                                        degree):
+    # Squares of 1e-200 h underflow and powers of 1e160 h overflow: the fit says so.
+    store = str(tmp_path / "store.jsonl")
+    for k in range(4):
+        assert main(["record", clean_src, "--project", "p", "--store", store,
+                     "--t-hours", repr(k * scale)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", store,
+                 "--fit-degree", str(degree)]) == 0
+    out, _ = capsys.readouterr()
+    assert f"Polynomial fit (degree {degree}) : insufficient data (" in out
 
 
 def test_csv_report_shape(clean_src, faulty_src, error_log, tmp_path, capsys):

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import string
+import sys
 import tempfile
 import unicodedata
 from datetime import datetime, timedelta, timezone
@@ -486,6 +487,12 @@ _EDGE = 2.0 ** 46  # from here on the float spacing nears 0.01
 @example(-2.675)
 @example(-0.005)
 @example(70368744177663.945)  # the largest tie below 2**46
+@example(9999999999999998.0)  # the largest float repr writes without an exponent
+@example(1e16)  # from here on repr writes an exponent, and every float is whole
+@example(1.2345678901234567e20)
+@example(-1e32)
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
 def test_format_2dp_rounds_the_shortest_repr(value):
     assert cli.format_2dp(value) == _reference_2dp(value)
 

@@ -19,7 +19,7 @@ from excellence.errors import (
     InvalidCoefficientError,
     NotFoundError,
 )
-from excellence.history import QualitySnapshot, Trajectory
+from excellence.history import QualitySnapshot, Trajectory, append_snapshot, load_trajectory
 from excellence.metrics import QualityMetrics
 from excellence.scanner import SourceStats
 from excellence.trajectory import (
@@ -180,6 +180,19 @@ def test_rate_outside_range_is_extrapolation():
         instantaneous_rate(traj, 2.1)
 
 
+def _far_traj(points) -> Trajectory:
+    """A trajectory at times too close or too far apart for ``timedelta``'s clocks."""
+    return Trajectory("p", tuple(snap(0.0, x)._replace(t_hours=t) for t, x in points))
+
+
+def test_interior_rate_on_tiny_intervals_does_not_underflow():
+    # The product of two intervals of 1e-200 h underflows to 0; no such product is formed.
+    traj = _far_traj([(0.0, 90.0), (1e-200, 91.0), (2e-200, 93.0), (3e-200, 94.0)])
+    rate = instantaneous_rate(traj, 1e-200)
+    assert rate.value == pytest.approx(1.5e200)
+    assert rate.interval == (0.0, 2e-200)
+
+
 def test_rate_needs_two_snapshots():
     traj = make_traj([(0.0, 1.0)])
     with pytest.raises(InsufficientDataError) as err:
@@ -245,6 +258,17 @@ def test_fit_degree_validation():
         fit_polynomial(traj, 0)
     with pytest.raises(ValueError):
         fit_polynomial(traj, 4)
+
+
+@pytest.mark.parametrize("start, step, degree", [(0.0, 1e-200, 1), (0.0, 1e-200, 2),
+                                                 (0.0, 1e-200, 3), (0.0, 1e160, 2),
+                                                 (0.0, 1e160, 3), (1e155, 1e153, 2)])
+def test_fit_on_times_out_of_float_range_is_insufficient_data(start, step, degree):
+    # Squares of 1e-200 underflow to a zero pivot; powers of 1e160 overflow, and so
+    # does the square of a first time of 1e155 when the fit is unshifted.
+    traj = _far_traj([(start + k * step, 90.0 + k * k) for k in range(4)])
+    with pytest.raises(InsufficientDataError, match="out of floating-point range"):
+        fit_polynomial(traj, degree)
 
 
 def test_fit_needs_degree_plus_one_points():
@@ -331,7 +355,7 @@ def test_import_does_not_load_numpy(tmp_path):
     record = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "0"), tmp_path)
     assert "excellence.history" in record
-    assert not {"excellence.trajectory", "excellence.report", "csv"} & record
+    assert not {"excellence.trajectory", "excellence.report", "csv", "decimal"} & record
     # The second record reads the first and writes a seal.
     sealed = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "1"), tmp_path)
@@ -342,6 +366,15 @@ def test_import_does_not_load_numpy(tmp_path):
     # The writer's own lines are checked in bulk, with no JSON decoder, and a
     # rounding tie is rounded without decimal.
     assert not {"excellence.diaglog", "excellence.scanner", "csv", "json", "decimal"} & report
+    # Nor is an X of -1e32, far past 2**46, where repr's digits are rounded the same way.
+    huge = _STATS._replace(total_lines=100, comment_lines=0)
+    for t in (0.0, 1.0):
+        append_snapshot(str(tmp_path / "huge.jsonl"),
+                        QualitySnapshot.create("h", T0, t, huge, 10 ** 32))
+    assert load_trajectory(str(tmp_path / "huge.jsonl"), "h").xs == (-1e32, -1e32)
+    huge_report = _loaded_modules(_command("report", "--project", "h", "--store", "huge.jsonl"),
+                                  tmp_path)
+    assert not {"json", "decimal"} & huge_report
     reports = [_loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl",
                                         "--format", format), tmp_path)
                for format in ("csv", "svg")]
