@@ -449,44 +449,36 @@ def _update(store_path: str, project_id: str,
     """Under the store's exclusive lock: check it, append ``place(first)`` and seal
     what was read; ``first`` is the project's first wall clock, None for a new one.
 
-    A store that does not exist yet holds no records, so ``place(None)`` and its
-    line are checked before the store is created: a record that fails leaves no
-    store where there was none, and no writer ever removes one.
+    ``place(None)`` and its line are checked before the store is opened; only the
+    order rule needs ``first``. A store created but then not locked is left empty, a
+    valid store, and not removed: another writer may already hold that file.
     """
     import fcntl
-    try:
-        try:
-            f = open(store_path, "r+b")
-        except FileNotFoundError:
-            _line(place(None))
-            f = open(store_path, "a+b")
-            f.seek(0)  # opening for append leaves the file at its end
+    _line(place(None))
+    try:  # the open, the lock (ENOLCK where a file system has none), read, write and fsync
+        with open(store_path, "a+b") as f:  # every write lands at the end
+            fcntl.flock(f.fileno(), fcntl.LOCK_EX)
+            _, count, seen, digest, length, ended = _read(f, None, store_path + ".seal")
+            stored = seen.get(project_id)
+            snapshot = place(None if stored is None else _clock(stored[0]))
+            if stored is not None and snapshot.t_hours <= stored[1]:
+                # Read this handle again, in full, to name the earliest stored time that blocks.
+                ts = [snap.t_hours for snap in _read(f, project_id)[0]]
+                later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
+                raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance "
+                                    f"project {project_id!r}; store already holds t = {later} h")
+            line = _line(snapshot)
+            if f.tell() > length:  # the last record, past what a seal may cover, lacks its newline
+                line = b"\n" + line
+            f.write(line)
+            f.flush()
+            os.fsync(f.fileno())
+            if ended:
+                _write_seal(store_path, {"length": length, "lines": count,
+                                         "sha256": _seal_digest(digest, length, count, seen),
+                                         "projects": seen})
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    with f:
-        try:
-            fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-        except OSError as exc:  # ENOLCK, say, on a file system without locks
-            raise _cannot_open(store_path, exc) from exc
-        _, count, seen, digest, length, ended = _read(f, None, store_path + ".seal")
-        stored = seen.get(project_id)
-        snapshot = place(None if stored is None else _clock(stored[0]))
-        if stored is not None and snapshot.t_hours <= stored[1]:
-            # Read this handle again, in full, to name the earliest stored time that blocks.
-            ts = [snap.t_hours for snap in _read(f, project_id)[0]]
-            later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
-            raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance project "
-                                f"{project_id!r}; store already holds t = {later} h")
-        line = _line(snapshot)
-        if f.tell() > length:  # the last record, past what a seal may cover, lacks its newline
-            line = b"\n" + line
-        f.write(line)
-        f.flush()
-        os.fsync(f.fileno())
-        if ended:
-            _write_seal(store_path, {"length": length, "lines": count,
-                                     "sha256": _seal_digest(digest, length, count, seen),
-                                     "projects": seen})
     return snapshot
 
 
@@ -497,7 +489,7 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
 
     Without ``t_hours`` the snapshot sits at the hours from the project's first
     wall clock to ``wall_clock``, or at 0 if it is the project's first. The
-    store is read once.
+    store is read once, or twice when the snapshot is refused for its time.
     """
     _clock(wall_clock.isoformat())  # an aware clock, or no hours can be taken from it
 

@@ -150,6 +150,8 @@ def _least_squares(columns: list[list[float]],
     r = [[0.0] * (m + 1) for _ in range(m)]
     for j in range(m):
         r[j][j] = math.sqrt(sum(v * v for v in q[j]))
+        if not math.isfinite(r[j][j]):  # squares past the float range: no fit is left
+            raise OverflowError(f"column {j} has no finite norm")
         q[j] = [v / r[j][j] for v in q[j]]
         for k in range(j + 1, m + 1):
             r[j][k] = sum(a * b for a, b in zip(q[j], q[k]))

@@ -509,6 +509,41 @@ def test_record_store_that_cannot_be_locked_exits_3(clean_src, tmp_path, monkeyp
     assert store.read_bytes() == before
 
 
+def test_record_store_that_cannot_be_synced_exits_3(clean_src, tmp_path, monkeypatch, capsys):
+    import errno
+    store = tmp_path / "store.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    seal = tmp_path / "store.jsonl.seal"
+    before = seal.read_bytes()
+
+    def no_space(fd):  # as on a full disk
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", no_space)
+    capsys.readouterr()
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "2"]) == 3
+    assert f"cannot open store: {store} (No space left on device)" in capsys.readouterr().err
+    assert seal.read_bytes() == before
+
+
+def test_record_zero_loc_source_is_refused_before_the_store_is_locked(tmp_path, monkeypatch,
+                                                                       capsys):
+    import fcntl
+    path = tmp_path / "comments.c"
+    path.write_text("// only a comment\n", encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    store.write_bytes(b"not json\n")  # corrupt, but the record's own fault comes first
+    locks = []
+    monkeypatch.setattr(fcntl, "flock", lambda fd, operation: locks.append(operation))
+    assert main(["record", str(path), "--project", "p", "--store", str(store)]) == 6
+    assert "error level is undefined for loc = 0" in capsys.readouterr().err
+    assert store.read_bytes() == b"not json\n"
+    assert locks == []
+
+
 def test_record_zero_loc_source_exit_6(tmp_path, capsys):
     path = tmp_path / "comments.c"
     path.write_text("// only a comment\n", encoding="utf-8")

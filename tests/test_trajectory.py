@@ -261,11 +261,13 @@ def test_fit_degree_validation():
 
 
 @pytest.mark.parametrize("start, step, degree", [(0.0, 1e-200, 1), (0.0, 1e-200, 2),
-                                                 (0.0, 1e-200, 3), (0.0, 1e160, 2),
-                                                 (0.0, 1e160, 3), (1e155, 1e153, 2)])
+                                                 (0.0, 1e-200, 3), (0.0, 1e160, 1),
+                                                 (0.0, 1e160, 2), (0.0, 1e160, 3),
+                                                 (1e155, 1e153, 2)])
 def test_fit_on_times_out_of_float_range_is_insufficient_data(start, step, degree):
-    # Squares of 1e-200 underflow to a zero pivot; powers of 1e160 overflow, and so
-    # does the square of a first time of 1e155 when the fit is unshifted.
+    # Squares of 1e-200 underflow to a zero pivot; powers of 1e160 overflow, as do
+    # their squares in a column's norm, and so does the square of a first time of
+    # 1e155 when the fit is unshifted.
     traj = _far_traj([(start + k * step, 90.0 + k * k) for k in range(4)])
     with pytest.raises(InsufficientDataError, match="out of floating-point range"):
         fit_polynomial(traj, degree)
