@@ -919,6 +919,13 @@ def test_store_lines_end_at_lf_as_source_and_log_lines_do(clean_src, tmp_path, c
     crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
     assert main(["report", "--project", "p", "--store", str(crlf)]) == 0
     assert capsys.readouterr() == report
+    # Keys in another order make a valid record, though not the writer's own line.
+    ordered = tmp_path / "sorted.jsonl"
+    ordered.write_bytes(b"".join(json.dumps(json.loads(line), sort_keys=True, ensure_ascii=False)
+                                 .encode("utf-8") + b"\n" for line in lf.splitlines()))
+    assert ordered.read_bytes() != lf
+    assert main(["report", "--project", "p", "--store", str(ordered)]) == 0
+    assert capsys.readouterr() == report
     lone_cr = tmp_path / "cr.jsonl"
     lone_cr.write_bytes(lf.replace(b"\n", b"\r", 1))
     before = lone_cr.read_bytes()

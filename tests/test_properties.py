@@ -257,9 +257,11 @@ def _store_line(draw):
     keys = [key for key, _ in fields]
     mutation = draw(st.sampled_from((None,) * 10 + (
         "lead", "trail", "count", "value", "clock", "x", "drop", "duplicate", "extra",
-        "non-object", "truncate")))
+        "key order", "non-object", "truncate")))
     i = draw(st.integers(0, len(fields) - 1))
-    if mutation == "count":
+    if mutation == "key order":  # valid in any order, though not the writer's own line
+        fields = draw(st.permutations(fields))
+    elif mutation == "count":
         j = draw(st.integers(4, 10))
         fields[j] = (keys[j], str(draw(st.integers(0, 60))))
     elif mutation == "value":

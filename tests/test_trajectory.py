@@ -337,12 +337,21 @@ def _loaded_modules(code: str, cwd: Path) -> set[str]:
 
 
 def _command(*argv: str) -> str:
-    return f"from excellence.cli import main\nassert main({list(argv)!r}) == 0"
+    """Code that runs ``python -m excellence`` with ``argv`` and checks that it exits 0."""
+    return ("import runpy, sys\n"
+            f"sys.argv = ['excellence', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('excellence', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "else:\n"
+            "    raise AssertionError('python -m excellence did not exit')")
 
 
 def test_import_does_not_load_numpy(tmp_path):
-    """Nor hashlib, which only a store writer needs; each command loads only its layers,
-    and none loads dataclasses or the inspect module under it."""
+    """Nor hashlib, which only a store writer needs; each command, run as
+    ``python -m excellence`` runs it, loads only its layers, and none loads
+    dataclasses or the inspect module under it."""
     loaded = _loaded_modules("import excellence", tmp_path)
     assert not {"numpy", "hashlib"} & loaded
     assert not {name for name in loaded if name.startswith("excellence.")}
@@ -350,14 +359,13 @@ def test_import_does_not_load_numpy(tmp_path):
     (tmp_path / "one.c").write_text("int x;\n", encoding="utf-8")
     scan = _loaded_modules(_command("scan", "one.c"), tmp_path)
     assert {"excellence.scanner", "excellence.diaglog", "excellence.metrics"} <= scan
-    # Neither 100.00 nor 0.00 is a rounding tie, so no decimal either; only record
-    # reads the clock.
+    # Only record reads the clock.
     assert not {"excellence.history", "excellence.trajectory", "excellence.report",
-                "json", "csv", "hashlib", "decimal", "datetime"} & scan
+                "json", "csv", "hashlib", "datetime"} & scan
     record = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "0"), tmp_path)
     assert "excellence.history" in record
-    assert not {"excellence.trajectory", "excellence.report", "csv", "decimal"} & record
+    assert not {"excellence.trajectory", "excellence.report", "csv"} & record
     # The second record reads the first and writes a seal.
     sealed = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "1"), tmp_path)
@@ -365,10 +373,9 @@ def test_import_does_not_load_numpy(tmp_path):
     report = _loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl"),
                              tmp_path)
     assert {"excellence.report", "excellence.trajectory"} <= report
-    # The writer's own lines are checked in bulk, with no JSON decoder, and a
-    # rounding tie is rounded without decimal.
-    assert not {"excellence.diaglog", "excellence.scanner", "csv", "json", "decimal"} & report
-    # Nor is an X of -1e32, far past 2**46, where repr's digits are rounded the same way.
+    # The writer's own lines are checked in bulk, with no JSON decoder.
+    assert not {"excellence.diaglog", "excellence.scanner", "csv", "json"} & report
+    # An X of -1e32 too, far past 2**46, where repr's digits are rounded the same way.
     huge = _STATS._replace(total_lines=100, comment_lines=0)
     for t in (0.0, 1.0):
         append_snapshot(str(tmp_path / "huge.jsonl"),
@@ -376,17 +383,17 @@ def test_import_does_not_load_numpy(tmp_path):
     assert load_trajectory(str(tmp_path / "huge.jsonl"), "h").xs == (-1e32, -1e32)
     huge_report = _loaded_modules(_command("report", "--project", "h", "--store", "huge.jsonl"),
                                   tmp_path)
-    assert not {"json", "decimal"} & huge_report
+    assert "json" not in huge_report
     reports = [_loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl",
                                         "--format", format), tmp_path)
                for format in ("csv", "svg")]
     assert "excellence.report" in reports[0]
     assert "csv" not in reports[0]
     assert not {"excellence.scanner", "csv"} & reports[1]
-    usage = _loaded_modules("from excellence.cli import main\ntry:\n    main(['--help'])\n"
-                            "except SystemExit as exit:\n    assert exit.code == 0", tmp_path)
-    for modules in (scan, record, sealed, report, *reports, usage):
-        assert not {"dataclasses", "inspect"} & modules
+    usage = _loaded_modules(_command("--help"), tmp_path)
+    # Each value is rounded on repr's digits, a rounding tie too: no command loads decimal.
+    for modules in (scan, record, sealed, report, huge_report, *reports, usage):
+        assert not {"dataclasses", "inspect", "decimal"} & modules
 
     _loaded_modules(
         "import excellence\n"
