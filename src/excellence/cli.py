@@ -70,6 +70,52 @@ def _warn(message: str) -> None:
     print(f"{PROG}: {message}", file=sys.stderr)
 
 
+# From these sizes on, ``_gather`` counts the log in a forked child while it scans
+# the source. A fork, a pipe and the reap cost about 2 ms of wall time. In-process
+# vs forked, min of 30 interleaved runs on a 2-vCPU host (CPython 3.11): a 0.48 MB
+# source with a 0.25, 0.5, 1 or 2 MiB log took 14.7 / 16.2 / 18.1 / 23.2 ms vs
+# 16.4 / 17.3 / 17.8 / 18.8 ms; with a 4.4 MiB log, a 0.13 MB source took 24.3 vs
+# 24.4 ms, a 0.26 MB one 29.4 vs 25.7 ms and a 0.48 MB one 35.6 vs 27.8 ms.
+_OVERLAP_SOURCE_BYTES = 256 << 10
+_OVERLAP_LOG_BYTES = 2 << 20
+
+
+def _start_count(source_path: str, log_path: str,
+                 pattern: "diaglog.ErrorPattern") -> "tuple[int, int] | None":
+    """Fork a child that counts the errors in ``log_path`` and writes the count to a
+    pipe as ASCII digits; return its pid and the pipe's read end. None, and no child,
+    below the sizes above, where there is no ``os.fork``, in a process that runs
+    other threads, or where a stat, the pipe or the fork fails."""
+    from . import diaglog
+    threading = sys.modules.get("threading")  # not imported: no thread to fork beside
+    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
+        return None
+    try:
+        if (os.stat(source_path).st_size < _OVERLAP_SOURCE_BYTES
+                or os.stat(log_path).st_size < _OVERLAP_LOG_BYTES):
+            return None
+        read_end, write_end = os.pipe()
+    except (OSError, ValueError):
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        # The child never returns into the caller, nor flushes the stdio it shares
+        # with it. A count that fails here, on a log it cannot open say, writes no
+        # digits, and the parent counts again to report the failure itself.
+        try:
+            count = diaglog.count_errors_in_file(log_path, pattern).error_count
+            os.write(write_end, b"%d" % count)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, read_end
+
+
 def _gather(source_path: str, log_path: "str | None",
             pattern_text: "str | None") -> tuple[SourceStats, int]:
     from . import diaglog, scanner
@@ -77,15 +123,24 @@ def _gather(source_path: str, log_path: "str | None",
     if pattern_text is not None:
         pattern = diaglog.ErrorPattern(pattern_text)
         pattern.compile()  # an invalid pattern stops the command before any file is read
-    stats = scanner.scan_file(source_path)
-    if stats.unterminated_comment:
-        _warn(f"warning: {source_path}: unterminated block comment; "
-              "trailing lines counted as comment lines")
-    if log_path is None:
-        _warn("notice: no log file given; error count defaults to 0")
-        return stats, 0
-    report = diaglog.count_errors_in_file(log_path, pattern)
-    return stats, report.error_count
+    child = None if log_path is None else _start_count(source_path, log_path, pattern)
+    try:
+        stats = scanner.scan_file(source_path)
+        if stats.unterminated_comment:
+            _warn(f"warning: {source_path}: unterminated block comment; "
+                  "trailing lines counted as comment lines")
+        if log_path is None:
+            _warn("notice: no log file given; error count defaults to 0")
+            return stats, 0
+        # One read: the child writes its few digits in one write, which a pipe keeps whole.
+        digits = os.read(child[1], 32) if child else b""
+        if digits.isdigit():
+            return stats, int(digits)
+        return stats, diaglog.count_errors_in_file(log_path, pattern).error_count
+    finally:
+        if child:
+            os.close(child[1])
+            os.waitpid(child[0], 0)
 
 
 def _write_report(stats: SourceStats, error_count: int) -> "QualityMetrics | None":

@@ -9,12 +9,12 @@ mask*: a comment becomes ``//`` on each of its lines, and each line segment of
 a literal becomes one ``"`` if it holds a non-space character and stays as it
 is otherwise. ``//`` cannot come from code, where it would have opened a
 comment. Every newline survives, so the mask's lines line up with the text's.
-One multi-line regex counts in C: a blank line holds only spaces, and a code
-line still holds a non-space character once the ``//`` markers are removed (a
-code ``/`` never comes just before a marker, where it would have opened a line
-comment, so removing them from the left keeps it); every other line holds a
-marker and nothing else, so it is a comment line, also when it starts inside a
-block comment. Keywords are counted on the mask too.
+Two multi-line regexes count in C: a blank line holds only spaces, and a
+comment line only spaces and ``//`` markers, at least one, also when it starts
+inside a block comment. Every other line is code: a code ``/`` never comes just
+before a marker, where it would have opened a line comment, nor just before
+another code ``/``, so it leaves an odd run of ``/`` that markers alone never
+make. Keywords are counted on the mask too.
 ``\\w``, ``\\b`` and ``\\s`` in a ``str`` pattern follow ``str.isalnum()``/``_``
 and ``str.isspace()``, which keeps the conventions below.
 
@@ -68,11 +68,12 @@ _TOKEN = re.compile(
     )""",
     re.VERBOSE | re.DOTALL,
 )
-# A line of nothing but spaces: on the mask a blank line, on the mask without
-# its markers a line that is not code. It is searched on the mask framed by a
-# ``\n`` at each end, so every line has one before and one after it; a leading
-# literal lets the engine skip to each newline instead of trying every offset.
+# A blank line holds nothing but spaces, a comment line nothing but spaces and
+# markers. Both are searched on the mask framed by a ``\n`` at each end, so every
+# line has one before and one after it; a leading literal lets the engine skip to
+# each newline instead of trying every offset.
 _BLANK_LINE = re.compile(r"\n[^\S\n]*(?=\n)")
+_COMMENT_LINE = re.compile(r"\n[^\S\n]*//(?:[^\S\n]|//)*(?=\n)")
 # ``kw(?<=\bkw)\b`` is ``\bkw\b`` that starts with a literal, so the engine
 # searches for the keyword instead of testing a boundary at every offset.
 _LOOPS = {kw: re.compile(rf"{kw}(?<=\b{kw})\b") for kw in LOOP_KEYWORDS}
@@ -111,16 +112,16 @@ def scan_source(source_text: str, file_name: str = "") -> SourceStats:
     """Census ``source_text``: line classes plus for/while keyword counts."""
     mask, total, unterminated = _mask(source_text)
     framed = "\n" + mask + "\n"
-    # A final newline opens no line: the empty one after it is not counted. One
-    # inside a block comment leaves ``//`` there: not blank, and without it not code.
+    # A final newline opens no line: the empty one after it is not counted, nor the
+    # ``//`` it leaves there when it is inside a block comment.
     blank = len(_BLANK_LINE.findall(framed)) - (mask == "" or mask.endswith("\n"))
-    code = mask.count("\n") + 1 - len(_BLANK_LINE.findall(framed.replace("//", "")))
+    comment = len(_COMMENT_LINE.findall(framed)) - (unterminated and source_text.endswith("\n"))
     return SourceStats(
         file_name=file_name,
         total_lines=total,
-        comment_lines=total - code - blank,
+        comment_lines=comment,
         blank_lines=blank,
-        loc=code + blank,
+        loc=total - comment,
         for_count=len(_LOOPS["for"].findall(mask)),
         while_count=len(_LOOPS["while"].findall(mask)),
         unterminated_comment=unterminated,

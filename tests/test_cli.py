@@ -3,13 +3,15 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from datetime import datetime, timezone
 
 import pytest
 
-from excellence import history
+from excellence import cli, diaglog, history, scanner
 from excellence.cli import main
 from excellence.history import load_trajectory
 from excellence.scanner import SourceStats
@@ -632,6 +634,180 @@ def test_store_env_variable_is_default(clean_src, tmp_path, monkeypatch, capsys)
     assert main(["report", "--project", "p"]) == 0
     out, _ = capsys.readouterr()
     assert "Snapshots : 1" in out
+
+
+# --- the log counted in a child while the source is scanned -------------------
+# Each case compares stdout, stderr and the exit code with the in-process count,
+# and checks that no child outlives the command. A DeprecationWarning is an error
+# here, so that Python 3.12 and later fail a case that forks in a threaded process.
+
+overlap = pytest.mark.filterwarnings("error::DeprecationWarning")
+
+
+@pytest.fixture(scope="module")
+def large(tmp_path_factory):
+    """A source and a log just above the sizes from which the log is counted in a child."""
+    root = tmp_path_factory.mktemp("large")
+    (root / "big.c").write_text(synth_source(12000, 1000, 200, 30), encoding="utf-8")
+    (root / "big.log").write_text(synth_log(40000, 40000), encoding="utf-8")
+    assert (root / "big.c").stat().st_size >= cli._OVERLAP_SOURCE_BYTES
+    assert (root / "big.log").stat().st_size >= cli._OVERLAP_LOG_BYTES
+    return root
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls to ``os.fork``, made through a wrapper that counts them."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def outcome(argv, capsys):
+    """stdout, stderr and exit code of ``main(argv)``, after which no child is left."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return out, err, code
+
+
+def in_process(argv, capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return outcome(argv, capsys)
+
+
+@overlap
+@pytest.mark.parametrize("command", ["scan", "record"])
+def test_large_log_is_counted_in_a_child_as_in_process(large, tmp_path, forks, monkeypatch,
+                                                        capsys, command):
+    argv = [command, str(large / "big.c"), "--log", str(large / "big.log")]
+    store = tmp_path / "s.jsonl"
+    if command == "record":
+        argv += ["--project", "p", "--store", str(store), "--t-hours", "0"]
+    forked = outcome(argv, capsys)
+    assert len(forks) == 1
+    if command == "record":
+        records = [store.read_bytes()]
+        store.unlink()
+    assert forked == in_process(argv, capsys, monkeypatch)
+    assert forked[1:] == ("", 0)
+    if command == "scan":
+        assert "Number of errors = 40000\n" in forked[0]
+    else:
+        # The records differ in their wall clocks alone.
+        records.append(store.read_bytes())
+        first, second = ({k: v for k, v in json.loads(r).items() if k != "wall_clock"}
+                         for r in records)
+        assert first == second and first["errors"] == 40000
+
+
+@overlap
+@pytest.mark.parametrize("large_source, large_log", [(False, False), (True, False),
+                                                     (False, True)])
+def test_log_is_counted_in_process_unless_both_files_are_large(large, faulty_src, tmp_path,
+                                                               forks, capsys, large_source,
+                                                               large_log):
+    src = large / "big.c" if large_source else faulty_src
+    log = large / "big.log" if large_log else tmp_path / "build.log"
+    if not large_log:
+        log.write_text(synth_log(8), encoding="utf-8")
+    out, err, code = outcome(["scan", str(src), "--log", str(log)], capsys)
+    assert forks == []
+    assert (err, code) == ("", 0)
+    assert f"Number of errors = {40000 if large_log else 8}\n" in out
+
+
+@overlap
+@pytest.mark.parametrize("source", ["missing", "undecodable"])
+def test_source_error_with_a_large_log_stops_the_command(large, tmp_path, forks, monkeypatch,
+                                                         capsys, source):
+    path = tmp_path / "bad.c"
+    if source == "undecodable":
+        path.write_bytes((large / "big.c").read_bytes() + b"\xff\n")
+    argv = ["scan", str(path), "--log", str(large / "big.log")]
+    forked = outcome(argv, capsys)
+    assert len(forks) == (source == "undecodable")  # a source that cannot be stat'ed forks not
+    assert forked == in_process(argv, capsys, monkeypatch)
+    out, err, code = forked
+    assert (out, err.count("\n"), code) == ("", 1, {"missing": 3, "undecodable": 4}[source])
+
+
+@overlap
+def test_log_the_child_cannot_open_fails_after_the_unterminated_comment_warning(
+        large, tmp_path, forks, monkeypatch, capsys):
+    path = tmp_path / "open.c"
+    path.write_text((large / "big.c").read_text(encoding="utf-8") + "/* never closed\n",
+                    encoding="utf-8")
+    monkeypatch.setattr(cli, "_OVERLAP_LOG_BYTES", 0)  # a directory is small
+    argv = ["scan", str(path), "--log", str(tmp_path)]
+    forked = outcome(argv, capsys)
+    assert len(forks) == 1
+    assert forked == in_process(argv, capsys, monkeypatch)
+    out, err, code = forked
+    assert (out, code) == ("", 3)
+    assert err == (f"excellence: warning: {path}: unterminated block comment; trailing lines "
+                   "counted as comment lines\n"
+                   f"excellence: error: cannot open log file: {tmp_path} (Is a directory)\n")
+
+
+@overlap
+@pytest.mark.parametrize("fault", ["fork fails", "no fork", "child killed", "other thread"])
+def test_log_is_counted_in_process_when_no_child_counts_it(large, forks, monkeypatch, capsys,
+                                                          fault):
+    argv = ["scan", str(large / "big.c"), "--log", str(large / "big.log")]
+    expected = in_process(argv, capsys, monkeypatch)
+    thread = None
+    if fault == "fork fails":
+        def fork():
+            forks.append(os.getpid())
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+    elif fault == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif fault == "child killed":
+        parent, count = os.getpid(), diaglog.count_errors_in_file
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count(*args)
+
+        monkeypatch.setattr(diaglog, "count_errors_in_file", die_in_child)
+    else:
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+    try:
+        assert outcome(argv, capsys) == expected
+    finally:
+        if thread is not None:
+            release.set()
+            thread.join(timeout=60)
+    assert thread is None or not thread.is_alive()
+    assert len(forks) == (fault in ("fork fails", "child killed"))
+    assert expected[1:] == ("", 0) and "Number of errors = 40000\n" in expected[0]
+
+
+@overlap
+def test_interrupted_scan_reaps_the_child(large, forks, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scanner, "scan_file", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["scan", str(large / "big.c"), "--log", str(large / "big.log")])
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --- report -----------------------------------------------------------------

@@ -21,6 +21,7 @@ from excellence.history import (
     load_trajectory,
     record_snapshot,
 )
+from excellence.metrics import QualityMetrics
 from excellence.scanner import SourceStats
 
 from store_oracle import oracle_load_trajectory
@@ -241,10 +242,13 @@ def test_append_refuses_metrics_that_do_not_match_the_counts(tmp_path, existing)
         append_snapshot(str(store), make_snapshot(t=0.0))
     before = store.read_bytes() if existing else None
     snapshot = make_snapshot(t=1.0)
-    tampered = snapshot._replace(metrics=snapshot.metrics._replace(degree_of_excellence=50.0))
-    with pytest.raises(ValueError, match="^snapshot metrics do not match its counts$"):
-        append_snapshot(str(store), tampered)
-    assert (store.read_bytes() if store.exists() else None) == before
+    # The store holds no error_level_fraction, so of the two metric checks only the
+    # re-creation of the snapshot in append_snapshot can refuse a tampered one.
+    for field in QualityMetrics._fields:
+        tampered = snapshot._replace(metrics=snapshot.metrics._replace(**{field: 50.0}))
+        with pytest.raises(ValueError, match="^snapshot metrics do not match its counts$"):
+            append_snapshot(str(store), tampered)
+        assert (store.read_bytes() if store.exists() else None) == before, field
 
 
 def test_bad_timestamp_rejected(tmp_path):

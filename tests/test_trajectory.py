@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excellence import cli
 from excellence.errors import (
     ExtrapolationError,
     InsufficientDataError,
@@ -362,6 +363,14 @@ def test_import_does_not_load_numpy(tmp_path):
     # Only record reads the clock.
     assert not {"excellence.history", "excellence.trajectory", "excellence.report",
                 "json", "csv", "hashlib", "datetime"} & scan
+    # Above the sizes from which the log is counted in a forked child, os alone does it.
+    (tmp_path / "big.c").write_text("int x;\n" * 40_000, encoding="utf-8")
+    (tmp_path / "big.log").write_text("m.c:1:1: error: e\n" * 120_000, encoding="utf-8")
+    assert (tmp_path / "big.c").stat().st_size >= cli._OVERLAP_SOURCE_BYTES
+    assert (tmp_path / "big.log").stat().st_size >= cli._OVERLAP_LOG_BYTES
+    big_scan = _loaded_modules(_command("scan", "big.c", "--log", "big.log"), tmp_path)
+    assert big_scan <= scan
+    assert not {"subprocess", "multiprocessing", "signal", "pickle"} & big_scan
     record = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "0"), tmp_path)
     assert "excellence.history" in record
