@@ -25,15 +25,19 @@ as another. ``json`` is imported only where it is used: the record-by-record che
 the seal and the writer.
 
 A writer also leaves ``<store>.seal``: the length and line count of the prefix it
-read, each project's first wall clock and last hours there, and one sha256 over
-that prefix and this summary. Only a writer honours it: while the store starts with
-those bytes it hashes them and checks only the lines after them, so an append
-parses O(1) records and hashes O(n) bytes. Without a seal, or with one ill formed
-or unmatched, the writer checks the whole store, with the same outcome.
+read, each project's first wall clock and last hours there, and one CRC-32 over
+that prefix and this summary. The seal is a cache key, not a MAC: whoever can edit
+the store can rewrite the seal, and ``load_trajectory`` never reads it, so a
+checksum that catches accidental edits is all it needs. Only a writer honours it:
+while the store starts with those bytes it checksums them and checks only the lines
+after them, so an append parses O(1) records and checksums O(n) bytes. Without a
+seal, or with one ill formed or unmatched, the writer checks the whole store, with
+the same outcome.
 """
 
 from __future__ import annotations
 
+import binascii
 import bisect
 import math
 import operator
@@ -330,14 +334,16 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
 
 def _well_formed(seal) -> bool:
     """Whether ``seal`` has the shape ``_update`` writes: non-negative int ``length``
-    and ``lines``, a str ``sha256``, and ``projects`` mapping each id (a JSON key is
-    a str) to its first wall clock with a UTC offset, its last hours, finite and
-    >= 0, and that record's line number, from 1 to ``lines``."""
-    if type(seal) is not dict or seal.keys() != {"length", "lines", "sha256", "projects"}:
+    and ``lines``, an int ``crc32`` in [0, 2**32), and ``projects`` mapping each id (a
+    JSON key is a str) to its first wall clock with a UTC offset, its last hours,
+    finite and >= 0, and that record's line number, from 1 to ``lines``. A seal of
+    another format, such as one with a ``sha256`` key, is not well formed."""
+    if type(seal) is not dict or seal.keys() != {"length", "lines", "crc32", "projects"}:
         return False
     lines, projects = seal["lines"], seal["projects"]
     if not (type(seal["length"]) is int and type(lines) is int and min(seal["length"], lines) >= 0
-            and type(seal["sha256"]) is str and type(projects) is dict):
+            and type(seal["crc32"]) is int and 0 <= seal["crc32"] < 1 << 32
+            and type(projects) is dict):
         return False
     for entry in projects.values():
         if type(entry) is not list or len(entry) != 3:
@@ -355,20 +361,20 @@ def _well_formed(seal) -> bool:
 
 def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
     """Check the store open as ``f``, from its start: the snapshots of ``project_id``,
-    the line count, ``seen`` (see ``_check``), the running sha256 and the length it
+    the line count, ``seen`` (see ``_check``), the running CRC-32 and the length it
     covers, and whether bytes followed the seal and ended in ``\n``.
 
     Only given ``seal_path`` does it trust a seal, well formed and matching: the
-    prefix the seal covers is hashed, not checked, and the bytes after it are hashed
-    on. Without it the digest is None. A line ends at ``\n``, a ``\r`` just before
-    it is part of the break, and any other ``\r`` is a character of its line, as
-    for the scanner and the log counter; a byte that is not UTF-8 corrupts its line."""
+    prefix the seal covers is checksummed in 64 KiB chunks, not checked, and the
+    bytes after it are folded into the same CRC-32. Without it the CRC is None. A
+    line ends at ``\n``, a ``\r`` just before it is part of the break, and any other
+    ``\r`` is a character of its line, as for the scanner and the log counter; a byte
+    that is not UTF-8 corrupts its line."""
     f.seek(0)
-    length, lines, seen, digest = 0, 0, {}, None
+    length, lines, seen, crc = 0, 0, {}, None
     if seal_path is not None:
-        import hashlib  # here, not at module level: scan and report never hash
-        import json  # nor read a seal
-        digest = hashlib.sha256()
+        import json  # here, not at module level: scan and report never read a seal
+        crc = 0
         try:
             with open(seal_path, "rb") as seal_file:
                 seal = json.load(seal_file)
@@ -377,15 +383,15 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
                     chunk = f.read(min(1 << 16, seal["length"] - f.tell()))
                     if not chunk:
                         break
-                    digest.update(chunk)
+                    crc = binascii.crc32(chunk, crc)
                 if f.tell() == seal["length"] and _seal_digest(
-                        digest, seal["length"], seal["lines"], seal["projects"]) == seal["sha256"]:
+                        crc, seal["length"], seal["lines"], seal["projects"]) == seal["crc32"]:
                     length, lines, seen = seal["length"], seal["lines"], seal["projects"]
         except (OSError, ValueError, RecursionError):  # missing, unreadable or nested too deep
             pass
         if f.tell() != length:  # no seal, or one that does not match: check from the start
             f.seek(0)
-            digest = hashlib.sha256()
+            crc = 0
     tail = f.read()
     try:
         text = tail.decode("utf-8")
@@ -395,23 +401,22 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
         raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
                               f"(byte offset {length + exc.start})", number) from exc
     ended = tail.endswith(b"\n")
-    if digest is not None and ended:
-        digest.update(tail)
+    if crc is not None and ended:
+        crc = binascii.crc32(tail, crc)
         length += len(tail)
     del tail  # the text alone stays alive through the check
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     snapshots, lines = _check(text, lines, seen, project_id)
-    return snapshots, lines, seen, digest, length, ended
+    return snapshots, lines, seen, crc, length, ended
 
 
-def _seal_digest(prefix, length: int, lines: int, projects: dict) -> str:
-    """The sha256 a seal carries: of its prefix, then of its summary, so that an
-    edit to either misses."""
+def _seal_digest(prefix: int, length: int, lines: int, projects: dict) -> int:
+    """The CRC-32 a seal carries: the running ``prefix`` CRC of its bytes, folded on
+    over its summary, so that an edit to either misses."""
     import json
-    digest = prefix.copy()
-    digest.update(json.dumps([length, lines, projects], sort_keys=True).encode("ascii"))
-    return digest.hexdigest()
+    summary = json.dumps([length, lines, projects], sort_keys=True).encode("ascii")
+    return binascii.crc32(summary, prefix)
 
 
 def _write_seal(store_path: str, seal: dict) -> None:
@@ -458,7 +463,7 @@ def _update(store_path: str, project_id: str,
     try:  # the open, the lock (ENOLCK where a file system has none), read, write and fsync
         with open(store_path, "a+b") as f:  # every write lands at the end
             fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-            _, count, seen, digest, length, ended = _read(f, None, store_path + ".seal")
+            _, count, seen, crc, length, ended = _read(f, None, store_path + ".seal")
             stored = seen.get(project_id)
             snapshot = place(None if stored is None else _clock(stored[0]))
             if stored is not None and snapshot.t_hours <= stored[1]:
@@ -475,7 +480,7 @@ def _update(store_path: str, project_id: str,
             os.fsync(f.fileno())
             if ended:
                 _write_seal(store_path, {"length": length, "lines": count,
-                                         "sha256": _seal_digest(digest, length, count, seen),
+                                         "crc32": _seal_digest(crc, length, count, seen),
                                          "projects": seen})
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc

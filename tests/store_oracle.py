@@ -6,6 +6,9 @@ checks, and keeps only the asked project's at the end. It ends a line at LF
 or CRLF, as the scanner and the log counter do, and not at a lone CR as text
 mode would. The library's loader must agree with it on every line: the same
 snapshots, or the same ``CorruptionError`` message and line number.
+
+``seal_crc32`` states the checksum a writer's ``<store>.seal`` carries, for
+tests that forge a seal.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import zlib
 from datetime import datetime
 
 from excellence.errors import CorruptionError, MissingFileError
@@ -129,3 +133,11 @@ def oracle_load_trajectory(store_path: str, project_id: str) -> Trajectory:
         snapshots.append(snap)
     return Trajectory(project_id=project_id,
                       snapshots=tuple(s for s in snapshots if s.project_id == project_id))
+
+
+def seal_crc32(prefix: bytes, seal: dict) -> int:
+    """The ``crc32`` of a seal over the store bytes ``prefix`` and the seal's own
+    summary: CRC-32 of the prefix, then of ``[length, lines, projects]`` as
+    ``json.dumps(..., sort_keys=True)`` writes it."""
+    summary = json.dumps([seal["length"], seal["lines"], seal["projects"]], sort_keys=True)
+    return zlib.crc32(summary.encode("ascii"), zlib.crc32(prefix))

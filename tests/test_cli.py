@@ -1,6 +1,5 @@
 """End-to-end CLI tests driven through main(argv)."""
 
-import hashlib
 import json
 import os
 import signal
@@ -17,7 +16,7 @@ from excellence.history import load_trajectory
 from excellence.scanner import SourceStats
 from excellence.trajectory import interval_rates
 
-from store_oracle import oracle_load_trajectory
+from store_oracle import oracle_load_trajectory, seal_crc32
 
 GOLDEN_CLEAN = (
     "The number of lines in the file is : 675\n"
@@ -433,9 +432,7 @@ def test_seal_with_a_bad_first_clock_gets_the_full_check(clean_src, tmp_path, mo
     seal = json.loads(seal_path.read_bytes())
     if first is not None:  # None: the seal as written, its digest recomputed all the same
         seal["projects"]["p"][0] = first
-    prefix = hashlib.sha256(store.read_bytes()[:seal["length"]])
-    seal["sha256"] = history._seal_digest(prefix, seal["length"], seal["lines"],
-                                          seal["projects"])
+    seal["crc32"] = seal_crc32(store.read_bytes()[:seal["length"]], seal)
     seal_path.write_text(json.dumps(seal), encoding="utf-8")
     befores = []
     check = history._check

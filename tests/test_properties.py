@@ -30,7 +30,7 @@ from excellence.metrics import QualityMetrics
 from excellence.scanner import SourceStats, classify_lines, scan_source
 
 from scanner_oracle import oracle_scan
-from store_oracle import oracle_load_trajectory
+from store_oracle import oracle_load_trajectory, seal_crc32
 
 _FIELDS = ("total_lines", "comment_lines", "blank_lines", "loc",
            "for_count", "while_count", "unterminated_comment")
@@ -521,7 +521,7 @@ _BAD_TAILS = (b"garbage\n", b"\n \n", b"\r", b"{}\n", b'{"project": "p"', b"\xff
 # kept; ``None`` in a path stands for a project's id.
 _SEAL_EDITS = (
     (("lines",), "x"), (("lines",), -5), (("lines",), True), (("length",), -1),
-    (("length",), True), (("sha256",), None), (("projects",), []), (("projects",), {"p": 5}),
+    (("length",), True), (("crc32",), None), (("projects",), []), (("projects",), {"p": 5}),
     (("projects", None), 5), (("projects", None), ["2026-05-01T00:00:00+00:00", 1.0]),
     (("projects", None, 0), "2026-05-01T00:00:00"), (("projects", None, 0), "May 1"),
     (("projects", None, 0), 0), (("projects", None, 1), "a"), (("projects", None, 1), -1.0),
@@ -550,8 +550,7 @@ def _edited_seal(seal, path, value, project, prefix=None):
         target = target[key]
     target[last] = value
     if prefix is not None:
-        obj["sha256"] = history._seal_digest(hashlib.sha256(prefix), obj["length"], obj["lines"],
-                                             obj["projects"])
+        obj["crc32"] = seal_crc32(prefix, obj)
     return json.dumps(obj).encode("utf-8")
 
 
@@ -621,7 +620,7 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
             stored[at:at] = data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
         project = data.draw(st.sampled_from(_SEAL_PROJECTS))
         seals = [seal, None, _read(_write_store(other, other_steps) + ".seal"),
-                 data.draw(st.binary(max_size=40)), b'{"length": 0, "sha256": 1}', b"[]",
+                 data.draw(st.binary(max_size=40)), b'{"length": 0, "crc32": 1}', b"[]",
                  b"[" * 100_000]
         if seal is not None:
             edit = data.draw(st.sampled_from(_SEAL_EDITS))
@@ -654,7 +653,7 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
         assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("path, value", [edit for edit in _SEAL_EDITS if edit[0] != ("sha256",)])
+@pytest.mark.parametrize("path, value", [edit for edit in _SEAL_EDITS if edit[0] != ("crc32",)])
 def test_seal_edit_under_a_matching_digest_gets_the_full_check(tmp_path, monkeypatch, path,
                                                                 value):
     # The seal covers lines 1-3, where p last has 1.5 h, so it decides whether 1.0 h
@@ -686,6 +685,132 @@ def test_seal_edit_under_a_matching_digest_gets_the_full_check(tmp_path, monkeyp
     assert befores[0] == 0
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 7 and "store already holds t = 1.5 h" in outcomes[0][2]
+
+
+class _TailStart(io.BytesIO):
+    """A store in memory that notes the offset of the read ``_read`` checks: the
+    sealed length when the seal is trusted, 0 when the check starts at line 1."""
+
+    start = None
+
+    def read(self, size=-1):
+        if size == -1:
+            self.start = self.tell()
+        return super().read(size)
+
+
+def _check_start(stored, seal_path):
+    f = _TailStart(bytes(stored))
+    try:
+        history._read(f, None, seal_path)
+    except CorruptionError:  # an edit the full check refuses
+        pass
+    return f.start
+
+
+def test_seal_misses_on_every_edit_it_covers(tmp_path):
+    # The seal the last record left covers lines 1-4, all four of one length.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 0.5), ("p", 1.5), ("q", 1.5),
+                                         ("p", 2.5)])
+    stored, seal_path = _read(store), store + ".seal"
+    seal = json.loads(_read(seal_path))
+    prefix = stored[:seal["length"]]
+    assert _check_start(stored, seal_path) == seal["length"] == len(prefix) > 0
+
+    for at in range(len(prefix)):  # each byte, each bit of it and all of them
+        for mask in (*(1 << bit for bit in range(8)), 0xff):
+            flipped = bytearray(stored)
+            flipped[at] ^= mask
+            assert _check_start(flipped, seal_path) == 0, (at, mask)
+
+    lines = prefix.splitlines(keepends=True)
+    pairs = [(i, j) for i in range(len(lines)) for j in range(i + 1, len(lines))
+             if len(lines[i]) == len(lines[j]) and lines[i] != lines[j]]
+    assert len(pairs) == 6
+    for i, j in pairs:
+        swapped = list(lines)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert _check_start(b"".join(swapped) + stored[len(prefix):], seal_path) == 0, (i, j)
+
+    first, hours, line = seal["projects"]["p"]
+    other = "2026-04-30T00:00:00+00:00"
+    edits = [("length", seal["length"] - 1), ("lines", seal["lines"] + 1),
+             ("projects", {**seal["projects"], "r": [other, 0.0, 1]}),
+             ("projects", {"q": seal["projects"]["q"]}),
+             ("projects", {"r" if key == "p" else key: entry
+                           for key, entry in seal["projects"].items()}),
+             ("projects", {**seal["projects"], "p": [other, hours, line]}),
+             ("projects", {**seal["projects"], "p": [first, hours + 0.5, line]}),
+             ("projects", {**seal["projects"], "p": [first, hours - 0.25, line]}),
+             ("projects", {**seal["projects"], "p": [first, hours, line - 1]})]
+    for key, value in edits:
+        edited = {**seal, key: value}  # the checksum kept
+        assert history._well_formed(edited)
+        with open(seal_path, "w", encoding="utf-8") as f:
+            json.dump(edited, f)
+        assert _check_start(stored, seal_path) == 0, (key, value)
+
+
+@pytest.mark.parametrize("crc32, well_formed", [
+    (0, True), ((1 << 32) - 1, True), (-1, False), (1 << 32, False), (True, False),
+    (1.0, False), ("0", False), (None, False)])
+def test_seal_checksum_is_a_32_bit_int(tmp_path, crc32, well_formed):
+    store = _write_store(str(tmp_path), [("p", 0.5), ("p", 1.0)])
+    seal = json.loads(_read(store + ".seal"))
+    assert history._well_formed(seal)
+    assert history._well_formed({**seal, "crc32": crc32}) is well_formed
+
+
+def _sha256_seal(stored, seal):
+    """``seal`` in the format earlier versions wrote: the same summary, and a
+    ``sha256`` over the prefix it covers and that summary, in hex."""
+    obj = json.loads(seal)
+    summary = json.dumps([obj["length"], obj["lines"], obj["projects"]], sort_keys=True)
+    digest = hashlib.sha256(stored[:obj["length"]] + summary.encode("ascii")).hexdigest()
+    return json.dumps({"length": obj["length"], "lines": obj["lines"], "sha256": digest,
+                       "projects": obj["projects"]}).encode("utf-8")
+
+
+def test_sha256_seal_costs_one_full_check_and_is_replaced(tmp_path, monkeypatch):
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored = _read(store)
+    old = _sha256_seal(stored, _read(store + ".seal"))
+    assert not history._well_formed(json.loads(old))
+    src = os.path.join(str(tmp_path), "probe.c")
+    with open(src, "w", encoding="utf-8") as f:
+        f.write("int x;\n")
+    befores, check = [], history._check
+
+    def counting(text, before, *rest):
+        befores.append(before)
+        return check(text, before, *rest)
+
+    monkeypatch.setattr(history, "_check", counting)
+    outcomes = []
+    for seal in (old, None):
+        with open(store, "wb") as f:
+            f.write(stored)
+        if seal is not None:
+            with open(store + ".seal", "wb") as f:
+                f.write(seal)
+        elif os.path.exists(store + ".seal"):
+            os.remove(store + ".seal")
+        outcomes.append((_record_outcome(store, ["record", src, "--project", "p", "--store",
+                                                 store, "--t-hours", "3"],
+                                         _SEAL_T0 + timedelta(hours=3)),
+                         _read(store + ".seal")))
+    assert befores == [0, 0]
+    assert outcomes[0] == outcomes[1]
+    (code, _, _, _), seal = outcomes[0]
+    assert code == 0
+    seal = json.loads(seal)
+    assert list(seal) == ["length", "lines", "crc32", "projects"]
+    assert seal["length"] == len(stored) and seal["lines"] == 4
+    # The next record trusts the new seal: its check starts after the sealed lines.
+    befores.clear()
+    assert _record_outcome(store, ["record", src, "--project", "q", "--store", store,
+                                   "--t-hours", "4"], _SEAL_T0 + timedelta(hours=4))[0] == 0
+    assert befores == [4]
 
 
 _DAY, _TICK = timedelta(hours=24), timedelta(microseconds=1)

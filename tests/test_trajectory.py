@@ -350,9 +350,9 @@ def _command(*argv: str) -> str:
 
 
 def test_import_does_not_load_numpy(tmp_path):
-    """Nor hashlib, which only a store writer needs; each command, run as
-    ``python -m excellence`` runs it, loads only its layers, and none loads
-    dataclasses or the inspect module under it."""
+    """Nor hashlib, which no command needs: the store writer's seal is a CRC-32; each
+    command, run as ``python -m excellence`` runs it, loads only its layers, and none
+    loads dataclasses or the inspect module under it."""
     loaded = _loaded_modules("import excellence", tmp_path)
     assert not {"numpy", "hashlib"} & loaded
     assert not {name for name in loaded if name.startswith("excellence.")}
@@ -374,11 +374,14 @@ def test_import_does_not_load_numpy(tmp_path):
     record = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
                                       "s.jsonl", "--t-hours", "0"), tmp_path)
     assert "excellence.history" in record
-    assert not {"excellence.trajectory", "excellence.report", "csv"} & record
-    # The second record reads the first and writes a seal.
-    sealed = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
-                                      "s.jsonl", "--t-hours", "1"), tmp_path)
-    assert (tmp_path / "s.jsonl.seal").exists()
+    assert not {"excellence.trajectory", "excellence.report", "csv", "hashlib", "_hashlib"} \
+        & record
+    # The second record reads the first and writes a seal; the third trusts it.
+    for t in ("1", "2"):
+        sealed = _loaded_modules(_command("record", "one.c", "--project", "p", "--store",
+                                          "s.jsonl", "--t-hours", t), tmp_path)
+        assert (tmp_path / "s.jsonl.seal").exists()
+        assert not {"hashlib", "_hashlib"} & sealed
     report = _loaded_modules(_command("report", "--project", "p", "--store", "s.jsonl"),
                              tmp_path)
     assert {"excellence.report", "excellence.trajectory"} <= report
