@@ -11,9 +11,9 @@ exclusive ``flock`` on the store across its read, checks, append and seal, so
 concurrent writers on one host take turns.
 
 One function, ``_read``, reads the store's bytes, on the handle its caller opened:
-for ``load_trajectory``, for a writer, and for a writer's ordering refusal. Every
-field of every record is checked, in O(n) for n records; stored metrics are
-redundant with the stored counts on purpose, and a mismatch is corruption.
+for ``load_trajectory``, for a writer, and for a writer's ordering refusal. Each
+record it checks is checked in every field, in O(n) for n records; stored metrics
+are redundant with the stored counts on purpose, and a mismatch is corruption.
 Blocks of lines that are all the writer's own, wall clocks as ``isoformat()``
 writes them included, are checked in bulk, by one regex pass into columns and each
 rule over a column, with no JSON decoder; any other block record by record, which
@@ -22,17 +22,22 @@ applies the order rule and builds the asked project's snapshots. A record's shap
 is stated once, in ``_FIELDS``, and its value rules once, in ``_rows``, so the
 writer refuses any record the loader would reject, and any clock it would read back
 as another. ``json`` is imported only where it is used: the record-by-record check,
-the seal and the writer.
+the writer, and a seal string that holds an escape.
 
-A writer also leaves ``<store>.seal``: the length and line count of the prefix it
-read, each project's first wall clock and last hours there, and one CRC-32 over
-that prefix and this summary. The seal is a cache key, not a MAC: whoever can edit
-the store can rewrite the seal, and ``load_trajectory`` never reads it, so a
-checksum that catches accidental edits is all it needs. Only a writer honours it:
-while the store starts with those bytes it checksums them and checks only the lines
-after them, so an append parses O(1) records and checksums O(n) bytes. Without a
-seal, or with one ill formed or unmatched, the writer checks the whole store, with
-the same outcome.
+``<store>.seal`` summarises a prefix of the store that was checked in full: its
+length and line count, and per project the first wall clock, the last hours, that
+record's line and the record count. One CRC-32 covers the prefix and then the
+seal's own bytes without its ``crc32`` member, so an edit to either misses; the
+seal is a cache key, not a MAC, so a checksum that catches accidental edits is all
+it needs. One regex reads it, with no JSON decoder. A writer seals the bytes it
+read; a reader that found no matching seal seals the store it checked, if it can
+take the writer's lock at once. While the store starts with the sealed bytes they
+are checksummed, not checked: a writer checks only the lines after them, so an
+append parses O(1) records and checksums O(n) bytes; a reader, and a writer naming
+the stored time that refuses a snapshot, also check the asked project's lines in
+the prefix, found by the writer's line with that id fixed, or the whole store when
+those are not exactly the seal's count of them. Without a matching seal the whole
+store is checked, with the same outcome.
 """
 
 from __future__ import annotations
@@ -249,57 +254,104 @@ _WRITER_CLOCK = (r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-
                  r"[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?")
 
 
-def _writer_line() -> str:
+_INT = "(0|[1-9][0-9]*)"
+_REAL = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+
+
+def _writer_line(project: "str | None" = None) -> str:
     """A regex for the exact line ``_line`` writes, one group per field in ``_FIELDS``
     order: the wall clock as ``_WRITER_CLOCK``, other strings holding nothing that
     JSON escapes, counts as non-negative int literals, and the three reals in float
-    syntax alone, with a ``.`` or an exponent."""
-    slots = {str: r'"([^"\\\x00-\x1f]*)"', int: "(0|[1-9][0-9]*)",
-             float: r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"}
-    return "^{" + ", ".join(
-        f'"{key}": ' + (f'"({_WRITER_CLOCK})"' if key == "wall_clock" else slots[kind])
-        for key, kind in _FIELDS.items()) + "}$"
+    syntax alone, with a ``.`` or an exponent. Given ``project``, a ``_plain`` id,
+    the project slot holds that id alone, and the line start is checked by a
+    lookbehind after the literal head, so that ``re`` searches for the head."""
+    slots = {str: r'"([^"\\\x00-\x1f]*)"', int: _INT, float: _REAL}
+    anchor, start = "^", ""
+    if project is not None:
+        head = f'{{"project": "{project}", "wall_clock": "'
+        anchor, start = "", rf"(?<![^\n]{re.escape(head)})"
+        slots["project"] = f'"({re.escape(project)})"'
+    slots["wall_clock"] = f'"{start}({_WRITER_CLOCK})"'
+    return anchor + "{" + ", ".join(f'"{key}": ' + slots.get(key, slots[kind])
+                                    for key, kind in _FIELDS.items()) + "}$"
 
 
 _WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use: a short tail never is
 _BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole line
 
 
-def _check_bulk(text: str, start: int, end: int, before: int):
-    """The rows (see ``_check``) of the lines in ``text[start:end]``, each rule
-    checked a column at a time, for lines that are all the writer's own, and the
-    line breaks there. None when a line is not or a record breaks a rule, so that
-    the record-by-record check names the fault. The order of each project's hours
-    is ``_check``'s to apply."""
-    lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
-    breaks = text.count("\n", start, end)
-    if len(lines) != breaks + (text[end - 1] != "\n"):  # the last line may lack its \n
-        return None
+def _bulk_rows(lines: list, first: int):
+    """The rows (see ``_check``) of writer lines as ``findall`` gives them, numbered
+    from ``first``, each rule checked a column at a time; None when a record breaks
+    one. The order of each project's hours is the caller's to apply."""
     try:  # ValueError: an int of too many digits, or a rule broken
         columns = [column if kind is str else list(map(kind, column))
                    for kind, column in zip(_FIELDS.values(), zip(*lines))]
         if all(all(map(math.isfinite, column))
                for kind, column in zip(_FIELDS.values(), columns) if kind is float):
-            return _rows(before + 1, columns, datetime.fromisoformat), breaks
+            return _rows(first, columns, datetime.fromisoformat)
     except ValueError:
         pass
     return None
+
+
+def _check_bulk(text: str, start: int, end: int, before: int):
+    """The rows (see ``_check``) of the lines in ``text[start:end]``, for lines that
+    are all the writer's own, and the line breaks there. None when a line is not or
+    a record breaks a rule, so that the record-by-record check names the fault."""
+    lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
+    breaks = text.count("\n", start, end)
+    if len(lines) != breaks + (text[end - 1] != "\n"):  # the last line may lack its \n
+        return None
+    rows = _bulk_rows(lines, before + 1)
+    return None if rows is None else (rows, breaks)
+
+
+def _search(prefix, project_id: str, count: int) -> "list[QualitySnapshot] | None":
+    """The snapshots of ``project_id`` in ``prefix``, store bytes that a matching seal
+    covers and so were checked in full, found by the writer's line with that id
+    fixed; ``count`` is the seal's count of them. None when that search cannot stand
+    for the full check: the id needs an escape, the prefix holds a ``\\r`` or is not
+    UTF-8, the lines found are not ``count``, or their values break a rule or do not
+    advance."""
+    if not _plain(project_id):
+        return None
+    try:
+        text = str(prefix, "utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:  # a CRLF break, which the writer's line does not end with
+        return None
+    lines = re.compile(_writer_line(project_id), re.M).findall(text)
+    del text
+    if len(lines) != count:  # a record in another shape, which the full check reads
+        return None
+    rows = _bulk_rows(lines, 1) if lines else ()
+    if rows is None:
+        return None
+    snapshots = [QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats), errors,
+                                 QualityMetrics(*levels))
+                 for _, project, _, t_hours, wall_clock, stats, errors, levels in rows]
+    hours = [snap.t_hours for snap in snapshots]
+    return snapshots if all(map(operator.lt, hours, hours[1:])) else None
 
 
 def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
            ) -> tuple[list[QualitySnapshot], int]:
     """Check every line of ``text``, which follows ``before`` lines of the store.
 
-    ``seen`` maps each project to its first wall clock, its last hours and that
-    record's line number, and is updated in first-seen order. Returns the snapshots
-    of ``project_id`` and ``before`` plus the line breaks in ``text``. Blocks of
-    whole lines whose every line is the writer's own are checked in bulk, others
-    record by record. Both give one row per record: line number, project, wall
+    ``seen`` maps each project to its first wall clock, its last hours, that
+    record's line number and its record count, and is updated in first-seen order.
+    Returns the snapshots of ``project_id`` and ``before`` plus the line breaks in
+    ``text``. Blocks of whole lines whose every line is the writer's own are checked
+    in bulk, others record by record; a writer's one-line text too, for it loads the
+    JSON decoder anyway. Both give one row per record: line number, project, wall
     clock as stored, hours, wall clock as parsed, ``SourceStats`` fields, error
     count and error levels. The record-by-record rows are made lazily, one line at
     a time, so the first fault in line order is the one reported.
     """
-    bulk = text.find("\n", 0, len(text) - 1) >= 0  # two lines or more: worth the pattern
+    # A reader, or two lines or more: worth the pattern.
+    bulk = project_id is not None or text.find("\n", 0, len(text) - 1) >= 0
     snapshots = []
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
@@ -315,7 +367,7 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
         for number, project, clock, t_hours, wall_clock, stats, errors, levels in rows:
             previous = seen.get(project)
             if previous is None:
-                seen[project] = (clock, t_hours, number)
+                seen[project] = (clock, t_hours, number, 1)
             elif t_hours <= previous[1]:
                 raise CorruptionError(
                     f"store record at line {number} is invalid: t_hours {t_hours} does not "
@@ -323,7 +375,7 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
                     number,
                 )
             else:
-                seen[project] = (previous[0], t_hours, number)
+                seen[project] = (previous[0], t_hours, number, previous[3] + 1)
             if project == project_id:
                 snapshots.append(QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats),
                                                  errors, QualityMetrics(*levels)))
@@ -336,8 +388,9 @@ def _well_formed(seal) -> bool:
     """Whether ``seal`` has the shape ``_update`` writes: non-negative int ``length``
     and ``lines``, an int ``crc32`` in [0, 2**32), and ``projects`` mapping each id (a
     JSON key is a str) to its first wall clock with a UTC offset, its last hours,
-    finite and >= 0, and that record's line number, from 1 to ``lines``. A seal of
-    another format, such as one with a ``sha256`` key, is not well formed."""
+    finite and >= 0, that record's line number, from 1 to ``lines``, and its record
+    count, from 1 to that line number. A seal of another format, such as one with a
+    ``sha256`` key or three fields per project, is not well formed."""
     if type(seal) is not dict or seal.keys() != {"length", "lines", "crc32", "projects"}:
         return False
     lines, projects = seal["lines"], seal["projects"]
@@ -346,11 +399,12 @@ def _well_formed(seal) -> bool:
             and type(projects) is dict):
         return False
     for entry in projects.values():
-        if type(entry) is not list or len(entry) != 3:
+        if type(entry) is not list or len(entry) != 4:
             return False
-        clock, hours, line = entry
+        clock, hours, line, count = entry
         if not (type(clock) is str and type(hours) is float and 0 <= hours <= sys.float_info.max
-                and type(line) is int and 1 <= line <= lines):
+                and type(line) is int and 1 <= line <= lines
+                and type(count) is int and 1 <= count <= line):
             return False
         try:
             _clock(clock)
@@ -359,40 +413,98 @@ def _well_formed(seal) -> bool:
     return True
 
 
-def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
-    """Check the store open as ``f``, from its start: the snapshots of ``project_id``,
-    the line count, ``seen`` (see ``_check``), the running CRC-32 and the length it
-    covers, and whether bytes followed the seal and ended in ``\n``.
+# The seal as _write_seal writes it, which is valid JSON: a _plain string as itself,
+# any other as json.dumps writes it.
+_SEAL = rf'{{"length": {_INT}, "lines": {_INT}, ("crc32": {_INT}, )"projects": {{(.*)}}}}'
+_SEAL_STRING = r'"((?:[^"\\]|\\.)*)"'
+_SEAL_ENTRY = rf"{_SEAL_STRING}: \[{_SEAL_STRING}, {_REAL}, {_INT}, {_INT}\]"
+
+
+def _unquote(text: str) -> str:
+    """The string a seal's JSON string slot holds; ValueError for a bad escape."""
+    if "\\" not in text:
+        return text
+    import json  # only for an id or clock that needs an escape
+    return json.loads(f'"{text}"')
+
+
+def _load_seal(seal_path: str) -> "tuple[dict, bytes] | None":
+    """The seal at ``seal_path`` and its summary, the bytes its CRC-32 covers after
+    the prefix: the seal without its ``crc32`` member. None when it is missing,
+    unreadable, not in ``_SEAL``'s shape or not well formed."""
+    try:
+        with open(seal_path, "rb") as f:
+            text = f.read().decode("utf-8")
+        match = re.fullmatch(_SEAL, text)
+        if match is None:
+            return None
+        entries = list(re.finditer(_SEAL_ENTRY, match[5]))
+        if ", ".join(entry[0] for entry in entries) != match[5]:
+            return None
+        seal = {"length": int(match[1]), "lines": int(match[2]), "crc32": int(match[4]),
+                "projects": {_unquote(key): [_unquote(clock), float(hours), int(line), int(count)]
+                             for key, clock, hours, line, count in map(re.Match.groups, entries)}}
+    except (OSError, ValueError):  # missing or unreadable; not UTF-8, an escape, 4 301 digits
+        return None
+    if not _well_formed(seal):
+        return None
+    return seal, (text[:match.start(3)] + text[match.end(3):]).encode("utf-8")
+
+
+class _Read(NamedTuple):
+    """What ``_read`` found in a store."""
+
+    snapshots: "list[QualitySnapshot]"  # the asked project's
+    lines: int
+    seen: dict  # see _check
+    crc: "int | None"  # the running CRC-32, given a seal path
+    length: int  # the bytes that CRC covers
+    ended: bool  # whether bytes followed any matching seal and ended in \n
+    sealed: bool  # whether a seal matched the store's start
+
+
+def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> _Read:
+    """Check the store open as ``f``, from its start, for the snapshots of
+    ``project_id``, or for a writer given None.
 
     Only given ``seal_path`` does it trust a seal, well formed and matching: the
-    prefix the seal covers is checksummed in 64 KiB chunks, not checked, and the
-    bytes after it are folded into the same CRC-32. Without it the CRC is None. A
-    line ends at ``\n``, a ``\r`` just before it is part of the break, and any other
-    ``\r`` is a character of its line, as for the scanner and the log counter; a byte
-    that is not UTF-8 corrupts its line."""
+    prefix the seal covers is checksummed, not checked, and the bytes after it are
+    checked and folded into the same CRC-32. A writer checksums the prefix in 64 KiB
+    chunks, never holding it whole; a reader reads the store whole, as it does
+    without a seal, and ``_search``es the prefix for the project's lines, or checks
+    the whole store when that search fails, under a seal that still matched.
+    Without ``seal_path`` the CRC is None. A line ends at ``\n``, a ``\r`` just before
+    it is part of the break, and any other ``\r`` is a character of its line, as for
+    the scanner and the log counter; a byte that is not UTF-8 corrupts its line."""
     f.seek(0)
-    length, lines, seen, crc = 0, 0, {}, None
+    length, lines, seen, crc, sealed, data = 0, 0, {}, None, False, None
+    found = None  # the project's snapshots in a sealed prefix, which is then not checked
     if seal_path is not None:
-        import json  # here, not at module level: scan and report never read a seal
         crc = 0
-        try:
-            with open(seal_path, "rb") as seal_file:
-                seal = json.load(seal_file)
-            if _well_formed(seal):
-                while f.tell() < seal["length"]:  # in chunks: the prefix is never held whole
-                    chunk = f.read(min(1 << 16, seal["length"] - f.tell()))
+        loaded = _load_seal(seal_path)
+        if loaded is not None:
+            seal, summary = loaded
+            end = seal["length"]
+            if project_id is None:
+                while f.tell() < end:
+                    chunk = f.read(min(1 << 16, end - f.tell()))
                     if not chunk:
                         break
                     crc = binascii.crc32(chunk, crc)
-                if f.tell() == seal["length"] and _seal_digest(
-                        crc, seal["length"], seal["lines"], seal["projects"]) == seal["crc32"]:
-                    length, lines, seen = seal["length"], seal["lines"], seal["projects"]
-        except (OSError, ValueError, RecursionError):  # missing, unreadable or nested too deep
-            pass
-        if f.tell() != length:  # no seal, or one that does not match: check from the start
-            f.seek(0)
+            else:
+                data = f.read()
+                crc = binascii.crc32(memoryview(data)[:end])
+            sealed = f.tell() >= end and binascii.crc32(summary, crc) == seal["crc32"]
+            if sealed:
+                entry = seal["projects"].get(project_id)
+                found = [] if data is None else _search(memoryview(data)[:end], project_id,
+                                                         0 if entry is None else entry[3])
+                if found is not None:
+                    length, lines, seen = end, seal["lines"], seal["projects"]
+        if found is None:  # no seal, one that does not match, or a failed search: from the start
             crc = 0
-    tail = f.read()
+            f.seek(0)
+    tail = f.read() if data is None else data[length:]
     try:
         text = tail.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -404,28 +516,39 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
     if crc is not None and ended:
         crc = binascii.crc32(tail, crc)
         length += len(tail)
-    del tail  # the text alone stays alive through the check
+    del tail, data  # the text alone stays alive through the check
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     snapshots, lines = _check(text, lines, seen, project_id)
-    return snapshots, lines, seen, crc, length, ended
+    return _Read((found or []) + snapshots, lines, seen, crc, length, ended, sealed)
 
 
-def _seal_digest(prefix: int, length: int, lines: int, projects: dict) -> int:
-    """The CRC-32 a seal carries: the running ``prefix`` CRC of its bytes, folded on
-    over its summary, so that an edit to either misses."""
-    import json
-    summary = json.dumps([length, lines, projects], sort_keys=True).encode("ascii")
-    return binascii.crc32(summary, prefix)
+def _plain(text: str) -> bool:
+    """Whether ``text`` is printable and holds no ``"`` or ``\\``, so that JSON writes
+    it as itself between quotes, in UTF-8."""
+    return text.isprintable() and '"' not in text and "\\" not in text
 
 
-def _write_seal(store_path: str, seal: dict) -> None:
-    import json
-    # A seal that cannot be written costs the next writer a full check, nothing more.
+def _quote(text: str) -> str:
+    """``text`` as a JSON string: as itself when it is ``_plain``."""
+    if _plain(text):
+        return f'"{text}"'
+    import json  # only for an id or clock that needs an escape
+    return json.dumps(text)
+
+
+def _write_seal(store_path: str, store: _Read) -> None:
+    """Seal the prefix that ``store`` checked and checksummed. A seal that cannot be
+    written costs the next reader a full check, nothing more."""
+    head = f'{{"length": {store.length}, "lines": {store.lines}, '
+    rest = '"projects": {' + ", ".join(
+        f"{_quote(project)}: [{_quote(clock)}, {hours!r}, {line}, {count}]"
+        for project, (clock, hours, line, count) in store.seen.items()) + "}}"
+    digest = binascii.crc32((head + rest).encode("utf-8"), store.crc)
     temp = store_path + ".seal.tmp"  # the store's lock keeps other writers out
     try:
-        with open(temp, "w", encoding="utf-8") as f:
-            json.dump(seal, f)
+        with open(temp, "wb") as f:
+            f.write(f'{head}"crc32": {digest}, {rest}'.encode("utf-8"))
         os.replace(temp, store_path + ".seal")
     except OSError:
         pass
@@ -463,25 +586,24 @@ def _update(store_path: str, project_id: str,
     try:  # the open, the lock (ENOLCK where a file system has none), read, write and fsync
         with open(store_path, "a+b") as f:  # every write lands at the end
             fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-            _, count, seen, crc, length, ended = _read(f, None, store_path + ".seal")
-            stored = seen.get(project_id)
+            store = _read(f, None, store_path + ".seal")
+            stored = store.seen.get(project_id)
             snapshot = place(None if stored is None else _clock(stored[0]))
             if stored is not None and snapshot.t_hours <= stored[1]:
-                # Read this handle again, in full, to name the earliest stored time that blocks.
-                ts = [snap.t_hours for snap in _read(f, project_id)[0]]
+                # Read this handle again to name the earliest stored time that blocks.
+                ts = [snap.t_hours
+                      for snap in _read(f, project_id, store_path + ".seal").snapshots]
                 later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
                 raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance "
                                     f"project {project_id!r}; store already holds t = {later} h")
             line = _line(snapshot)
-            if f.tell() > length:  # the last record, past what a seal may cover, lacks its newline
+            if f.tell() > store.length:  # the last record, past what a seal covers, lacks its \n
                 line = b"\n" + line
             f.write(line)
             f.flush()
             os.fsync(f.fileno())
-            if ended:
-                _write_seal(store_path, {"length": length, "lines": count,
-                                         "crc32": _seal_digest(crc, length, count, seen),
-                                         "projects": seen})
+            if store.ended:
+                _write_seal(store_path, store)
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
     return snapshot
@@ -525,11 +647,25 @@ def append_snapshot(store_path: str, snapshot: QualitySnapshot) -> None:
 def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     """Load one project's snapshots in time order; unknown project is empty.
 
-    Every record of every project is checked; snapshots are built for this project alone.
+    Under a matching seal the project's records in the sealed prefix and every
+    record after it are checked; otherwise every record of every project is, and a
+    store that ends in a newline is then sealed, unless a writer holds its lock.
+    Snapshots are built for this project alone.
     """
     try:
         with open(store_path, "rb") as f:
-            snapshots = _read(f, project_id)[0]
+            store = _read(f, project_id, store_path + ".seal")
+            if not store.sealed and store.ended:
+                import fcntl
+                # Under the writer's lock, as a writer seals: not while a writer holds
+                # it, where there are no locks, nor once the store has grown, so that
+                # no writer's seal is replaced by an older one.
+                try:
+                    fcntl.flock(f.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    if os.fstat(f.fileno()).st_size == store.length:
+                        _write_seal(store_path, store)
+                except OSError:  # EWOULDBLOCK, ENOLCK
+                    pass
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    return Trajectory(project_id=project_id, snapshots=tuple(snapshots))
+    return Trajectory(project_id=project_id, snapshots=tuple(store.snapshots))

@@ -137,7 +137,10 @@ def oracle_load_trajectory(store_path: str, project_id: str) -> Trajectory:
 
 def seal_crc32(prefix: bytes, seal: dict) -> int:
     """The ``crc32`` of a seal over the store bytes ``prefix`` and the seal's own
-    summary: CRC-32 of the prefix, then of ``[length, lines, projects]`` as
-    ``json.dumps(..., sort_keys=True)`` writes it."""
-    summary = json.dumps([seal["length"], seal["lines"], seal["projects"]], sort_keys=True)
-    return zlib.crc32(summary.encode("ascii"), zlib.crc32(prefix))
+    bytes without its ``crc32`` member: CRC-32 of the prefix, then of the seal's
+    other members as ``json.dumps(..., ensure_ascii=False)`` writes them, in the
+    seal's key order. The writer writes strings that need an escape otherwise; no
+    test forges a seal holding one."""
+    summary = json.dumps({key: value for key, value in seal.items() if key != "crc32"},
+                         ensure_ascii=False)
+    return zlib.crc32(summary.encode("utf-8"), zlib.crc32(prefix))

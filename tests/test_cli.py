@@ -602,6 +602,78 @@ def test_record_misses_a_seal_whose_summary_was_edited(clean_src, tmp_path, caps
     assert main(["report", "--project", "p", "--store", str(store)]) == 0
 
 
+def test_report_leaves_the_seal_a_record_would(clean_src, tmp_path, capsys):
+    # A report that found no seal checked the whole store: it seals it, as a record
+    # seals the store it read before its append.
+    store = tmp_path / "s.jsonl"
+    for project, t in [("p", "0"), ("q", "0"), ("p", "1")]:
+        assert main(["record", clean_src, "--project", project, "--store", str(store),
+                     "--t-hours", t]) == 0
+    seal = tmp_path / "s.jsonl.seal"
+    seal.unlink()
+    data = store.read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    report = capsys.readouterr()
+    assert store.read_bytes() == data
+    left = seal.read_bytes()
+    assert json.loads(left)["length"] == len(data)
+    assert main(["record", clean_src, "--project", "q", "--store", str(store),
+                 "--t-hours", "1"]) == 0  # it trusts the report's seal, and keeps it
+    assert seal.read_bytes() == left
+    store.write_bytes(data)
+    seal.unlink()
+    assert main(["record", clean_src, "--project", "q", "--store", str(store),
+                 "--t-hours", "1"]) == 0
+    assert seal.read_bytes() == left
+    # Nor does a report that trusts a seal replace it, or print anything else.
+    store.write_bytes(data)
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    assert capsys.readouterr() == report
+    assert seal.read_bytes() == left
+
+
+@pytest.mark.parametrize("case", ["busy", "no locks", "grown", "torn", "corrupt"])
+def test_report_leaves_no_seal_it_cannot_stand_behind(clean_src, tmp_path, monkeypatch,
+                                                      capsys, case):
+    # A writer holds the lock, the file system has no locks, a writer appended after
+    # the report's read, the last line has no newline, or the store is corrupt.
+    import errno
+    import fcntl
+    store = tmp_path / "s.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    (tmp_path / "s.jsonl.seal").unlink()
+    if case == "torn":  # its last record all but its newline
+        store.write_bytes(store.read_bytes()[:-1])
+    elif case == "corrupt":
+        store.write_bytes(store.read_bytes() + b"{}\n")
+    data = store.read_bytes()
+    flock = fcntl.flock
+
+    def locking(fd, operation):
+        if case == "busy":
+            raise BlockingIOError(errno.EWOULDBLOCK, os.strerror(errno.EWOULDBLOCK))
+        if case == "no locks":
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+        if case == "grown":
+            with open(store, "ab") as f:
+                f.write(data.splitlines(keepends=True)[-1])
+        flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", locking)
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == \
+        (7 if case == "corrupt" else 0)
+    out = capsys.readouterr().out
+    assert not (tmp_path / "s.jsonl.seal").exists()
+    assert store.read_bytes().startswith(data)
+    if case != "corrupt":
+        assert "Snapshots : 2" in out
+
+
 def test_concurrent_records_take_turns(clean_src, tmp_path):
     store = tmp_path / "store.jsonl"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -12,6 +12,7 @@ import string
 import sys
 import tempfile
 import unicodedata
+import zlib
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Context, Decimal
 from unittest import mock
@@ -527,13 +528,16 @@ _SEAL_EDITS = (
     (("projects", None, 0), 0), (("projects", None, 1), "a"), (("projects", None, 1), -1.0),
     (("projects", None, 1), math.inf), (("projects", None, 1), math.nan),
     (("projects", None, 1), 1), (("projects", None, 2), 0), (("projects", None, 2), "1"),
-    (("projects", None, 2), True), (("projects", None, 2), 10**6),
+    (("projects", None, 2), True), (("projects", None, 2), 10**6), (("projects", None, 3), 0),
+    (("projects", None, 3), True), (("projects", None, 3), 1.0), (("projects", None, 3), "1"),
+    (("projects", None, 3), 10**6),
 )
 # The same, well typed but wrong: a lower last hours, another line, another
-# first clock, another line count.
+# first clock, another line count, another record count.
 _WRONG_SUMMARIES = (
     (("projects", None, 1), 0.0), (("projects", None, 2), 1),
     (("projects", None, 0), "2026-04-30T00:00:00+00:00"), (("lines",), 10**6),
+    (("projects", None, 3), 1),
 )
 
 
@@ -551,7 +555,7 @@ def _edited_seal(seal, path, value, project, prefix=None):
     target[last] = value
     if prefix is not None:
         obj["crc32"] = seal_crc32(prefix, obj)
-    return json.dumps(obj).encode("utf-8")
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
 
 
 @st.composite
@@ -579,8 +583,8 @@ def _read(path):
         return f.read()
 
 
-def _record_outcome(store, argv, clock):
-    """Exit code, stdout, stderr and store bytes of one ``record``, at a fixed clock."""
+def _cli_outcome(store, argv, clock):
+    """Exit code, stdout, stderr and store bytes of one command, at a fixed clock."""
     class FixedClock:
         @staticmethod
         def now(tz):
@@ -594,44 +598,95 @@ def _record_outcome(store, argv, clock):
     return code, out.getvalue(), err.getvalue(), _read(store)
 
 
+def _broken_store(tmp, other, steps, other_steps, data):
+    """The store ``_write_store`` leaves in ``tmp``, then broken by a drawn mutation,
+    a drawn project, and a drawn seal: its own, none, another store's, junk, or its
+    own edited. Returns the store path, its bytes, the seal's and the project."""
+    store = _write_store(tmp, steps)
+    stored = bytearray(_read(store))
+    seal = _read(store + ".seal")
+    sealed = json.loads(seal)["length"] if seal else len(stored)
+    prefix = bytes(stored[:sealed])
+
+    mutation = data.draw(st.sampled_from(
+        ("none", "flip", "cut at line end", "cut inside line", "append", "not UTF-8")))
+    if mutation == "flip" and sealed:
+        stored[data.draw(st.integers(0, sealed - 1))] ^= data.draw(st.integers(1, 255))
+    elif mutation == "cut at line end":
+        ends = [0] + [i + 1 for i, byte in enumerate(stored) if byte == ord("\n")]
+        del stored[data.draw(st.sampled_from(ends)):]
+    elif mutation == "cut inside line":
+        del stored[data.draw(st.integers(0, len(stored))):]
+    elif mutation == "append":
+        stored += b"".join(data.draw(st.lists(st.sampled_from(_BAD_TAILS), max_size=3)))
+    elif mutation == "not UTF-8":
+        at = data.draw(st.integers(0, len(stored)))
+        stored[at:at] = data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
+    project = data.draw(st.sampled_from(_SEAL_PROJECTS))
+    seals = [seal, None, _read(_write_store(other, other_steps) + ".seal"),
+             data.draw(st.binary(max_size=40)), b'{"length": 0, "crc32": 1}', b"[]",
+             b"[" * 100_000]
+    if seal is not None:
+        edit = data.draw(st.sampled_from(_SEAL_EDITS))
+        seals.append(_edited_seal(seal, *edit, project))
+        # The same edit under a digest made for it, which only the shape check refuses.
+        seals.append(_edited_seal(seal, *edit, project, prefix))
+        # A wrong summary changes only some outcomes: it gets a third of the draws.
+        seals += [_edited_seal(seal, *data.draw(st.sampled_from(_WRONG_SUMMARIES)),
+                               project)] * 4
+    return store, bytes(stored), data.draw(st.sampled_from(seals)), project
+
+
+def _put(store, stored, seal):
+    """Write the store's bytes, and its seal, or remove the seal for None."""
+    with open(store, "wb") as f:
+        f.write(stored)
+    if seal is not None:
+        with open(store + ".seal", "wb") as f:
+            f.write(seal)
+    elif os.path.exists(store + ".seal"):
+        os.remove(store + ".seal")
+
+
+def _counting_checks(monkeypatch):
+    """The ``before`` of every ``_check`` call from now on: 0 when a read checks the
+    store from line 1, the sealed line count when it trusts a seal."""
+    befores, check = [], history._check
+
+    def counting(text, before, *rest):
+        befores.append(before)
+        return check(text, before, *rest)
+
+    monkeypatch.setattr(history, "_check", counting)
+    return befores
+
+
+def _with_and_without_seal(monkeypatch, store, argv, clock=_SEAL_T0):
+    """The outcome of ``argv`` on the store as it stands, with its seal and without,
+    each with the ``before`` of its ``_check`` calls."""
+    stored, seal = _read(store), _read(store + ".seal")
+    befores = _counting_checks(monkeypatch)
+    runs = []
+    for with_seal in (True, False):
+        _put(store, stored, seal if with_seal else None)
+        befores.clear()
+        runs.append((_cli_outcome(store, argv, clock), list(befores)))
+    return runs
+
+
+def _probe(directory):
+    """A one-line C source to record, in ``directory``."""
+    src = os.path.join(str(directory), "probe.c")
+    with open(src, "w", encoding="utf-8") as f:
+        f.write("int x;\n")
+    return src
+
+
 @settings(max_examples=300, deadline=None)
 @given(_store_steps(), _store_steps(), st.data())
 def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as other:
-        store = _write_store(tmp, steps)
-        stored = bytearray(_read(store))
-        seal = _read(store + ".seal")
-        sealed = json.loads(seal)["length"] if seal else len(stored)
-        prefix = bytes(stored[:sealed])
-
-        mutation = data.draw(st.sampled_from(
-            ("none", "flip", "cut at line end", "cut inside line", "append", "not UTF-8")))
-        if mutation == "flip" and sealed:
-            stored[data.draw(st.integers(0, sealed - 1))] ^= data.draw(st.integers(1, 255))
-        elif mutation == "cut at line end":
-            ends = [0] + [i + 1 for i, byte in enumerate(stored) if byte == ord("\n")]
-            del stored[data.draw(st.sampled_from(ends)):]
-        elif mutation == "cut inside line":
-            del stored[data.draw(st.integers(0, len(stored))):]
-        elif mutation == "append":
-            stored += b"".join(data.draw(st.lists(st.sampled_from(_BAD_TAILS), max_size=3)))
-        elif mutation == "not UTF-8":
-            at = data.draw(st.integers(0, len(stored)))
-            stored[at:at] = data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
-        project = data.draw(st.sampled_from(_SEAL_PROJECTS))
-        seals = [seal, None, _read(_write_store(other, other_steps) + ".seal"),
-                 data.draw(st.binary(max_size=40)), b'{"length": 0, "crc32": 1}', b"[]",
-                 b"[" * 100_000]
-        if seal is not None:
-            edit = data.draw(st.sampled_from(_SEAL_EDITS))
-            seals.append(_edited_seal(seal, *edit, project))
-            # The same edit under a digest made for it, which only the shape check refuses.
-            seals.append(_edited_seal(seal, *edit, project, prefix))
-            # A wrong summary changes only some outcomes: it gets a third of the draws.
-            seals += [_edited_seal(seal, *data.draw(st.sampled_from(_WRONG_SUMMARIES)),
-                                   project)] * 4
-        seal = data.draw(st.sampled_from(seals))
-
+        store, stored, seal, project = _broken_store(tmp, other, steps, other_steps, data)
         src = os.path.join(tmp, "probe.c")
         with open(src, "w", encoding="utf-8") as f:
             f.write(data.draw(st.sampled_from(("int x;\n", "// only a comment\n"))))
@@ -642,15 +697,28 @@ def test_record_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
 
         outcomes = []
         for with_seal in (True, False):
-            with open(store, "wb") as f:
-                f.write(stored)
-            if with_seal and seal is not None:
-                with open(store + ".seal", "wb") as f:
-                    f.write(seal)
-            elif os.path.exists(store + ".seal"):
-                os.remove(store + ".seal")
-            outcomes.append(_record_outcome(store, argv, clock))
+            _put(store, stored, seal if with_seal else None)
+            outcomes.append(_cli_outcome(store, argv, clock))
         assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_store_steps(), _store_steps(), st.data())
+def test_report_outcome_does_not_depend_on_the_seal(steps, other_steps, data):
+    # report trusts a matching seal as record does, and leaves one after a full
+    # check: the same store and seals give the same output, and the store is kept.
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as other:
+        store, stored, seal, project = _broken_store(tmp, other, steps, other_steps, data)
+        another = data.draw(st.sampled_from([p for p in _SEAL_PROJECTS if p != project]))
+        for asked in (project, another, "absent"):
+            for form in (["--fit-degree", "2"], ["--format", "csv"]):
+                argv = ["report", "--project", asked, "--store", store, *form]
+                outcomes = []
+                for with_seal in (True, False):
+                    _put(store, stored, seal if with_seal else None)
+                    outcomes.append(_cli_outcome(store, argv, _SEAL_T0))
+                    assert outcomes[-1][3] == stored
+                assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("path, value", [edit for edit in _SEAL_EDITS if edit[0] != ("crc32",)])
@@ -661,27 +729,12 @@ def test_seal_edit_under_a_matching_digest_gets_the_full_check(tmp_path, monkeyp
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
     stored, seal = _read(store), _read(store + ".seal")
     edited = _edited_seal(seal, path, value, "p", stored[:json.loads(seal)["length"]])
-    src = os.path.join(str(tmp_path), "probe.c")
-    with open(src, "w", encoding="utf-8") as f:
-        f.write("int x;\n")
-    argv = ["record", src, "--project", "p", "--store", store, "--t-hours", "1"]
-    befores, check = [], history._check
-
-    def counting(text, before, *rest):
-        befores.append(before)
-        return check(text, before, *rest)
-
-    monkeypatch.setattr(history, "_check", counting)
+    argv = ["record", _probe(tmp_path), "--project", "p", "--store", store, "--t-hours", "1"]
+    befores = _counting_checks(monkeypatch)
     outcomes = []
     for with_seal in (True, False):
-        with open(store, "wb") as f:
-            f.write(stored)
-        if with_seal:
-            with open(store + ".seal", "wb") as f:
-                f.write(edited)
-        elif os.path.exists(store + ".seal"):
-            os.remove(store + ".seal")
-        outcomes.append(_record_outcome(store, argv, _SEAL_T0))
+        _put(store, stored, edited if with_seal else None)
+        outcomes.append(_cli_outcome(store, argv, _SEAL_T0))
     assert befores[0] == 0
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 7 and "store already holds t = 1.5 h" in outcomes[0][2]
@@ -732,17 +785,18 @@ def test_seal_misses_on_every_edit_it_covers(tmp_path):
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert _check_start(b"".join(swapped) + stored[len(prefix):], seal_path) == 0, (i, j)
 
-    first, hours, line = seal["projects"]["p"]
+    first, hours, line, count = seal["projects"]["p"]
     other = "2026-04-30T00:00:00+00:00"
     edits = [("length", seal["length"] - 1), ("lines", seal["lines"] + 1),
-             ("projects", {**seal["projects"], "r": [other, 0.0, 1]}),
+             ("projects", {**seal["projects"], "r": [other, 0.0, 1, 1]}),
              ("projects", {"q": seal["projects"]["q"]}),
              ("projects", {"r" if key == "p" else key: entry
                            for key, entry in seal["projects"].items()}),
-             ("projects", {**seal["projects"], "p": [other, hours, line]}),
-             ("projects", {**seal["projects"], "p": [first, hours + 0.5, line]}),
-             ("projects", {**seal["projects"], "p": [first, hours - 0.25, line]}),
-             ("projects", {**seal["projects"], "p": [first, hours, line - 1]})]
+             ("projects", {**seal["projects"], "p": [other, hours, line, count]}),
+             ("projects", {**seal["projects"], "p": [first, hours + 0.5, line, count]}),
+             ("projects", {**seal["projects"], "p": [first, hours - 0.25, line, count]}),
+             ("projects", {**seal["projects"], "p": [first, hours, line - 1, count]}),
+             ("projects", {**seal["projects"], "p": [first, hours, line, count - 1]})]
     for key, value in edits:
         edited = {**seal, key: value}  # the checksum kept
         assert history._well_formed(edited)
@@ -771,46 +825,192 @@ def _sha256_seal(stored, seal):
                        "projects": obj["projects"]}).encode("utf-8")
 
 
-def test_sha256_seal_costs_one_full_check_and_is_replaced(tmp_path, monkeypatch):
+def _old_seal_costs_one_full_check(tmp_path, monkeypatch, old_format, command):
+    """A seal in ``old_format`` is not read: ``command`` checks from line 1 and does
+    as it does with no seal, down to the new seal it leaves, which the next run
+    trusts: its check starts after the sealed lines."""
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
     stored = _read(store)
-    old = _sha256_seal(stored, _read(store + ".seal"))
+    old = old_format(stored, _read(store + ".seal"))
     assert not history._well_formed(json.loads(old))
-    src = os.path.join(str(tmp_path), "probe.c")
-    with open(src, "w", encoding="utf-8") as f:
-        f.write("int x;\n")
-    befores, check = [], history._check
-
-    def counting(text, before, *rest):
-        befores.append(before)
-        return check(text, before, *rest)
-
-    monkeypatch.setattr(history, "_check", counting)
+    src = _probe(tmp_path)
+    argv = {"record": ["record", src, "--project", "p", "--store", store, "--t-hours", "3"],
+            "report": ["report", "--project", "p", "--store", store]}[command]
+    befores = _counting_checks(monkeypatch)
     outcomes = []
     for seal in (old, None):
-        with open(store, "wb") as f:
-            f.write(stored)
-        if seal is not None:
-            with open(store + ".seal", "wb") as f:
-                f.write(seal)
-        elif os.path.exists(store + ".seal"):
-            os.remove(store + ".seal")
-        outcomes.append((_record_outcome(store, ["record", src, "--project", "p", "--store",
-                                                 store, "--t-hours", "3"],
-                                         _SEAL_T0 + timedelta(hours=3)),
+        _put(store, stored, seal)
+        outcomes.append((_cli_outcome(store, argv, _SEAL_T0 + timedelta(hours=3)),
                          _read(store + ".seal")))
     assert befores == [0, 0]
     assert outcomes[0] == outcomes[1]
-    (code, _, _, _), seal = outcomes[0]
-    assert code == 0
+    (code, _, _, after), seal = outcomes[0]
+    assert code == 0 and after.startswith(stored)
     seal = json.loads(seal)
     assert list(seal) == ["length", "lines", "crc32", "projects"]
     assert seal["length"] == len(stored) and seal["lines"] == 4
-    # The next record trusts the new seal: its check starts after the sealed lines.
+    assert seal["projects"]["p"][2:] == [3, 2] and seal["projects"]["q"][2:] == [4, 2]
     befores.clear()
-    assert _record_outcome(store, ["record", src, "--project", "q", "--store", store,
-                                   "--t-hours", "4"], _SEAL_T0 + timedelta(hours=4))[0] == 0
+    if command == "record":
+        argv = ["record", src, "--project", "q", "--store", store, "--t-hours", "4"]
+    assert _cli_outcome(store, argv, _SEAL_T0 + timedelta(hours=4))[0] == 0
     assert befores == [4]
+
+
+def test_sha256_seal_costs_one_full_check_and_is_replaced(tmp_path, monkeypatch):
+    _old_seal_costs_one_full_check(tmp_path, monkeypatch, _sha256_seal, "record")
+
+
+def _three_field_seal(stored, seal):
+    """``seal`` in the format earlier versions wrote: three fields per project, no
+    record count, and a CRC-32 over the prefix and then the summary ``[length, lines,
+    projects]`` as ``json.dumps(..., sort_keys=True)`` writes it."""
+    obj = json.loads(seal)
+    projects = {key: entry[:3] for key, entry in obj["projects"].items()}
+    summary = json.dumps([obj["length"], obj["lines"], projects], sort_keys=True)
+    crc = zlib.crc32(summary.encode("ascii"), zlib.crc32(stored[:obj["length"]]))
+    return json.dumps({"length": obj["length"], "lines": obj["lines"], "crc32": crc,
+                       "projects": projects}).encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["record", "report"])
+def test_three_field_seal_costs_one_full_check_and_is_replaced(tmp_path, monkeypatch,
+                                                               command):
+    _old_seal_costs_one_full_check(tmp_path, monkeypatch, _three_field_seal, command)
+
+
+@pytest.mark.parametrize("count, well_formed", [
+    (1, True), (2, True), (3, True), (True, False), (2.0, False), (0, False), (4, False)])
+def test_seal_count_is_an_int_from_1_to_the_line(tmp_path, count, well_formed):
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    seal = json.loads(_read(store + ".seal"))
+    first, hours, line, stored_count = seal["projects"]["p"]
+    assert (line, stored_count) == (3, 2)
+    seal["projects"]["p"] = [first, hours, line, count]
+    assert history._well_formed(seal) is well_formed
+
+
+def test_ordering_refusal_searches_the_sealed_prefix(tmp_path, monkeypatch):
+    # The seal covers lines 1-3. The refusal reads the locked store a second time to
+    # name the stored time that blocks: it finds p's lines in the sealed prefix and
+    # checks line 4 alone, after them, as the first read does.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    argv = ["record", _probe(tmp_path), "--project", "p", "--store", store, "--t-hours", "1"]
+    (sealed, sealed_befores), (unsealed, unsealed_befores) = \
+        _with_and_without_seal(monkeypatch, store, argv)
+    assert sealed_befores == [3, 3] and unsealed_befores == [0, 0]
+    assert sealed == unsealed
+    assert sealed[0] == 7 and "store already holds t = 1.5 h" in sealed[2]
+
+
+@pytest.mark.parametrize("shape", ["another key order", "a leading space"])
+def test_report_falls_back_for_a_record_in_another_shape(tmp_path, monkeypatch, shape):
+    # p's first record, inside the sealed prefix, is valid but not the writer's
+    # line; the seal is made anew over that prefix, so only the search can miss it.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored, seal = _read(store), json.loads(_read(store + ".seal"))
+    lines = stored.splitlines(keepends=True)
+    if shape == "another key order":
+        lines[0] = json.dumps(json.loads(lines[0]), sort_keys=True).encode("utf-8") + b"\n"
+    else:
+        lines[0] = b" " + lines[0]
+        seal["length"] += 1
+    edited = b"".join(lines)
+    assert edited != stored
+    seal["crc32"] = seal_crc32(edited[:seal["length"]], seal)
+    forged = json.dumps(seal, ensure_ascii=False).encode("utf-8")
+    _put(store, edited, forged)
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", "p", "--store", store])
+    assert befores == [0]
+    assert sealed == unsealed and sealed[0] == 0 and "Snapshots : 2" in sealed[1]
+    # q's lines are all the writer's own: its report trusts the same seal.
+    _put(store, edited, forged)
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", "q", "--store", store])
+    assert befores == [3]
+    assert sealed == unsealed and "Snapshots : 2" in sealed[1]
+
+
+@pytest.mark.parametrize("edit", ["order", "value"])
+def test_report_checks_what_the_search_finds_under_a_forged_seal(tmp_path, monkeypatch,
+                                                                 edit):
+    # A seal made anew over a prefix the full check refuses: p's two records
+    # swapped, or one's el_percent edited. The search checks the lines it finds
+    # by the same rules, order included, so report exits 7 as without the seal.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored, seal = _read(store), json.loads(_read(store + ".seal"))
+    lines = stored.splitlines(keepends=True)
+    if edit == "order":
+        lines[0], lines[2] = lines[2], lines[0]
+    else:
+        lines[0] = lines[0].replace(b'"el_percent": 0.0', b'"el_percent": 1.0')
+    edited = b"".join(lines)
+    assert len(edited) == len(stored) and edited != stored
+    seal["crc32"] = seal_crc32(edited[:seal["length"]], seal)
+    _put(store, edited, json.dumps(seal, ensure_ascii=False).encode("utf-8"))
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", "p", "--store", store])
+    assert befores == [0]
+    assert sealed == unsealed and sealed[0] == 7
+    assert f"store record at line {3 if edit == 'order' else 1} is invalid" in sealed[2]
+
+
+@pytest.mark.parametrize("asked, others", [
+    ("p.1", ["pX1"]), ("a+b", ["ab", "aab"]), ("(x)", ["x"]), ("\u00e9", ["e"]),
+    ("p1", ["p10"])])
+def test_report_search_takes_the_id_literally(tmp_path, monkeypatch, asked, others):
+    # The search pattern holds the id escaped: as a pattern, p.1 would also find
+    # pX1's lines, a+b those of ab and aab, and (x) those of x; and the id ends at
+    # its quote, so p1 does not find p10's. Any of these would miss the seal's count
+    # and check the whole store, with the same output: so the check must start
+    # after the sealed lines.
+    steps = [(project, t) for t in (0.5, 1.5, 2.5) for project in (asked, *others)]
+    store = _write_store(str(tmp_path), steps)
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", asked, "--store", store])
+    assert befores == [len(steps) - 1]
+    assert sealed == unsealed and sealed[0] == 0 and "Snapshots : 3" in sealed[1]
+
+
+@pytest.mark.parametrize("asked", ['a"b', "a\\b"])
+def test_report_falls_back_for_an_id_that_needs_an_escape(tmp_path, monkeypatch, asked):
+    store = _write_store(str(tmp_path), [(asked, 0.5), ("p", 0.5), (asked, 1.5), ("p", 1.5),
+                                         (asked, 2.5)])
+    assert json.loads(_read(store + ".seal"))["projects"][asked][3] == 2
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", asked, "--store", store])
+    assert befores == [0]
+    assert sealed == unsealed and sealed[0] == 0 and "Snapshots : 3" in sealed[1]
+    # The unsealed report left a seal over all 5 lines, which holds that id escaped;
+    # another project's report trusts it.
+    assert json.loads(_read(store + ".seal"))["projects"][asked][3] == 3
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", "p", "--store", store])
+    assert befores == [5]
+    assert sealed == unsealed and "Snapshots : 2" in sealed[1]
+    # A record reads the id back from the seal: one at 2.0 h is refused all the same.
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["record", _probe(tmp_path), "--project", asked, "--store", store,
+                             "--t-hours", "2"])
+    assert befores == [5, 0]
+    assert sealed == unsealed and sealed[0] == 7 and "store already holds t = 2.5 h" in sealed[2]
+
+
+@pytest.mark.parametrize("crlf", ["every line", "q's line"])
+def test_report_falls_back_for_a_crlf_prefix(tmp_path, monkeypatch, crlf):
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5)])
+    lines = _read(store).splitlines(keepends=True)
+    for i in (0, 1, 2) if crlf == "every line" else (1,):
+        lines[i] = lines[i].replace(b"\n", b"\r\n")
+    _put(store, b"".join(lines), None)
+    stats = SourceStats("m.c", 10, 2, 1, 8, 1, 0)
+    record_snapshot(store, "p", _SEAL_T0 + timedelta(hours=2.5), stats, 0, 2.5)
+    assert json.loads(_read(store + ".seal"))["lines"] == 3  # the writer sealed the CRLF lines
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", "p", "--store", store])
+    assert befores == [0]
+    assert sealed == unsealed and sealed[0] == 0 and "Snapshots : 3" in sealed[1]
 
 
 _DAY, _TICK = timedelta(hours=24), timedelta(microseconds=1)

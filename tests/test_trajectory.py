@@ -387,6 +387,16 @@ def test_import_does_not_load_numpy(tmp_path):
     assert {"excellence.report", "excellence.trajectory"} <= report
     # The writer's own lines are checked in bulk, with no JSON decoder.
     assert not {"excellence.diaglog", "excellence.scanner", "csv", "json"} & report
+    # A report on a store with no seal checks it all and leaves a seal; the report
+    # after it trusts that seal. Neither loads the JSON decoder.
+    (tmp_path / "u.jsonl").write_bytes((tmp_path / "s.jsonl").read_bytes())
+    unsealed = _loaded_modules(_command("report", "--project", "p", "--store", "u.jsonl"),
+                               tmp_path)
+    seal = (tmp_path / "u.jsonl.seal").read_bytes()
+    trusting = _loaded_modules(_command("report", "--project", "p", "--store", "u.jsonl"),
+                               tmp_path)
+    assert (tmp_path / "u.jsonl.seal").read_bytes() == seal
+    assert "json" not in unsealed and "json" not in trusting
     # An X of -1e32 too, far past 2**46, where repr's digits are rounded the same way.
     huge = _STATS._replace(total_lines=100, comment_lines=0)
     for t in (0.0, 1.0):
@@ -404,7 +414,8 @@ def test_import_does_not_load_numpy(tmp_path):
     assert not {"excellence.scanner", "csv"} & reports[1]
     usage = _loaded_modules(_command("--help"), tmp_path)
     # Each value is rounded on repr's digits, a rounding tie too: no command loads decimal.
-    for modules in (scan, record, sealed, report, huge_report, *reports, usage):
+    for modules in (scan, record, sealed, report, unsealed, trusting, huge_report, *reports,
+                    usage):
         assert not {"dataclasses", "inspect", "decimal"} & modules
 
     _loaded_modules(
