@@ -21,23 +21,25 @@ names the line and the fault. Either way each record gives one row, and one loop
 applies the order rule and builds the asked project's snapshots. A record's shape
 is stated once, in ``_FIELDS``, and its value rules once, in ``_rows``, so the
 writer refuses any record the loader would reject, and any clock it would read back
-as another. ``json`` is imported only where it is used: the record-by-record check,
-the writer, and a seal string that holds an escape.
+as another. ``json`` is imported only where it is used: the record-by-record check
+and the writer's line.
 
 ``<store>.seal`` summarises a prefix of the store that was checked in full: its
 length and line count, and per project the first wall clock, the last hours, that
 record's line and the record count. One CRC-32 covers the prefix and then the
 seal's own bytes without its ``crc32`` member, so an edit to either misses; the
 seal is a cache key, not a MAC, so a checksum that catches accidental edits is all
-it needs. One regex reads it, with no JSON decoder. A writer seals the bytes it
-read; a reader that found no matching seal seals the store it checked, if it can
-take the writer's lock at once. While the store starts with the sealed bytes they
-are checksummed, not checked: a writer checks only the lines after them, so an
-append parses O(1) records and checksums O(n) bytes; a reader, and a writer naming
-the stored time that refuses a snapshot, also check the asked project's lines in
-the prefix, found by the writer's line with that id fixed, or the whole store when
-those are not exactly the seal's count of them. Without a matching seal the whole
-store is checked, with the same outcome.
+it needs. It is JSON holding only strings that JSON writes as themselves, and it is
+read by splitting it at its quotes, with no JSON decoder; a store holding any other
+id or first clock is sealed no further than before that string came. A writer
+seals the bytes it read; a reader that found no matching seal seals the store it
+checked, if it can take the writer's lock at once. While the store starts with the
+sealed bytes they are checksummed, not checked: a writer checks only the lines
+after them, so an append parses O(1) records and checksums O(n) bytes; a reader,
+and a writer naming the stored time that refuses a snapshot, also check the asked
+project's lines in the prefix, found by the writer's line with that id fixed, or
+the whole store when those are not exactly the seal's count of them. Without a
+matching seal the whole store is checked, with the same outcome.
 """
 
 from __future__ import annotations
@@ -254,10 +256,6 @@ _WRITER_CLOCK = (r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-
                  r"[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?")
 
 
-_INT = "(0|[1-9][0-9]*)"
-_REAL = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-
-
 def _writer_line(project: "str | None" = None) -> str:
     """A regex for the exact line ``_line`` writes, one group per field in ``_FIELDS``
     order: the wall clock as ``_WRITER_CLOCK``, other strings holding nothing that
@@ -265,7 +263,8 @@ def _writer_line(project: "str | None" = None) -> str:
     syntax alone, with a ``.`` or an exponent. Given ``project``, a ``_plain`` id,
     the project slot holds that id alone, and the line start is checked by a
     lookbehind after the literal head, so that ``re`` searches for the head."""
-    slots = {str: r'"([^"\\\x00-\x1f]*)"', int: _INT, float: _REAL}
+    slots = {str: r'"([^"\\\x00-\x1f]*)"', int: "(0|[1-9][0-9]*)",
+             float: r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"}
     anchor, start = "^", ""
     if project is not None:
         head = f'{{"project": "{project}", "wall_clock": "'
@@ -311,16 +310,14 @@ def _search(prefix, project_id: str, count: int) -> "list[QualitySnapshot] | Non
     """The snapshots of ``project_id`` in ``prefix``, store bytes that a matching seal
     covers and so were checked in full, found by the writer's line with that id
     fixed; ``count`` is the seal's count of them. None when that search cannot stand
-    for the full check: the id needs an escape, the prefix holds a ``\\r`` or is not
-    UTF-8, the lines found are not ``count``, or their values break a rule or do not
-    advance."""
+    for the full check: the id needs an escape, the prefix is not UTF-8, the lines
+    found are not ``count`` (a record of the project in another shape, or ending in
+    ``\\r\\n``, is not found), or their values break a rule or do not advance."""
     if not _plain(project_id):
         return None
     try:
         text = str(prefix, "utf-8")
     except UnicodeDecodeError:
-        return None
-    if "\r" in text:  # a CRLF break, which the writer's line does not end with
         return None
     lines = re.compile(_writer_line(project_id), re.M).findall(text)
     del text
@@ -413,59 +410,57 @@ def _well_formed(seal) -> bool:
     return True
 
 
-# The seal as _write_seal writes it, which is valid JSON: a _plain string as itself,
-# any other as json.dumps writes it.
-_SEAL = rf'{{"length": {_INT}, "lines": {_INT}, ("crc32": {_INT}, )"projects": {{(.*)}}}}'
-_SEAL_STRING = r'"((?:[^"\\]|\\.)*)"'
-_SEAL_ENTRY = rf"{_SEAL_STRING}: \[{_SEAL_STRING}, {_REAL}, {_INT}, {_INT}\]"
+def _plain(text: str) -> bool:
+    """Whether ``text`` is printable and holds no ``"`` or ``\\``, so that JSON writes
+    it as itself between quotes, in UTF-8."""
+    return text.isprintable() and '"' not in text and "\\" not in text
 
 
-def _unquote(text: str) -> str:
-    """The string a seal's JSON string slot holds; ValueError for a bad escape."""
-    if "\\" not in text:
-        return text
-    import json  # only for an id or clock that needs an escape
-    return json.loads(f'"{text}"')
+def _seal_text(length: int, lines: int, seen: dict, crc: "int | None") -> "str | None":
+    """The seal as ``_write_seal`` writes it, as JSON would write it too, for the prefix
+    of ``length`` bytes and ``lines`` lines that ``seen`` (see ``_check``) sums up; with
+    no ``crc32`` member for None, the bytes its CRC-32 covers after the prefix. None
+    when an id or a first clock is not ``_plain``, which the seal cannot hold."""
+    if not all(_plain(project) and _plain(entry[0]) for project, entry in seen.items()):
+        return None
+    member = "" if crc is None else f'"crc32": {crc}, '
+    return f'{{"length": {length}, "lines": {lines}, {member}"projects": {{' + ", ".join(
+        f'"{project}": ["{clock}", {hours!r}, {line}, {count}]'
+        for project, (clock, hours, line, count) in seen.items()) + "}}"
 
 
 def _load_seal(seal_path: str) -> "tuple[dict, bytes] | None":
     """The seal at ``seal_path`` and its summary, the bytes its CRC-32 covers after
-    the prefix: the seal without its ``crc32`` member. None when it is missing,
-    unreadable, not in ``_SEAL``'s shape or not well formed."""
+    the prefix. None when it is missing, unreadable, not byte for byte what
+    ``_seal_text`` writes for the values read from it, or not well formed.
+
+    Its strings are all ``_plain``, so splitting it at ``"`` puts the keys, ids and
+    clocks at the odd places and the numbers between them at the even ones: no JSON
+    decoder is needed, and writing the values back again checks the shape."""
     try:
         with open(seal_path, "rb") as f:
             text = f.read().decode("utf-8")
-        match = re.fullmatch(_SEAL, text)
-        if match is None:
-            return None
-        entries = list(re.finditer(_SEAL_ENTRY, match[5]))
-        if ", ".join(entry[0] for entry in entries) != match[5]:
-            return None
-        seal = {"length": int(match[1]), "lines": int(match[2]), "crc32": int(match[4]),
-                "projects": {_unquote(key): [_unquote(clock), float(hours), int(line), int(count)]
-                             for key, clock, hours, line, count in map(re.Match.groups, entries)}}
-    except (OSError, ValueError):  # missing or unreadable; not UTF-8, an escape, 4 301 digits
+        parts = text.split('"')
+        # {"length": L, "lines": N, "crc32": C, "projects": {"<id>": ["<clock>", h, l, c], ...}}
+        length, lines, crc = (int(value[2:-2]) for value in parts[2:7:2])
+        projects = {}
+        for at in range(9, len(parts) - 3, 4):
+            project, _, clock, numbers = parts[at:at + 4]
+            hours, line, count = numbers[2:-3].split(", ")
+            projects[project] = [clock, float(hours), int(line), int(count)]
+    except (OSError, ValueError):  # missing or unreadable; not UTF-8, too short, not a number
         return None
-    if not _well_formed(seal):
+    seal = {"length": length, "lines": lines, "crc32": crc, "projects": projects}
+    if _seal_text(length, lines, projects, crc) != text or not _well_formed(seal):
         return None
-    return seal, (text[:match.start(3)] + text[match.end(3):]).encode("utf-8")
+    return seal, _seal_text(length, lines, projects, None).encode("utf-8")
 
 
-class _Read(NamedTuple):
-    """What ``_read`` found in a store."""
-
-    snapshots: "list[QualitySnapshot]"  # the asked project's
-    lines: int
-    seen: dict  # see _check
-    crc: "int | None"  # the running CRC-32, given a seal path
-    length: int  # the bytes that CRC covers
-    ended: bool  # whether bytes followed any matching seal and ended in \n
-    sealed: bool  # whether a seal matched the store's start
-
-
-def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> _Read:
+def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
     """Check the store open as ``f``, from its start, for the snapshots of
-    ``project_id``, or for a writer given None.
+    ``project_id``, or for a writer given None: the snapshots, the line count,
+    ``seen`` (see ``_check``), the running CRC-32 and the length it covers, whether
+    bytes followed any matching seal and ended in ``\\n``, and whether a seal matched.
 
     Only given ``seal_path`` does it trust a seal, well formed and matching: the
     prefix the seal covers is checksummed, not checked, and the bytes after it are
@@ -473,8 +468,8 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> _Read:
     chunks, never holding it whole; a reader reads the store whole, as it does
     without a seal, and ``_search``es the prefix for the project's lines, or checks
     the whole store when that search fails, under a seal that still matched.
-    Without ``seal_path`` the CRC is None. A line ends at ``\n``, a ``\r`` just before
-    it is part of the break, and any other ``\r`` is a character of its line, as for
+    Without ``seal_path`` the CRC is None. A line ends at ``\\n``, a ``\\r`` just before
+    it is part of the break, and any other ``\\r`` is a character of its line, as for
     the scanner and the log counter; a byte that is not UTF-8 corrupts its line."""
     f.seek(0)
     length, lines, seen, crc, sealed, data = 0, 0, {}, None, False, None
@@ -520,35 +515,22 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> _Read:
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     snapshots, lines = _check(text, lines, seen, project_id)
-    return _Read((found or []) + snapshots, lines, seen, crc, length, ended, sealed)
+    return (found or []) + snapshots, lines, seen, crc, length, ended, sealed
 
 
-def _plain(text: str) -> bool:
-    """Whether ``text`` is printable and holds no ``"`` or ``\\``, so that JSON writes
-    it as itself between quotes, in UTF-8."""
-    return text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _quote(text: str) -> str:
-    """``text`` as a JSON string: as itself when it is ``_plain``."""
-    if _plain(text):
-        return f'"{text}"'
-    import json  # only for an id or clock that needs an escape
-    return json.dumps(text)
-
-
-def _write_seal(store_path: str, store: _Read) -> None:
-    """Seal the prefix that ``store`` checked and checksummed. A seal that cannot be
-    written costs the next reader a full check, nothing more."""
-    head = f'{{"length": {store.length}, "lines": {store.lines}, '
-    rest = '"projects": {' + ", ".join(
-        f"{_quote(project)}: [{_quote(clock)}, {hours!r}, {line}, {count}]"
-        for project, (clock, hours, line, count) in store.seen.items()) + "}}"
-    digest = binascii.crc32((head + rest).encode("utf-8"), store.crc)
+def _write_seal(store_path: str, crc: int, length: int, lines: int, seen: dict) -> None:
+    """Seal the ``length`` bytes of the store that were checked, ``lines`` lines that
+    ``seen`` sums up, whose running CRC-32 is ``crc``. A seal that cannot be written
+    costs the next reader a full check, nothing more. None is written for a string
+    ``_seal_text`` cannot hold: the seal written before it still stands for its prefix."""
+    summary = _seal_text(length, lines, seen, None)
+    if summary is None:
+        return
+    digest = binascii.crc32(summary.encode("utf-8"), crc)
     temp = store_path + ".seal.tmp"  # the store's lock keeps other writers out
     try:
         with open(temp, "wb") as f:
-            f.write(f'{head}"crc32": {digest}, {rest}'.encode("utf-8"))
+            f.write(_seal_text(length, lines, seen, digest).encode("utf-8"))
         os.replace(temp, store_path + ".seal")
     except OSError:
         pass
@@ -586,24 +568,23 @@ def _update(store_path: str, project_id: str,
     try:  # the open, the lock (ENOLCK where a file system has none), read, write and fsync
         with open(store_path, "a+b") as f:  # every write lands at the end
             fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-            store = _read(f, None, store_path + ".seal")
-            stored = store.seen.get(project_id)
+            _, count, seen, crc, length, ended, _ = _read(f, None, store_path + ".seal")
+            stored = seen.get(project_id)
             snapshot = place(None if stored is None else _clock(stored[0]))
             if stored is not None and snapshot.t_hours <= stored[1]:
                 # Read this handle again to name the earliest stored time that blocks.
-                ts = [snap.t_hours
-                      for snap in _read(f, project_id, store_path + ".seal").snapshots]
+                ts = [snap.t_hours for snap in _read(f, project_id, store_path + ".seal")[0]]
                 later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
                 raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance "
                                     f"project {project_id!r}; store already holds t = {later} h")
             line = _line(snapshot)
-            if f.tell() > store.length:  # the last record, past what a seal covers, lacks its \n
+            if f.tell() > length:  # the last record, past what a seal may cover, lacks its newline
                 line = b"\n" + line
             f.write(line)
             f.flush()
             os.fsync(f.fileno())
-            if store.ended:
-                _write_seal(store_path, store)
+            if ended:
+                _write_seal(store_path, crc, length, count, seen)
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
     return snapshot
@@ -654,18 +635,19 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     """
     try:
         with open(store_path, "rb") as f:
-            store = _read(f, project_id, store_path + ".seal")
-            if not store.sealed and store.ended:
+            snapshots, lines, seen, crc, length, ended, sealed = \
+                _read(f, project_id, store_path + ".seal")
+            if not sealed and ended:
                 import fcntl
                 # Under the writer's lock, as a writer seals: not while a writer holds
                 # it, where there are no locks, nor once the store has grown, so that
                 # no writer's seal is replaced by an older one.
                 try:
                     fcntl.flock(f.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    if os.fstat(f.fileno()).st_size == store.length:
-                        _write_seal(store_path, store)
+                    if os.fstat(f.fileno()).st_size == length:
+                        _write_seal(store_path, crc, length, lines, seen)
                 except OSError:  # EWOULDBLOCK, ENOLCK
                     pass
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    return Trajectory(project_id=project_id, snapshots=tuple(store.snapshots))
+    return Trajectory(project_id=project_id, snapshots=tuple(snapshots))

@@ -139,8 +139,8 @@ def seal_crc32(prefix: bytes, seal: dict) -> int:
     """The ``crc32`` of a seal over the store bytes ``prefix`` and the seal's own
     bytes without its ``crc32`` member: CRC-32 of the prefix, then of the seal's
     other members as ``json.dumps(..., ensure_ascii=False)`` writes them, in the
-    seal's key order. The writer writes strings that need an escape otherwise; no
-    test forges a seal holding one."""
+    seal's key order. A seal holds no string that needs an escape: the writer
+    writes none, and the reader misses one."""
     summary = json.dumps({key: value for key, value in seal.items() if key != "crc32"},
                          ensure_ascii=False)
     return zlib.crc32(summary.encode("utf-8"), zlib.crc32(prefix))

@@ -975,30 +975,46 @@ def test_report_search_takes_the_id_literally(tmp_path, monkeypatch, asked, othe
 
 @pytest.mark.parametrize("asked", ['a"b', "a\\b"])
 def test_report_falls_back_for_an_id_that_needs_an_escape(tmp_path, monkeypatch, asked):
-    store = _write_store(str(tmp_path), [(asked, 0.5), ("p", 0.5), (asked, 1.5), ("p", 1.5),
-                                         (asked, 2.5)])
-    assert json.loads(_read(store + ".seal"))["projects"][asked][3] == 2
+    # The seal p's records left covers lines 1-2. No seal holds the id, which would
+    # need an escape there: the seal before it stands for its prefix.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("p", 1.5), (asked, 0.5), ("p", 2.5),
+                                         (asked, 1.5), (asked, 2.5)])
+    seal = _read(store + ".seal")
+    assert list(json.loads(seal)["projects"]) == ["p"] and json.loads(seal)["lines"] == 2
     (sealed, befores), (unsealed, _) = _with_and_without_seal(
         monkeypatch, store, ["report", "--project", asked, "--store", store])
     assert befores == [0]
     assert sealed == unsealed and sealed[0] == 0 and "Snapshots : 3" in sealed[1]
-    # The unsealed report left a seal over all 5 lines, which holds that id escaped;
-    # another project's report trusts it.
-    assert json.loads(_read(store + ".seal"))["projects"][asked][3] == 3
+    assert not os.path.exists(store + ".seal")  # the unsealed report left none
+    # Another project's report trusts the seal, and so does a record: one at 2.0 h
+    # is refused all the same.
+    _put(store, _read(store), seal)
     (sealed, befores), (unsealed, _) = _with_and_without_seal(
         monkeypatch, store, ["report", "--project", "p", "--store", store])
-    assert befores == [5]
-    assert sealed == unsealed and "Snapshots : 2" in sealed[1]
-    # A record reads the id back from the seal: one at 2.0 h is refused all the same.
+    assert befores == [2]
+    assert sealed == unsealed and "Snapshots : 3" in sealed[1]
+    _put(store, _read(store), seal)
     (sealed, befores), (unsealed, _) = _with_and_without_seal(
         monkeypatch, store, ["record", _probe(tmp_path), "--project", asked, "--store", store,
                              "--t-hours", "2"])
-    assert befores == [5, 0]
+    assert befores == [2, 0]
     assert sealed == unsealed and sealed[0] == 7 and "store already holds t = 2.5 h" in sealed[2]
+    # A seal that holds the id as JSON escapes it is not read; the same seal with a
+    # plain id in its place is.
+    obj = json.loads(seal)
+    prefix = _read(store)[:obj["length"]]
+    for key, read in ((asked, False), ("ab", True)):
+        forged = {"length": obj["length"], "lines": 2, "crc32": 0,
+                  "projects": {"p": obj["projects"]["p"], key: obj["projects"]["p"]}}
+        forged["crc32"] = seal_crc32(prefix, forged)
+        _put(store, _read(store), json.dumps(forged, ensure_ascii=False).encode("utf-8"))
+        assert (history._load_seal(store + ".seal") is not None) is read
 
 
 @pytest.mark.parametrize("crlf", ["every line", "q's line"])
 def test_report_falls_back_for_a_crlf_prefix(tmp_path, monkeypatch, crlf):
+    # A CRLF line of p is not the writer's line: the search misses the seal's count
+    # and the whole store is checked. A CRLF line of q leaves p's search as it is.
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5)])
     lines = _read(store).splitlines(keepends=True)
     for i in (0, 1, 2) if crlf == "every line" else (1,):
@@ -1009,7 +1025,7 @@ def test_report_falls_back_for_a_crlf_prefix(tmp_path, monkeypatch, crlf):
     assert json.loads(_read(store + ".seal"))["lines"] == 3  # the writer sealed the CRLF lines
     (sealed, befores), (unsealed, _) = _with_and_without_seal(
         monkeypatch, store, ["report", "--project", "p", "--store", store])
-    assert befores == [0]
+    assert befores == ([0] if crlf == "every line" else [3])
     assert sealed == unsealed and sealed[0] == 0 and "Snapshots : 3" in sealed[1]
 
 
