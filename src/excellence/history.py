@@ -18,11 +18,12 @@ Blocks of lines that are all the writer's own, wall clocks as ``isoformat()``
 writes them included, are checked in bulk, by one regex pass into columns and each
 rule over a column, with no JSON decoder; any other block record by record, which
 names the line and the fault. Either way each record gives one row, and one loop
-applies the order rule and builds the asked project's snapshots. A record's shape
-is stated once, in ``_FIELDS``, and its value rules once, in ``_rows``, so the
-writer refuses any record the loader would reject, and any clock it would read back
-as another. ``json`` is imported only where it is used: the record-by-record check
-and the writer's line.
+applies the order rule and keeps the asked project's rows, from which
+``load_trajectory`` alone builds snapshots. A record's shape is stated once, in
+``_FIELDS``, and its value rules once, in ``_rows``, so the writer refuses any
+record the loader would reject, and any clock it would read back as another.
+``json`` is imported only where it is used: the record-by-record check and the
+writer's line.
 
 ``<store>.seal`` summarises a prefix of the store that was checked in full: its
 length and line count, and per project the first wall clock, the last hours, that
@@ -306,13 +307,13 @@ def _check_bulk(text: str, start: int, end: int, before: int):
     return None if rows is None else (rows, breaks)
 
 
-def _search(prefix, project_id: str, count: int) -> "list[QualitySnapshot] | None":
-    """The snapshots of ``project_id`` in ``prefix``, store bytes that a matching seal
-    covers and so were checked in full, found by the writer's line with that id
-    fixed; ``count`` is the seal's count of them. None when that search cannot stand
-    for the full check: the id needs an escape, the prefix is not UTF-8, the lines
-    found are not ``count`` (a record of the project in another shape, or ending in
-    ``\\r\\n``, is not found), or their values break a rule or do not advance."""
+def _search(prefix, project_id: str, count: int) -> "list | None":
+    """The rows (see ``_check``) of ``project_id``, numbered from 1, in ``prefix``,
+    store bytes that a matching seal covers and so were checked in full, found by the
+    writer's line with that id fixed; ``count`` is the seal's count of them. None when
+    that search cannot stand for the full check: the id needs an escape, the prefix is
+    not UTF-8, the lines found are not ``count`` (a record of the project in another
+    shape, or ending in ``\\r\\n``, is not found), or they break a rule or the order."""
     if not _plain(project_id):
         return None
     try:
@@ -326,30 +327,27 @@ def _search(prefix, project_id: str, count: int) -> "list[QualitySnapshot] | Non
     rows = _bulk_rows(lines, 1) if lines else ()
     if rows is None:
         return None
-    snapshots = [QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats), errors,
-                                 QualityMetrics(*levels))
-                 for _, project, _, t_hours, wall_clock, stats, errors, levels in rows]
-    hours = [snap.t_hours for snap in snapshots]
-    return snapshots if all(map(operator.lt, hours, hours[1:])) else None
+    rows = list(rows)
+    hours = [row[3] for row in rows]
+    return rows if all(map(operator.lt, hours, hours[1:])) else None
 
 
-def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
-           ) -> tuple[list[QualitySnapshot], int]:
+def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tuple[list, int]:
     """Check every line of ``text``, which follows ``before`` lines of the store.
 
     ``seen`` maps each project to its first wall clock, its last hours, that
     record's line number and its record count, and is updated in first-seen order.
-    Returns the snapshots of ``project_id`` and ``before`` plus the line breaks in
-    ``text``. Blocks of whole lines whose every line is the writer's own are checked
-    in bulk, others record by record; a writer's one-line text too, for it loads the
-    JSON decoder anyway. Both give one row per record: line number, project, wall
-    clock as stored, hours, wall clock as parsed, ``SourceStats`` fields, error
-    count and error levels. The record-by-record rows are made lazily, one line at
-    a time, so the first fault in line order is the one reported.
+    Returns the rows of ``project_id``, none for None, and ``before`` plus the line
+    breaks in ``text``. Blocks of whole lines whose every line is the writer's own
+    are checked in bulk, others record by record; a writer's one-line text too, for
+    it loads the JSON decoder anyway. Both give one row per record: line number,
+    project, wall clock as stored, hours, wall clock as parsed, ``SourceStats``
+    fields, error count and error levels. The record-by-record rows are made lazily,
+    one line at a time, so the first fault in line order is the one reported.
     """
     # A reader, or two lines or more: worth the pattern.
     bulk = project_id is not None or text.find("\n", 0, len(text) - 1) >= 0
-    snapshots = []
+    asked = []
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
@@ -361,7 +359,8 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
             rows = chain.from_iterable(_parse_record(line, number) for number, line
                                        in enumerate(lines, before + 1) if line.strip() != "")
             breaks = len(lines) - 1
-        for number, project, clock, t_hours, wall_clock, stats, errors, levels in rows:
+        for row in rows:
+            number, project, clock, t_hours = row[:4]
             previous = seen.get(project)
             if previous is None:
                 seen[project] = (clock, t_hours, number, 1)
@@ -374,40 +373,10 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None" = None
             else:
                 seen[project] = (previous[0], t_hours, number, previous[3] + 1)
             if project == project_id:
-                snapshots.append(QualitySnapshot(project, wall_clock, t_hours, SourceStats(*stats),
-                                                 errors, QualityMetrics(*levels)))
+                asked.append(row)
         before += breaks
         start = end
-    return snapshots, before
-
-
-def _well_formed(seal) -> bool:
-    """Whether ``seal`` has the shape ``_update`` writes: non-negative int ``length``
-    and ``lines``, an int ``crc32`` in [0, 2**32), and ``projects`` mapping each id (a
-    JSON key is a str) to its first wall clock with a UTC offset, its last hours,
-    finite and >= 0, that record's line number, from 1 to ``lines``, and its record
-    count, from 1 to that line number. A seal of another format, such as one with a
-    ``sha256`` key or three fields per project, is not well formed."""
-    if type(seal) is not dict or seal.keys() != {"length", "lines", "crc32", "projects"}:
-        return False
-    lines, projects = seal["lines"], seal["projects"]
-    if not (type(seal["length"]) is int and type(lines) is int and min(seal["length"], lines) >= 0
-            and type(seal["crc32"]) is int and 0 <= seal["crc32"] < 1 << 32
-            and type(projects) is dict):
-        return False
-    for entry in projects.values():
-        if type(entry) is not list or len(entry) != 4:
-            return False
-        clock, hours, line, count = entry
-        if not (type(clock) is str and type(hours) is float and 0 <= hours <= sys.float_info.max
-                and type(line) is int and 1 <= line <= lines
-                and type(count) is int and 1 <= count <= line):
-            return False
-        try:
-            _clock(clock)
-        except ValueError:
-            return False
-    return True
+    return asked, before
 
 
 def _plain(text: str) -> bool:
@@ -429,14 +398,15 @@ def _seal_text(length: int, lines: int, seen: dict, crc: "int | None") -> "str |
         for project, (clock, hours, line, count) in seen.items()) + "}}"
 
 
-def _load_seal(seal_path: str) -> "tuple[dict, bytes] | None":
-    """The seal at ``seal_path`` and its summary, the bytes its CRC-32 covers after
-    the prefix. None when it is missing, unreadable, not byte for byte what
-    ``_seal_text`` writes for the values read from it, or not well formed.
+def _load_seal(seal_path: str) -> "tuple[int, int, int, dict, bytes] | None":
+    """The seal at ``seal_path``: its length, lines, CRC-32 and projects (as ``seen``,
+    see ``_check``), and its summary, the bytes the CRC-32 covers after the prefix.
+    None when it is missing, unreadable, not byte for byte what ``_seal_text`` writes
+    for the values read from it, or out of range.
 
     Its strings are all ``_plain``, so splitting it at ``"`` puts the keys, ids and
     clocks at the odd places and the numbers between them at the even ones: no JSON
-    decoder is needed, and writing the values back again checks the shape."""
+    decoder is needed, and writing the values back again checks the shape and types."""
     try:
         with open(seal_path, "rb") as f:
             text = f.read().decode("utf-8")
@@ -448,57 +418,58 @@ def _load_seal(seal_path: str) -> "tuple[dict, bytes] | None":
             project, _, clock, numbers = parts[at:at + 4]
             hours, line, count = numbers[2:-3].split(", ")
             projects[project] = [clock, float(hours), int(line), int(count)]
-    except (OSError, ValueError):  # missing or unreadable; not UTF-8, too short, not a number
+            _clock(clock)
+    except (OSError, ValueError):  # missing or unreadable; not UTF-8, too short, a bad value
         return None
-    seal = {"length": length, "lines": lines, "crc32": crc, "projects": projects}
-    if _seal_text(length, lines, projects, crc) != text or not _well_formed(seal):
+    # Literal inf and nan hours round-trip: only the range refuses them.
+    if _seal_text(length, lines, projects, crc) != text or min(length, lines) < 0 \
+            or not 0 <= crc < 1 << 32 \
+            or not all(0 <= hours <= sys.float_info.max and 1 <= count <= line <= lines
+                       for _, hours, line, count in projects.values()):
         return None
-    return seal, _seal_text(length, lines, projects, None).encode("utf-8")
+    return length, lines, crc, projects, _seal_text(length, lines, projects, None).encode("utf-8")
 
 
-def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
-    """Check the store open as ``f``, from its start, for the snapshots of
-    ``project_id``, or for a writer given None: the snapshots, the line count,
-    ``seen`` (see ``_check``), the running CRC-32 and the length it covers, whether
-    bytes followed any matching seal and ended in ``\\n``, and whether a seal matched.
+def _read(f, project_id: "str | None", store_path: str) -> tuple:
+    """Check the store at ``store_path``, open as ``f``, from its start, for the rows
+    (see ``_check``) of ``project_id``, or for a writer given None: the rows, the
+    line count, ``seen``, the running CRC-32 and the length it covers, whether bytes
+    followed any matching seal and ended in ``\\n``, and whether a seal matched.
 
-    Only given ``seal_path`` does it trust a seal, well formed and matching: the
-    prefix the seal covers is checksummed, not checked, and the bytes after it are
-    checked and folded into the same CRC-32. A writer checksums the prefix in 64 KiB
-    chunks, never holding it whole; a reader reads the store whole, as it does
-    without a seal, and ``_search``es the prefix for the project's lines, or checks
-    the whole store when that search fails, under a seal that still matched.
-    Without ``seal_path`` the CRC is None. A line ends at ``\\n``, a ``\\r`` just before
-    it is part of the break, and any other ``\\r`` is a character of its line, as for
-    the scanner and the log counter; a byte that is not UTF-8 corrupts its line."""
+    A seal at ``<store_path>.seal`` that ``_load_seal`` takes and that matches is
+    trusted: the prefix it covers is checksummed, not checked, and the bytes after it
+    are checked and folded into the same CRC-32. A writer checksums the prefix in 64
+    KiB chunks, never holding it whole; a reader reads the store whole and
+    ``_search``es the prefix for the project's rows, or, under a seal that still
+    matched, checks the whole store when that search fails. A line ends at ``\\n``, a
+    ``\\r`` just before it is part of the break, and any other ``\\r`` is a character
+    of its line, as for the scanner and the log counter; a byte that is not UTF-8
+    corrupts its line."""
     f.seek(0)
-    length, lines, seen, crc, sealed, data = 0, 0, {}, None, False, None
-    found = None  # the project's snapshots in a sealed prefix, which is then not checked
-    if seal_path is not None:
+    length, lines, seen, crc, sealed, data = 0, 0, {}, 0, False, None
+    found = None  # the project's rows in a sealed prefix, which is then not checked
+    loaded = _load_seal(store_path + ".seal")
+    if loaded is not None:
+        end, sealed_lines, sealed_crc, projects, summary = loaded
+        if project_id is None:
+            while f.tell() < end:
+                chunk = f.read(min(1 << 16, end - f.tell()))
+                if not chunk:
+                    break
+                crc = binascii.crc32(chunk, crc)
+        else:
+            data = f.read()
+            crc = binascii.crc32(memoryview(data)[:end])
+        sealed = f.tell() >= end and binascii.crc32(summary, crc) == sealed_crc
+        if sealed:
+            entry = projects.get(project_id)
+            found = [] if data is None else _search(memoryview(data)[:end], project_id,
+                                                     0 if entry is None else entry[3])
+            if found is not None:
+                length, lines, seen = end, sealed_lines, projects
+    if found is None:  # no seal, one that does not match, or a failed search: from the start
         crc = 0
-        loaded = _load_seal(seal_path)
-        if loaded is not None:
-            seal, summary = loaded
-            end = seal["length"]
-            if project_id is None:
-                while f.tell() < end:
-                    chunk = f.read(min(1 << 16, end - f.tell()))
-                    if not chunk:
-                        break
-                    crc = binascii.crc32(chunk, crc)
-            else:
-                data = f.read()
-                crc = binascii.crc32(memoryview(data)[:end])
-            sealed = f.tell() >= end and binascii.crc32(summary, crc) == seal["crc32"]
-            if sealed:
-                entry = seal["projects"].get(project_id)
-                found = [] if data is None else _search(memoryview(data)[:end], project_id,
-                                                         0 if entry is None else entry[3])
-                if found is not None:
-                    length, lines, seen = end, seal["lines"], seal["projects"]
-        if found is None:  # no seal, one that does not match, or a failed search: from the start
-            crc = 0
-            f.seek(0)
+        f.seek(0)
     tail = f.read() if data is None else data[length:]
     try:
         text = tail.decode("utf-8")
@@ -508,14 +479,14 @@ def _read(f, project_id: "str | None", seal_path: "str | None" = None) -> tuple:
         raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
                               f"(byte offset {length + exc.start})", number) from exc
     ended = tail.endswith(b"\n")
-    if crc is not None and ended:
+    if ended:
         crc = binascii.crc32(tail, crc)
         length += len(tail)
     del tail, data  # the text alone stays alive through the check
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    snapshots, lines = _check(text, lines, seen, project_id)
-    return (found or []) + snapshots, lines, seen, crc, length, ended, sealed
+    rows, lines = _check(text, lines, seen, project_id)
+    return (found or []) + rows, lines, seen, crc, length, ended, sealed
 
 
 def _write_seal(store_path: str, crc: int, length: int, lines: int, seen: dict) -> None:
@@ -568,12 +539,12 @@ def _update(store_path: str, project_id: str,
     try:  # the open, the lock (ENOLCK where a file system has none), read, write and fsync
         with open(store_path, "a+b") as f:  # every write lands at the end
             fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-            _, count, seen, crc, length, ended, _ = _read(f, None, store_path + ".seal")
+            _, count, seen, crc, length, ended, _ = _read(f, None, store_path)
             stored = seen.get(project_id)
             snapshot = place(None if stored is None else _clock(stored[0]))
             if stored is not None and snapshot.t_hours <= stored[1]:
                 # Read this handle again to name the earliest stored time that blocks.
-                ts = [snap.t_hours for snap in _read(f, project_id, store_path + ".seal")[0]]
+                ts = [row[3] for row in _read(f, project_id, store_path)[0]]
                 later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
                 raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance "
                                     f"project {project_id!r}; store already holds t = {later} h")
@@ -631,12 +602,11 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     Under a matching seal the project's records in the sealed prefix and every
     record after it are checked; otherwise every record of every project is, and a
     store that ends in a newline is then sealed, unless a writer holds its lock.
-    Snapshots are built for this project alone.
+    Snapshots are built for this project alone, here, from its rows.
     """
     try:
         with open(store_path, "rb") as f:
-            snapshots, lines, seen, crc, length, ended, sealed = \
-                _read(f, project_id, store_path + ".seal")
+            rows, lines, seen, crc, length, ended, sealed = _read(f, project_id, store_path)
             if not sealed and ended:
                 import fcntl
                 # Under the writer's lock, as a writer seals: not while a writer holds
@@ -650,4 +620,6 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
                     pass
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    return Trajectory(project_id=project_id, snapshots=tuple(snapshots))
+    return Trajectory(project_id, tuple(
+        QualitySnapshot(project, clock, t, SourceStats(*stats), errors, QualityMetrics(*levels))
+        for _, project, _, t, clock, stats, errors, levels in rows))

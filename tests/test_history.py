@@ -296,7 +296,7 @@ def test_bulk_check_agrees_with_record_by_record_check(tmp_path, monkeypatch, bl
 
     def check(bulk):
         seen = {}
-        history._check(prefix, 0, seen)
+        history._check(prefix, 0, seen, None)
         snapshots, count = history._check(tail, split, seen, "beta")
         assert (history._check_bulk(tail, 0, len(tail), split) is not None) == bulk
         return snapshots, count, list(seen.items())
@@ -494,8 +494,8 @@ def test_hours_given_as_int_or_bool_are_stored_as_floats(tmp_path, monkeypatch):
     store = str(tmp_path / "store.jsonl")
     for t in (False, True, 2):
         append_snapshot(store, make_snapshot(t=float(t))._replace(t_hours=t))
-    assert [json.loads(line)["t_hours"] for line in open(store, encoding="utf-8")] == \
-        [0.0, 1.0, 2.0]
+    with open(store, encoding="utf-8") as f:
+        assert [json.loads(line)["t_hours"] for line in f] == [0.0, 1.0, 2.0]
 
     def refuse(*args):
         raise AssertionError(f"unexpected check of {args!r}")

@@ -752,10 +752,10 @@ class _TailStart(io.BytesIO):
         return super().read(size)
 
 
-def _check_start(stored, seal_path):
+def _check_start(stored, store):
     f = _TailStart(bytes(stored))
     try:
-        history._read(f, None, seal_path)
+        history._read(f, None, store)
     except CorruptionError:  # an edit the full check refuses
         pass
     return f.start
@@ -768,13 +768,13 @@ def test_seal_misses_on_every_edit_it_covers(tmp_path):
     stored, seal_path = _read(store), store + ".seal"
     seal = json.loads(_read(seal_path))
     prefix = stored[:seal["length"]]
-    assert _check_start(stored, seal_path) == seal["length"] == len(prefix) > 0
+    assert _check_start(stored, store) == seal["length"] == len(prefix) > 0
 
     for at in range(len(prefix)):  # each byte, each bit of it and all of them
         for mask in (*(1 << bit for bit in range(8)), 0xff):
             flipped = bytearray(stored)
             flipped[at] ^= mask
-            assert _check_start(flipped, seal_path) == 0, (at, mask)
+            assert _check_start(flipped, store) == 0, (at, mask)
 
     lines = prefix.splitlines(keepends=True)
     pairs = [(i, j) for i in range(len(lines)) for j in range(i + 1, len(lines))
@@ -783,7 +783,7 @@ def test_seal_misses_on_every_edit_it_covers(tmp_path):
     for i, j in pairs:
         swapped = list(lines)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert _check_start(b"".join(swapped) + stored[len(prefix):], seal_path) == 0, (i, j)
+        assert _check_start(b"".join(swapped) + stored[len(prefix):], store) == 0, (i, j)
 
     first, hours, line, count = seal["projects"]["p"]
     other = "2026-04-30T00:00:00+00:00"
@@ -798,11 +798,10 @@ def test_seal_misses_on_every_edit_it_covers(tmp_path):
              ("projects", {**seal["projects"], "p": [first, hours, line - 1, count]}),
              ("projects", {**seal["projects"], "p": [first, hours, line, count - 1]})]
     for key, value in edits:
-        edited = {**seal, key: value}  # the checksum kept
-        assert history._well_formed(edited)
         with open(seal_path, "w", encoding="utf-8") as f:
-            json.dump(edited, f)
-        assert _check_start(stored, seal_path) == 0, (key, value)
+            json.dump({**seal, key: value}, f)  # the checksum kept
+        assert history._load_seal(seal_path) is not None
+        assert _check_start(stored, store) == 0, (key, value)
 
 
 @pytest.mark.parametrize("crc32, well_formed", [
@@ -810,9 +809,10 @@ def test_seal_misses_on_every_edit_it_covers(tmp_path):
     (1.0, False), ("0", False), (None, False)])
 def test_seal_checksum_is_a_32_bit_int(tmp_path, crc32, well_formed):
     store = _write_store(str(tmp_path), [("p", 0.5), ("p", 1.0)])
-    seal = json.loads(_read(store + ".seal"))
-    assert history._well_formed(seal)
-    assert history._well_formed({**seal, "crc32": crc32}) is well_formed
+    stored, seal = _read(store), json.loads(_read(store + ".seal"))
+    assert history._load_seal(store + ".seal") is not None
+    _put(store, stored, json.dumps({**seal, "crc32": crc32}).encode("utf-8"))
+    assert (history._load_seal(store + ".seal") is not None) is well_formed
 
 
 def _sha256_seal(stored, seal):
@@ -832,7 +832,8 @@ def _old_seal_costs_one_full_check(tmp_path, monkeypatch, old_format, command):
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
     stored = _read(store)
     old = old_format(stored, _read(store + ".seal"))
-    assert not history._well_formed(json.loads(old))
+    _put(store, stored, old)
+    assert history._load_seal(store + ".seal") is None
     src = _probe(tmp_path)
     argv = {"record": ["record", src, "--project", "p", "--store", store, "--t-hours", "3"],
             "report": ["report", "--project", "p", "--store", store]}[command]
@@ -883,11 +884,93 @@ def test_three_field_seal_costs_one_full_check_and_is_replaced(tmp_path, monkeyp
     (1, True), (2, True), (3, True), (True, False), (2.0, False), (0, False), (4, False)])
 def test_seal_count_is_an_int_from_1_to_the_line(tmp_path, count, well_formed):
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
-    seal = json.loads(_read(store + ".seal"))
+    stored, seal = _read(store), json.loads(_read(store + ".seal"))
     first, hours, line, stored_count = seal["projects"]["p"]
     assert (line, stored_count) == (3, 2)
     seal["projects"]["p"] = [first, hours, line, count]
-    assert history._well_formed(seal) is well_formed
+    _put(store, stored, json.dumps(seal).encode("utf-8"))
+    assert (history._load_seal(store + ".seal") is not None) is well_formed
+
+
+# Edits of a seal's summary, its text without the ``crc32`` member, that the seal
+# writes back byte for byte, so that only a range check refuses them: JSON writes
+# no inf or nan, the seal can. The summary covers lines 1-3, where p has 1.5 h at
+# line 3 and q 1.0 h at line 2.
+_SEAL_TEXT_EDITS = {
+    "none": lambda text: text,
+    "hours inf": lambda text: text.replace(", 1.5, 3, 2]", ", inf, 3, 2]"),
+    "hours nan": lambda text: text.replace(", 1.5, 3, 2]", ", nan, 3, 2]"),
+    "length -1": lambda text: re.sub(r'"length": [0-9]+', '"length": -1', text),
+    "lines -1": lambda text: text.replace('"lines": 3,', '"lines": -1,'),
+    "lines -1 of no project": lambda text: '{"length": 0, "lines": -1, "projects": {}}',
+    "line 0": lambda text: text.replace(", 1.0, 2, 1]", ", 1.0, 0, 1]"),
+    "line past lines": lambda text: text.replace(", 1.5, 3, 2]", ", 1.5, 4, 2]"),
+    "clock without offset": lambda text: text.replace('+00:00", 1.5', '", 1.5'),
+}
+
+
+@pytest.mark.parametrize("edit", list(_SEAL_TEXT_EDITS))
+def test_seal_text_out_of_range_is_a_miss(tmp_path, monkeypatch, edit):
+    # Each edit keeps a CRC-32 made for it, over the prefix a writer checksums; a
+    # record under it checks from line 1 and does as it does with no seal, down
+    # to the seal it leaves.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored, text = _read(store), _read(store + ".seal").decode("utf-8")
+    summary = text.replace(f'"crc32": {json.loads(text)["crc32"]}, ', "")
+    edited = _SEAL_TEXT_EDITS[edit](summary)
+    assert (edited == summary) is (edit == "none")
+    length = int(edited.split(",")[0].split(": ")[1])
+    crc = zlib.crc32(edited.encode("utf-8"), zlib.crc32(stored[:max(length, 0)]))
+    seal = edited.replace('"projects"', f'"crc32": {crc}, "projects"').encode("utf-8")
+    _put(store, stored, seal)
+    assert (history._load_seal(store + ".seal") is None) is (edit != "none")
+    argv = ["record", _probe(tmp_path), "--project", "p", "--store", store, "--t-hours", "3"]
+    (sealed, sealed_befores), (unsealed, unsealed_befores) = \
+        _with_and_without_seal(monkeypatch, store, argv)
+    assert sealed_befores == ([3] if edit == "none" else [0]) and unsealed_befores == [0]
+    assert sealed == unsealed and sealed[0] == 0
+
+
+def _counting_snapshots(monkeypatch):
+    """The project of every ``QualitySnapshot`` that ``history`` builds from now on
+    by calling the class; ``QualitySnapshot.create`` is not counted."""
+    built, snapshot = [], history.QualitySnapshot
+
+    def counting(*args):
+        built.append(args[0])
+        return snapshot(*args)
+
+    counting.create = snapshot.create
+    monkeypatch.setattr(history, "QualitySnapshot", counting)
+    return built
+
+
+def test_ordering_refusal_builds_no_snapshot(tmp_path, monkeypatch):
+    # The refusal names the blocking time from p's rows, with the seal or without.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    argv = ["record", _probe(tmp_path), "--project", "p", "--store", store, "--t-hours", "1"]
+    built = _counting_snapshots(monkeypatch)
+    (sealed, sealed_befores), (unsealed, _) = _with_and_without_seal(monkeypatch, store, argv)
+    assert sealed_befores == [3, 3]
+    assert sealed == unsealed and sealed[0] == 7
+    assert "store already holds t = 1.5 h" in sealed[2]
+    assert built == []
+
+
+def test_load_trajectory_builds_the_asked_projects_snapshots_once(tmp_path, monkeypatch):
+    # The record's seal leaves line 4 after it; a full check leaves one over all
+    # four lines; each read builds p's two snapshots, q's two, or none.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored, seal = _read(store), _read(store + ".seal")
+    befores, built = _counting_checks(monkeypatch), _counting_snapshots(monkeypatch)
+    for put, start in ((seal, 3), (None, 0), (b"", 4)):
+        for project, count in (("p", 2), ("q", 2), ("absent", 0)):
+            if put != b"":  # b"": the seal the unsealed load just left
+                _put(store, stored, put)
+            befores.clear()
+            built.clear()
+            assert len(load_trajectory(store, project)) == count
+            assert befores == [start] and built == [project] * count
 
 
 def test_ordering_refusal_searches_the_sealed_prefix(tmp_path, monkeypatch):
