@@ -28,13 +28,20 @@ STORE_ENV_VAR = "EXCEL_STORE"
 
 def format_2dp(value: float) -> str:
     """Display rounding: two decimals of the value's shortest repr, ties away from zero."""
-    if value == 0.0:
-        value = 0.0  # avoid "-0.00"
+    return format_2dps((value,))[0]
+
+
+def format_2dps(values) -> list[str]:
+    """``format_2dp`` of each value, in one pass."""
     # "%.2f" rounds the binary value, ties to even. That differs from rounding the
     # repr only at a tie of the repr, whose third decimal "%.3f" shows as 5, or
-    # where the float spacing nears 0.01 and the repr may drop digits.
-    if abs(value) < 2.0 ** 46 and ("%.3f" % value)[-1] != "5":
-        return "%.2f" % value
+    # where the float spacing nears 0.01 and the repr may drop digits. + 0.0 makes
+    # -0.0 a 0.0, which avoids "-0.00".
+    return ["%.2f" % (value + 0.0) if abs(value) < 2.0 ** 46 and ("%.3f" % value)[-1] != "5"
+            else _round_repr(value) for value in values]
+
+
+def _round_repr(value: float) -> str:
     # Round repr's digits half up as one integer of hundredths. repr writes an
     # exponent only from 1e16 up, where the value is whole: shift its digits.
     digits, _, exponent = repr(abs(value)).partition("e")

@@ -10,37 +10,32 @@ earlier ones, and the loader reports the offending line number. A writer holds a
 exclusive ``flock`` on the store across its read, checks, append and seal, so
 concurrent writers on one host take turns.
 
-One function, ``_read``, reads the store's bytes, on the handle its caller opened:
-for ``load_trajectory``, for a writer, and for a writer's ordering refusal. Each
-record it checks is checked in every field, in O(n) for n records; stored metrics
-are redundant with the stored counts on purpose, and a mismatch is corruption.
-Blocks of lines that are all the writer's own, wall clocks as ``isoformat()``
-writes them included, are checked in bulk, by one regex pass into columns and each
-rule over a column, with no JSON decoder; any other block record by record, which
-names the line and the fault. Either way each record gives one row, and one loop
-applies the order rule and keeps the asked project's rows, from which
-``load_trajectory`` alone builds snapshots. A record's shape is stated once, in
-``_FIELDS``, and its value rules once, in ``_rows``, so the writer refuses any
-record the loader would reject, and any clock it would read back as another.
-``json`` is imported only where it is used: the record-by-record check and the
-writer's line.
+One function, ``_read``, reads the store's bytes, on the handle each caller
+opened, and checks each record in every field, in O(n) for n records; stored
+metrics are redundant with the stored counts on purpose, and a mismatch is
+corruption. Blocks of lines that are all the writer's own, wall clocks as
+``isoformat()`` writes them included, are checked in bulk, by one regex pass into
+columns and each rule over a column, with no JSON decoder; any other block record
+by record, which names the line and the fault. Either way each record gives one
+row, and one loop applies the order rule and keeps the asked project's rows, whose
+columns a ``Trajectory`` reads, building snapshots only when they are asked for. A
+record's shape is stated once, in ``_FIELDS``, and its value rules once, in
+``_rows``, so the writer refuses any record the loader would reject, and any clock
+it would read back as another.
 
 ``<store>.seal`` summarises a prefix of the store that was checked in full: its
 length and line count, and per project the first wall clock, the last hours, that
 record's line and the record count. One CRC-32 covers the prefix and then the
 seal's own bytes without its ``crc32`` member, so an edit to either misses; the
 seal is a cache key, not a MAC, so a checksum that catches accidental edits is all
-it needs. It is JSON holding only strings that JSON writes as themselves, and it is
-read by splitting it at its quotes, with no JSON decoder; a store holding any other
-id or first clock is sealed no further than before that string came. A writer
-seals the bytes it read; a reader that found no matching seal seals the store it
-checked, if it can take the writer's lock at once. While the store starts with the
-sealed bytes they are checksummed, not checked: a writer checks only the lines
-after them, so an append parses O(1) records and checksums O(n) bytes; a reader,
-and a writer naming the stored time that refuses a snapshot, also check the asked
-project's lines in the prefix, found by the writer's line with that id fixed, or
-the whole store when those are not exactly the seal's count of them. Without a
-matching seal the whole store is checked, with the same outcome.
+it needs. A writer seals the bytes it read; a reader that found no matching seal
+seals the store it checked, if it can take the writer's lock at once. While the
+store starts with the sealed bytes they are checksummed, not checked: a writer
+checks only the lines after them, so an append parses O(1) records and checksums
+O(n) bytes; a reader, and a writer naming the stored time that refuses a snapshot,
+also check the asked project's lines in the prefix, found by the writer's line with
+that id fixed, or the whole store when those are not exactly the seal's count of
+them. Without a matching seal the whole store is checked, with the same outcome.
 """
 
 from __future__ import annotations
@@ -77,14 +72,8 @@ class QualitySnapshot(NamedTuple):
     metrics: QualityMetrics
 
     @classmethod
-    def create(
-        cls,
-        project_id: str,
-        wall_clock: datetime,
-        t_hours: float,
-        stats: SourceStats,
-        error_count: int,
-    ) -> "QualitySnapshot":
+    def create(cls, project_id: str, wall_clock: datetime, t_hours: float,
+               stats: SourceStats, error_count: int) -> "QualitySnapshot":
         """Build a snapshot with metrics derived from the counts."""
         if not math.isfinite(t_hours):
             raise ValueError(f"t_hours must be finite, got {t_hours}")
@@ -97,26 +86,38 @@ class QualitySnapshot(NamedTuple):
 class Trajectory:
     """A project's snapshots in strictly increasing timestamp order.
 
-    ``ts`` and ``xs`` hold each snapshot's hours and degree of excellence.
-    Immutable; equal when the project and the snapshots are.
+    ``ts`` and ``xs`` hold each snapshot's hours and X, ``_columns`` its EL%, errors,
+    loc and file name, for the renderers. From ``load_trajectory``'s checked rows,
+    ``snapshots`` is built when first read. Immutable; equal when project and snapshots are.
     """
 
-    __slots__ = ("project_id", "snapshots", "ts", "xs")
+    __slots__ = ("project_id", "ts", "xs", "_columns", "_rows", "_snapshots")
 
     def __init__(self, project_id: str, snapshots: tuple[QualitySnapshot, ...]) -> None:
-        for snap in snapshots:
-            if snap.project_id != project_id:
-                raise ValueError(
-                    f"snapshot project {snap.project_id!r} != trajectory {project_id!r}"
-                )
-        ts = tuple(s.t_hours for s in snapshots)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        for s in snapshots:
+            if s.project_id != project_id:
+                raise ValueError(f"snapshot project {s.project_id!r} != trajectory {project_id!r}")
+        self._fill(project_id, snapshots, snapshots)
+        if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise ValueError("snapshot timestamps must be strictly increasing")
-        init = object.__setattr__
-        init(self, "project_id", project_id)
-        init(self, "snapshots", snapshots)
-        init(self, "ts", ts)
-        init(self, "xs", tuple(s.metrics.degree_of_excellence for s in snapshots))
+
+    def _fill(self, project_id: str, items, snapshots) -> "Trajectory":  # rows end as snapshots do
+        ts, stats, errors, levels = (tuple(map(operator.itemgetter(at), items))
+                                     for at in range(-4, 0))
+        columns = (tuple(map(_PERCENT, levels)), errors, tuple(map(_LOC, stats)),
+                   tuple(map(_FILE, stats)))
+        for name, value in zip(self.__slots__, (project_id, ts, tuple(map(_DEGREE, levels)),
+                                                columns, items, snapshots)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def snapshots(self) -> tuple[QualitySnapshot, ...]:
+        if self._snapshots is None:  # a row holds a snapshot's fields from its third on
+            object.__setattr__(self, "_snapshots", tuple(QualitySnapshot(
+                *row[2:5], SourceStats(*row[5]), row[6], QualityMetrics(*row[7]))
+                for row in self._rows))
+        return self._snapshots
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -125,7 +126,7 @@ class Trajectory:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.ts)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -168,7 +169,7 @@ def _clock(text: str) -> datetime:
     return clock
 
 
-_PERCENT, _DEGREE = operator.itemgetter(1), operator.itemgetter(2)
+_FILE, _PERCENT, _DEGREE, _LOC = map(operator.itemgetter, (0, 1, 2, 4))  # of stats and levels
 
 
 def _rows(first: int, columns: list, clock: "Callable[[str], datetime]" = _clock):
@@ -194,8 +195,8 @@ def _rows(first: int, columns: list, clock: "Callable[[str], datetime]" = _clock
     # As decoded: an int el_percent may equal no float, though it rounds to one.
     if list(map(_PERCENT, levels)) != percents or list(map(_DEGREE, levels)) != degrees:
         raise ValueError("stored metrics do not re-derive from stored counts")
-    return zip(range(first, first + len(projects)), projects, clocks, hours, wall_clocks,
-               zip(files, totals, comments, blanks, locs, fors, whiles), errors, levels)
+    return list(zip(range(first, first + len(projects)), clocks, projects, wall_clocks, hours,
+                    zip(files, totals, comments, blanks, locs, fors, whiles), errors, levels))
 
 
 _TYPE_ORDER = [(key, kind) for kind in (int, str, float)  # the order faults are named in
@@ -295,11 +296,11 @@ def _bulk_rows(lines: list, first: int):
     return None
 
 
-def _check_bulk(text: str, start: int, end: int, before: int):
+def _check_bulk(text: str, start: int, end: int, before: int, pattern: str = _WRITER_LINE):
     """The rows (see ``_check``) of the lines in ``text[start:end]``, for lines that
-    are all the writer's own, and the line breaks there. None when a line is not or
-    a record breaks a rule, so that the record-by-record check names the fault."""
-    lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
+    are all the writer's own, as ``pattern`` finds them, and the line breaks there.
+    None when a line is not or a record breaks a rule, so that another check does."""
+    lines = re.compile(pattern, re.M).findall(text, start, end)
     breaks = text.count("\n", start, end)
     if len(lines) != breaks + (text[end - 1] != "\n"):  # the last line may lack its \n
         return None
@@ -324,26 +325,27 @@ def _search(prefix, project_id: str, count: int) -> "list | None":
     del text
     if len(lines) != count:  # a record in another shape, which the full check reads
         return None
-    rows = _bulk_rows(lines, 1) if lines else ()
+    rows = _bulk_rows(lines, 1) if lines else []
     if rows is None:
         return None
-    rows = list(rows)
-    hours = [row[3] for row in rows]
+    hours = [row[4] for row in rows]
     return rows if all(map(operator.lt, hours, hours[1:])) else None
 
 
-def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tuple[list, int]:
+def _check(text: str, before: int, seen: dict, project_id: "str | None",
+           own: "str | None" = None) -> tuple[list, int]:
     """Check every line of ``text``, which follows ``before`` lines of the store.
 
     ``seen`` maps each project to its first wall clock, its last hours, that
     record's line number and its record count, and is updated in first-seen order.
     Returns the rows of ``project_id``, none for None, and ``before`` plus the line
-    breaks in ``text``. Blocks of whole lines whose every line is the writer's own
-    are checked in bulk, others record by record; a writer's one-line text too, for
-    it loads the JSON decoder anyway. Both give one row per record: line number,
-    project, wall clock as stored, hours, wall clock as parsed, ``SourceStats``
-    fields, error count and error levels. The record-by-record rows are made lazily,
-    one line at a time, so the first fault in line order is the one reported.
+    breaks in ``text``. Blocks of whole lines that are all the writer's own, as
+    ``own`` (given, that line with ``project_id`` fixed) or ``_WRITER_LINE`` finds
+    them, are checked in bulk, others record by record; a writer's one-line text too,
+    for it loads the JSON decoder anyway. Each gives one row per record: line number,
+    wall clock as stored, then a snapshot's fields, stats and levels as plain tuples.
+    The record-by-record rows are made lazily, one line at a time, so the first fault
+    in line order is the one reported.
     """
     # A reader, or two lines or more: worth the pattern.
     bulk = project_id is not None or text.find("\n", 0, len(text) - 1) >= 0
@@ -351,7 +353,9 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tupl
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        checked = _check_bulk(text, start, end, before) if bulk else None
+        checked = _check_bulk(text, start, end, before, own) if own else None
+        if checked is None and bulk:
+            checked = _check_bulk(text, start, end, before)
         if checked is not None:
             rows, breaks = checked
         else:
@@ -360,16 +364,14 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tupl
                                        in enumerate(lines, before + 1) if line.strip() != "")
             breaks = len(lines) - 1
         for row in rows:
-            number, project, clock, t_hours = row[:4]
+            number, clock, project, _, t_hours = row[:5]
             previous = seen.get(project)
             if previous is None:
                 seen[project] = (clock, t_hours, number, 1)
             elif t_hours <= previous[1]:
                 raise CorruptionError(
                     f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                    f"advance project {project!r} (line {previous[2]} has {previous[1]})",
-                    number,
-                )
+                    f"advance project {project!r} (line {previous[2]} has {previous[1]})", number)
             else:
                 seen[project] = (previous[0], t_hours, number, previous[3] + 1)
             if project == project_id:
@@ -474,8 +476,7 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     try:
         text = tail.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = tail[:exc.start]
-        number = lines + head.count(b"\n") + 1
+        number = lines + tail.count(b"\n", 0, exc.start) + 1
         raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
                               f"(byte offset {length + exc.start})", number) from exc
     ended = tail.endswith(b"\n")
@@ -485,7 +486,9 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     del tail, data  # the text alone stays alive through the check
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    rows, lines = _check(text, lines, seen, project_id)
+    # Under a seal whose search stood: the pattern ``_search`` compiled.
+    own = None if found is None or project_id is None else _writer_line(project_id)
+    rows, lines = _check(text, lines, seen, project_id, own)
     return (found or []) + rows, lines, seen, crc, length, ended, sealed
 
 
@@ -513,7 +516,7 @@ def _line(snapshot: QualitySnapshot) -> bytes:
     import json
     text = json.dumps(_record_dict(snapshot), ensure_ascii=False, allow_nan=False)
     try:
-        wall_clock = next(_row(json.loads(text), 0))[4]
+        wall_clock = _row(json.loads(text), 0)[0][3]
         # An offset of microseconds alone, +00:00:00.000001, reads back as UTC on 3.11.
         if wall_clock != snapshot.wall_clock or \
                 wall_clock.utcoffset() != snapshot.wall_clock.utcoffset():
@@ -544,7 +547,7 @@ def _update(store_path: str, project_id: str,
             snapshot = place(None if stored is None else _clock(stored[0]))
             if stored is not None and snapshot.t_hours <= stored[1]:
                 # Read this handle again to name the earliest stored time that blocks.
-                ts = [row[3] for row in _read(f, project_id, store_path)[0]]
+                ts = [row[4] for row in _read(f, project_id, store_path)[0]]
                 later = ts[bisect.bisect_left(ts, snapshot.t_hours)]
                 raise OrderingError(f"snapshot at t = {snapshot.t_hours} h does not advance "
                                     f"project {project_id!r}; store already holds t = {later} h")
@@ -581,8 +584,7 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
                 raise OrderingError(
                     f"the clock reads {wall_clock.isoformat()}, before the first snapshot of "
                     f"project {project_id!r} at {first.isoformat()}; pass t_hours (--t-hours) "
-                    "to place this one"
-                )
+                    "to place this one")
         return QualitySnapshot.create(project_id, wall_clock, hours, stats, error_count)
 
     return _update(store_path, project_id, place)
@@ -602,7 +604,7 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     Under a matching seal the project's records in the sealed prefix and every
     record after it are checked; otherwise every record of every project is, and a
     store that ends in a newline is then sealed, unless a writer holds its lock.
-    Snapshots are built for this project alone, here, from its rows.
+    Its snapshots are built from this project's rows on first access.
     """
     try:
         with open(store_path, "rb") as f:
@@ -620,6 +622,4 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
                     pass
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    return Trajectory(project_id, tuple(
-        QualitySnapshot(project, clock, t, SourceStats(*stats), errors, QualityMetrics(*levels))
-        for _, project, _, t, clock, stats, errors, levels in rows))
+    return object.__new__(Trajectory)._fill(project_id, rows, None)  # checked, in order

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import trajectory
-from .cli import format_2dp
+from .cli import format_2dp, format_2dps
 from .errors import InsufficientDataError
 from .history import Trajectory
 from .metrics import improvement
@@ -21,13 +21,11 @@ def _format_poly(fit: trajectory.PolyFit) -> str:
 def render_text(traj: Trajectory, alpha: float, tolerance: float,
                 fit_degree: "int | None") -> str:
     out = [f"Project : {traj.project_id}", f"Snapshots : {len(traj)}"]
-    for snap in traj.snapshots:
-        out.append(
-            f"  t = {snap.t_hours:g} h  X = {format_2dp(snap.metrics.degree_of_excellence)}"
-            f"  EL% = {format_2dp(snap.metrics.error_level_percent)}"
-            f"  errors = {snap.error_count}  loc = {snap.stats.loc}"
-            f"  file = {snap.stats.file_name}"
-        )
+    ts, xs, (percents, errors, locs, files) = traj.ts, traj.xs, traj._columns
+    hours = [f"{t:g}" for t in ts]  # each written once, for every line that shows it
+    out += [f"  t = {t} h  X = {x}  EL% = {el}  errors = {n}  loc = {loc}  file = {name}"
+            for t, x, el, n, loc, name in zip(hours, format_2dps(xs), format_2dps(percents),
+                                               errors, locs, files)]
 
     if len(traj) < 2:
         insufficient = "insufficient data (need >= 2 snapshots)"
@@ -37,19 +35,16 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
         out.append(f"Trend : {insufficient}")
         out.append(f"Effort : {insufficient}")
     else:
-        first, last = traj.snapshots[0], traj.snapshots[-1]
-        gain = improvement(first.metrics.degree_of_excellence,
-                           last.metrics.degree_of_excellence)
+        gain = improvement(xs[0], xs[-1])
         sign = "+" if gain >= 0 else ""
         out.append(f"Improvement (X_final - X_initial) = {sign}{format_2dp(gain)}")
         out.append("Interval rates (points/hour):")
         # The slopes of trajectory.interval_rates, without a RateEstimate each.
-        ts, slopes = traj.ts, trajectory._slopes(traj)
-        out.extend(f"  [{t_i:g}, {t_f:g}] : {slope:.6g}"
-                   for t_i, t_f, slope in zip(ts, ts[1:], slopes))
-        latest = trajectory.instantaneous_rate(traj, last.t_hours)
-        out.append(f"Instantaneous rate at t = {last.t_hours:g} h : "
-                   f"{latest.value:.6g} points/hour")
+        slopes = trajectory._slopes(traj)
+        out.extend(f"  [{t_i}, {t_f}] : {slope:.6g}"
+                   for t_i, t_f, slope in zip(hours, hours[1:], slopes))
+        latest = trajectory.instantaneous_rate(traj, ts[-1])
+        out.append(f"Instantaneous rate at t = {hours[-1]} h : {latest.value:.6g} points/hour")
         trend = trajectory._classify_slopes(slopes, tolerance)  # argparse checked tolerance
         out.append(f"Trend : {trend.value}")
         estimate = trajectory.effort(alpha, latest)
@@ -64,9 +59,8 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
         else:
             out.append(f"Polynomial fit (degree {fit_degree}) : X(t) = {_format_poly(fit)}")
             out.append(f"  residual sum of squares = {fit.residual_sum_of_squares:.6g}")
-            t_last = traj.snapshots[-1].t_hours
-            out.append(f"  fit-derivative rate at t = {t_last:g} h : "
-                       f"{fit.derivative_at(t_last):.6g} points/hour")
+            out.append(f"  fit-derivative rate at t = {hours[-1]} h : "
+                       f"{fit.derivative_at(ts[-1]):.6g} points/hour")
     return "\n".join(out) + "\n"
 
 
@@ -75,8 +69,8 @@ def render_csv(traj: Trajectory) -> str:
     # unquoted, so plain joins give its bytes.
     rates = ["", *trajectory._slopes(traj)]  # the first snapshot has no previous one
     rows = [("t_hours", "x", "el_percent", "errors", "loc", "rate_from_prev")]
-    rows += [(snap.t_hours, snap.metrics.degree_of_excellence, snap.metrics.error_level_percent,
-              snap.error_count, snap.stats.loc, rate) for snap, rate in zip(traj.snapshots, rates)]
+    percents, errors, locs, _ = traj._columns
+    rows += zip(traj.ts, traj.xs, percents, errors, locs, rates)
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -144,22 +145,23 @@ def _unshift(coeffs: list[float], t0: float) -> list[float]:
 def _least_squares(columns: list[list[float]],
                    y: tuple[float, ...]) -> tuple[list[float], float]:
     # Modified Gram-Schmidt QR of [columns | y]: the last row of R holds Q^T y,
-    # and what is left of y after the sweep is the residual vector.
+    # and what is left of y after the sweep is the residual vector. Each dot product
+    # is a sum over map(mul): the terms of a generator sum, added in the same order.
     q = [*columns, y]
     m = len(columns)
     r = [[0.0] * (m + 1) for _ in range(m)]
     for j in range(m):
-        r[j][j] = math.sqrt(sum(v * v for v in q[j]))
-        if not math.isfinite(r[j][j]):  # squares past the float range: no fit is left
+        norm = r[j][j] = math.sqrt(sum(map(mul, q[j], q[j])))
+        if not math.isfinite(norm):  # squares past the float range: no fit is left
             raise OverflowError(f"column {j} has no finite norm")
-        q[j] = [v / r[j][j] for v in q[j]]
+        q[j] = [v / norm for v in q[j]]
         for k in range(j + 1, m + 1):
-            r[j][k] = sum(a * b for a, b in zip(q[j], q[k]))
-            q[k] = [b - r[j][k] * a for a, b in zip(q[j], q[k])]
+            dot = r[j][k] = sum(map(mul, q[j], q[k]))
+            q[k] = [b - dot * a for a, b in zip(q[j], q[k])]
     coeffs = [0.0] * m
     for j in reversed(range(m)):
         coeffs[j] = (r[j][m] - sum(r[j][k] * coeffs[k] for k in range(j + 1, m))) / r[j][j]
-    return coeffs, sum(v * v for v in q[m])
+    return coeffs, sum(map(mul, q[m], q[m]))
 
 
 def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
@@ -221,9 +223,9 @@ def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:
     """
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    if len(traj.snapshots) < 2:
+    if len(traj) < 2:
         raise InsufficientDataError(
-            f"trend classification needs at least 2 snapshots, have {len(traj.snapshots)}"
+            f"trend classification needs at least 2 snapshots, have {len(traj)}"
         )
     return _classify_slopes(_slopes(traj), tolerance)
 

@@ -403,6 +403,40 @@ def test_writer_shaped_store_loads_as_reference_loader(edit, data):
         assert loaded == _outcome(oracle_load_trajectory, path, project)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((None,) + _STORE_EDITS), st.data())
+def test_loaded_trajectory_is_the_one_built_from_reference_snapshots(edit, data):
+    # load_trajectory reads its columns off the checked rows and builds snapshots only
+    # when they are read; the reference loader builds every snapshot, and the public
+    # constructor derives the columns from them. The two agree in every column, as
+    # repr writes them (so in each number's type and sign), in ==, hash and repr:
+    # with no seal, under the seal that load leaves, and after an append of the
+    # asked project, which leaves a seal and a one-line tail.
+    content, projects = data.draw(_writer_store(edit))
+    project = data.draw(st.sampled_from(projects + ["absent"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "store.jsonl")
+        with open(path, "wb") as f:
+            f.write(content)
+        for step in ("no seal", "sealed", "tail"):
+            try:
+                expected = oracle_load_trajectory(path, project)
+            except CorruptionError:
+                with pytest.raises(CorruptionError):
+                    load_trajectory(path, project)
+                return
+            if step == "tail":
+                t = expected.ts[-1] + 1.0 if expected.ts else 0.0
+                append_snapshot(path, QualitySnapshot.create(
+                    project, _WRITER_T0 + timedelta(hours=t), t, _STATS, 3))
+                expected = oracle_load_trajectory(path, project)
+            loaded = load_trajectory(path, project)
+            assert repr((loaded.ts, loaded.xs, loaded._columns)) == \
+                repr((expected.ts, expected.xs, expected._columns))
+            assert loaded == expected and hash(loaded) == hash(expected)
+            assert repr(loaded) == repr(expected)
+
+
 # The line rule the scanner, the log counter and the store share: "\n" ends a
 # line, a "\r" just before it is part of the break, and any other "\r" is a
 # character of its line.
@@ -959,7 +993,8 @@ def test_ordering_refusal_builds_no_snapshot(tmp_path, monkeypatch):
 
 def test_load_trajectory_builds_the_asked_projects_snapshots_once(tmp_path, monkeypatch):
     # The record's seal leaves line 4 after it; a full check leaves one over all
-    # four lines; each read builds p's two snapshots, q's two, or none.
+    # four lines. No read builds a snapshot until ``snapshots`` is first read, which
+    # builds p's two, q's two, or none; a second read builds none.
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
     stored, seal = _read(store), _read(store + ".seal")
     befores, built = _counting_checks(monkeypatch), _counting_snapshots(monkeypatch)
@@ -969,8 +1004,37 @@ def test_load_trajectory_builds_the_asked_projects_snapshots_once(tmp_path, monk
                 _put(store, stored, put)
             befores.clear()
             built.clear()
-            assert len(load_trajectory(store, project)) == count
-            assert befores == [start] and built == [project] * count
+            traj = load_trajectory(store, project)
+            assert len(traj) == count and len(traj.ts) == len(traj.xs) == count
+            assert befores == [start] and built == []
+            snapshots = traj.snapshots
+            assert len(snapshots) == count and built == [project] * count
+            assert traj.snapshots is snapshots and built == [project] * count
+
+
+@pytest.mark.parametrize("project, own_tail", [("q", True), ("p", False)])
+def test_report_compiles_the_writer_line_only_for_a_tail_it_cannot_search(
+        tmp_path, monkeypatch, project, own_tail):
+    # The last record's seal leaves q's line 4 after it. A report of q finds that line
+    # with the pattern that searched the sealed prefix, and compiles no _WRITER_LINE;
+    # a report of p, whose pattern does not find it, and every report without the
+    # seal compile _WRITER_LINE. The outcome is the same either way.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    compiled, compile = [], re.compile
+
+    def counting(pattern, flags=0):
+        compiled.append(pattern)
+        return compile(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", counting)
+    argv = ["report", "--project", project, "--store", store, "--format", "csv"]
+    (sealed, sealed_befores), (unsealed, unsealed_befores) = \
+        _with_and_without_seal(monkeypatch, store, argv)
+    assert sealed_befores == [3] and unsealed_befores == [0]
+    assert sealed == unsealed and sealed[0] == 0
+    assert compiled.count(history._WRITER_LINE) == (0 if own_tail else 1) + 1
+    # The search, then the tail: re answers the second call from its cache.
+    assert compiled.count(history._writer_line(project)) == 2
 
 
 def test_ordering_refusal_searches_the_sealed_prefix(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for rate estimation, polynomial fits, effort, and trend shapes."""
 
+import math
 import os
 import random
 import subprocess
@@ -9,10 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from excellence import cli
+from excellence import cli, trajectory
 from excellence.errors import (
     ExtrapolationError,
     InsufficientDataError,
@@ -325,6 +326,61 @@ def test_fit_recovers_integer_polynomials(degree, data):
     assert fit.coefficients == pytest.approx(expected, rel=0, abs=1e-6)
 
 
+def _generator_sum_least_squares(columns, y):
+    """``trajectory._least_squares`` with every dot product a sum over a generator,
+    as it was first written: the reference its ``map(mul)`` sums must match."""
+    q = [*columns, y]
+    m = len(columns)
+    r = [[0.0] * (m + 1) for _ in range(m)]
+    for j in range(m):
+        r[j][j] = math.sqrt(sum(v * v for v in q[j]))
+        if not math.isfinite(r[j][j]):
+            raise OverflowError(f"column {j} has no finite norm")
+        q[j] = [v / r[j][j] for v in q[j]]
+        for k in range(j + 1, m + 1):
+            r[j][k] = sum(a * b for a, b in zip(q[j], q[k]))
+            q[k] = [b - r[j][k] * a for a, b in zip(q[j], q[k])]
+    coeffs = [0.0] * m
+    for j in reversed(range(m)):
+        coeffs[j] = (r[j][m] - sum(r[j][k] * coeffs[k] for k in range(j + 1, m))) / r[j][j]
+    return coeffs, sum(v * v for v in q[m])
+
+
+def _bits_or_fault(solve, columns, y):
+    try:
+        coeffs, rss = solve(columns, y)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+    return [c.hex() for c in coeffs], rss.hex()
+
+
+# Origins up to 1.7e160 h, where the powers of a span overflow, and steps of every
+# scale down to subnormal ones, where they underflow to a zero pivot.
+_ORIGINS = st.one_of(st.floats(0, 1e4), st.floats(0, 1e4),
+                     st.sampled_from((1e6, 1e159, 1e160, 1.7e160)))
+_SCALES = st.sampled_from((1.0, 1.0, 1e-3, 1e-12, 1e-100, 1e-300, 1e-310, 1e50, 1e145, 1e150))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), _ORIGINS, _SCALES, st.lists(st.floats(1, 1e3), min_size=3, max_size=12),
+       st.lists(st.floats(-1e6, 1e6), min_size=13, max_size=13))
+def test_least_squares_is_bit_identical_to_generator_sums(degree, t0, scale, steps, xs):
+    # The columns fit_polynomial builds: powers of the times shifted to the first.
+    ts = [t0]
+    for step in steps:
+        ts.append(ts[-1] + step * scale)
+    u = [t - ts[0] for t in ts]
+    try:
+        columns = [[v ** p for v in u] for p in range(degree + 1)]
+    except OverflowError:  # fit_polynomial stops here, before any sum
+        event("powers overflow")
+        return
+    y = tuple(xs[:len(ts)])
+    outcome = _bits_or_fault(trajectory._least_squares, columns, y)
+    event(f"outcome: {outcome.__name__ if isinstance(outcome, type) else 'a fit'}")
+    assert outcome == _bits_or_fault(_generator_sum_least_squares, columns, y)
+
+
 def _loaded_modules(code: str, cwd: Path) -> set[str]:
     """The modules a fresh interpreter holds after running ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -430,6 +486,26 @@ def test_import_does_not_load_numpy(tmp_path):
         "    pass\n"
         "else:\n"
         "    raise AssertionError('an unknown name resolved')", tmp_path)
+
+
+def test_sealed_report_loads_neither_json_nor_hashlib(tmp_path):
+    # Three appends leave a seal over the first two lines and p's third line after
+    # it; a report trusts that seal and checks the tail. On a copy with no seal, a
+    # report checks the whole store and seals it; the next report trusts that seal
+    # and has no tail. Neither trusting report loads the JSON decoder or hashlib.
+    store = tmp_path / "s.jsonl"
+    for t in (0.0, 1.0, 2.5):
+        append_snapshot(str(store), QualitySnapshot.create("p", T0, t, _STATS, 1))
+    (tmp_path / "c.jsonl").write_bytes(store.read_bytes())
+    argv = ("report", "--project", "p", "--fit-degree", "2", "--store")
+    _loaded_modules(_command(*argv, "c.jsonl"), tmp_path)
+    assert (tmp_path / "c.jsonl.seal").exists()
+    for name in ("s.jsonl", "c.jsonl"):
+        seal = (tmp_path / f"{name}.seal").read_bytes()
+        loaded = _loaded_modules(_command(*argv, name), tmp_path)
+        assert (tmp_path / f"{name}.seal").read_bytes() == seal  # trusted, not replaced
+        assert "excellence.report" in loaded
+        assert not {"json", "hashlib", "_hashlib"} & loaded
 
 
 def test_polyfit_evaluation_matches_horner():
