@@ -146,7 +146,7 @@ def _least_squares(columns: list[list[float]],
                    y: tuple[float, ...]) -> tuple[list[float], float]:
     # Modified Gram-Schmidt QR of [columns | y]: the last row of R holds Q^T y,
     # and what is left of y after the sweep is the residual vector. Each dot product
-    # is a sum over map(mul): the terms of a generator sum, added in the same order.
+    # is sum(map(mul, a, b)), which adds its terms left to right.
     q = [*columns, y]
     m = len(columns)
     r = [[0.0] * (m + 1) for _ in range(m)]
