@@ -72,8 +72,14 @@ class QualitySnapshot(NamedTuple):
     metrics: QualityMetrics
 
     @classmethod
-    def create(cls, project_id: str, wall_clock: datetime, t_hours: float,
-               stats: SourceStats, error_count: int) -> "QualitySnapshot":
+    def create(
+        cls,
+        project_id: str,
+        wall_clock: datetime,
+        t_hours: float,
+        stats: SourceStats,
+        error_count: int,
+    ) -> "QualitySnapshot":
         """Build a snapshot with metrics derived from the counts."""
         if not math.isfinite(t_hours):
             raise ValueError(f"t_hours must be finite, got {t_hours}")
@@ -86,17 +92,20 @@ class QualitySnapshot(NamedTuple):
 class Trajectory:
     """A project's snapshots in strictly increasing timestamp order.
 
-    ``ts`` and ``xs`` hold each snapshot's hours and X, ``_columns`` its EL%, errors,
-    loc and file name, for the renderers. From ``load_trajectory``'s checked rows,
-    ``snapshots`` is built when first read. Immutable; equal when project and snapshots are.
+    ``ts`` and ``xs`` hold each snapshot's hours and X; ``_percents``, ``_errors``,
+    ``_locs`` and ``_files`` its EL%, error count, loc and file name, for the
+    renderers. ``load_trajectory``'s ``snapshots`` are built from its checked rows
+    when first read. Immutable; equal when the project and the snapshots are.
     """
 
-    __slots__ = ("project_id", "ts", "xs", "_columns", "_rows", "_snapshots")
+    __slots__ = ("project_id", "ts", "xs", "_percents", "_errors", "_locs", "_files", "_snapshots")
 
     def __init__(self, project_id: str, snapshots: tuple[QualitySnapshot, ...]) -> None:
-        for s in snapshots:
-            if s.project_id != project_id:
-                raise ValueError(f"snapshot project {s.project_id!r} != trajectory {project_id!r}")
+        for snap in snapshots:
+            if snap.project_id != project_id:
+                raise ValueError(
+                    f"snapshot project {snap.project_id!r} != trajectory {project_id!r}"
+                )
         self._fill(project_id, snapshots, snapshots)
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise ValueError("snapshot timestamps must be strictly increasing")
@@ -104,19 +113,17 @@ class Trajectory:
     def _fill(self, project_id: str, items, snapshots) -> "Trajectory":  # rows end as snapshots do
         ts, stats, errors, levels = (tuple(map(operator.itemgetter(at), items))
                                      for at in range(-4, 0))
-        columns = (tuple(map(_PERCENT, levels)), errors, tuple(map(_LOC, stats)),
-                   tuple(map(_FILE, stats)))
-        for name, value in zip(self.__slots__, (project_id, ts, tuple(map(_DEGREE, levels)),
-                                                columns, items, snapshots)):
+        for name, value in dict(project_id=project_id, ts=ts, xs=tuple(map(_DEGREE, levels)),
+                                _percents=tuple(map(_PERCENT, levels)), _errors=errors,
+                                _locs=tuple(map(_LOC, stats)), _files=tuple(map(_FILE, stats)),
+                                _snapshots=snapshots).items():
             object.__setattr__(self, name, value)
         return self
 
     @property
     def snapshots(self) -> tuple[QualitySnapshot, ...]:
-        if self._snapshots is None:  # a row holds a snapshot's fields from its third on
-            object.__setattr__(self, "_snapshots", tuple(QualitySnapshot(
-                *row[2:5], SourceStats(*row[5]), row[6], QualityMetrics(*row[7]))
-                for row in self._rows))
+        if callable(self._snapshots):  # load_trajectory's, built on first read
+            object.__setattr__(self, "_snapshots", self._snapshots())
         return self._snapshots
 
     def __setattr__(self, name: str, value) -> None:
@@ -296,11 +303,11 @@ def _bulk_rows(lines: list, first: int):
     return None
 
 
-def _check_bulk(text: str, start: int, end: int, before: int, pattern: str = _WRITER_LINE):
+def _check_bulk(text: str, start: int, end: int, before: int):
     """The rows (see ``_check``) of the lines in ``text[start:end]``, for lines that
-    are all the writer's own, as ``pattern`` finds them, and the line breaks there.
-    None when a line is not or a record breaks a rule, so that another check does."""
-    lines = re.compile(pattern, re.M).findall(text, start, end)
+    are all the writer's own, and the line breaks there. None when a line is not or
+    a record breaks a rule, so that the record-by-record check names the fault."""
+    lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
     breaks = text.count("\n", start, end)
     if len(lines) != breaks + (text[end - 1] != "\n"):  # the last line may lack its \n
         return None
@@ -332,17 +339,15 @@ def _search(prefix, project_id: str, count: int) -> "list | None":
     return rows if all(map(operator.lt, hours, hours[1:])) else None
 
 
-def _check(text: str, before: int, seen: dict, project_id: "str | None",
-           own: "str | None" = None) -> tuple[list, int]:
+def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tuple[list, int]:
     """Check every line of ``text``, which follows ``before`` lines of the store.
 
     ``seen`` maps each project to its first wall clock, its last hours, that
     record's line number and its record count, and is updated in first-seen order.
     Returns the rows of ``project_id``, none for None, and ``before`` plus the line
-    breaks in ``text``. Blocks of whole lines that are all the writer's own, as
-    ``own`` (given, that line with ``project_id`` fixed) or ``_WRITER_LINE`` finds
-    them, are checked in bulk, others record by record; a writer's one-line text too,
-    for it loads the JSON decoder anyway. Each gives one row per record: line number,
+    breaks in ``text``. Blocks of whole lines whose every line is the writer's own
+    are checked in bulk, others record by record; a writer's one-line text too, for
+    it loads the JSON decoder anyway. Both give one row per record: line number,
     wall clock as stored, then a snapshot's fields, stats and levels as plain tuples.
     The record-by-record rows are made lazily, one line at a time, so the first fault
     in line order is the one reported.
@@ -353,9 +358,7 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None",
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        checked = _check_bulk(text, start, end, before, own) if own else None
-        if checked is None and bulk:
-            checked = _check_bulk(text, start, end, before)
+        checked = _check_bulk(text, start, end, before) if bulk else None
         if checked is not None:
             rows, breaks = checked
         else:
@@ -371,7 +374,9 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None",
             elif t_hours <= previous[1]:
                 raise CorruptionError(
                     f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                    f"advance project {project!r} (line {previous[2]} has {previous[1]})", number)
+                    f"advance project {project!r} (line {previous[2]} has {previous[1]})",
+                    number,
+                )
             else:
                 seen[project] = (previous[0], t_hours, number, previous[3] + 1)
             if project == project_id:
@@ -476,7 +481,8 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     try:
         text = tail.decode("utf-8")
     except UnicodeDecodeError as exc:
-        number = lines + tail.count(b"\n", 0, exc.start) + 1
+        head = tail[:exc.start]
+        number = lines + head.count(b"\n") + 1
         raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
                               f"(byte offset {length + exc.start})", number) from exc
     ended = tail.endswith(b"\n")
@@ -486,9 +492,7 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     del tail, data  # the text alone stays alive through the check
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    # Under a seal whose search stood: the pattern ``_search`` compiled.
-    own = None if found is None or project_id is None else _writer_line(project_id)
-    rows, lines = _check(text, lines, seen, project_id, own)
+    rows, lines = _check(text, lines, seen, project_id)
     return (found or []) + rows, lines, seen, crc, length, ended, sealed
 
 
@@ -584,7 +588,8 @@ def record_snapshot(store_path: str, project_id: str, wall_clock: datetime,
                 raise OrderingError(
                     f"the clock reads {wall_clock.isoformat()}, before the first snapshot of "
                     f"project {project_id!r} at {first.isoformat()}; pass t_hours (--t-hours) "
-                    "to place this one")
+                    "to place this one"
+                )
         return QualitySnapshot.create(project_id, wall_clock, hours, stats, error_count)
 
     return _update(store_path, project_id, place)
@@ -622,4 +627,6 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
                     pass
     except OSError as exc:
         raise _cannot_open(store_path, exc) from exc
-    return object.__new__(Trajectory)._fill(project_id, rows, None)  # checked, in order
+    return object.__new__(Trajectory)._fill(project_id, rows, lambda: tuple(  # checked, in order
+        QualitySnapshot(*row[2:5], SourceStats(*row[5]), row[6], QualityMetrics(*row[7]))
+        for row in rows))

@@ -21,11 +21,11 @@ def _format_poly(fit: trajectory.PolyFit) -> str:
 def render_text(traj: Trajectory, alpha: float, tolerance: float,
                 fit_degree: "int | None") -> str:
     out = [f"Project : {traj.project_id}", f"Snapshots : {len(traj)}"]
-    ts, xs, (percents, errors, locs, files) = traj.ts, traj.xs, traj._columns
+    ts, xs = traj.ts, traj.xs
     hours = [f"{t:g}" for t in ts]  # each written once, for every line that shows it
     out += [f"  t = {t} h  X = {x}  EL% = {el}  errors = {n}  loc = {loc}  file = {name}"
-            for t, x, el, n, loc, name in zip(hours, format_2dps(xs), format_2dps(percents),
-                                               errors, locs, files)]
+            for t, x, el, n, loc, name in zip(hours, format_2dps(xs), format_2dps(traj._percents),
+                                               traj._errors, traj._locs, traj._files)]
 
     if len(traj) < 2:
         insufficient = "insufficient data (need >= 2 snapshots)"
@@ -69,8 +69,7 @@ def render_csv(traj: Trajectory) -> str:
     # unquoted, so plain joins give its bytes.
     rates = ["", *trajectory._slopes(traj)]  # the first snapshot has no previous one
     rows = [("t_hours", "x", "el_percent", "errors", "loc", "rate_from_prev")]
-    percents, errors, locs, _ = traj._columns
-    rows += zip(traj.ts, traj.xs, percents, errors, locs, rates)
+    rows += zip(traj.ts, traj.xs, traj._percents, traj._errors, traj._locs, rates)
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 

@@ -403,6 +403,10 @@ def test_writer_shaped_store_loads_as_reference_loader(edit, data):
         assert loaded == _outcome(oracle_load_trajectory, path, project)
 
 
+def _columns(traj):
+    return traj.ts, traj.xs, traj._percents, traj._errors, traj._locs, traj._files
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((None,) + _STORE_EDITS), st.data())
 def test_loaded_trajectory_is_the_one_built_from_reference_snapshots(edit, data):
@@ -431,8 +435,7 @@ def test_loaded_trajectory_is_the_one_built_from_reference_snapshots(edit, data)
                     project, _WRITER_T0 + timedelta(hours=t), t, _STATS, 3))
                 expected = oracle_load_trajectory(path, project)
             loaded = load_trajectory(path, project)
-            assert repr((loaded.ts, loaded.xs, loaded._columns)) == \
-                repr((expected.ts, expected.xs, expected._columns))
+            assert repr(_columns(loaded)) == repr(_columns(expected))
             assert loaded == expected and hash(loaded) == hash(expected)
             assert repr(loaded) == repr(expected)
 
@@ -1010,31 +1013,6 @@ def test_load_trajectory_builds_the_asked_projects_snapshots_once(tmp_path, monk
             snapshots = traj.snapshots
             assert len(snapshots) == count and built == [project] * count
             assert traj.snapshots is snapshots and built == [project] * count
-
-
-@pytest.mark.parametrize("project, own_tail", [("q", True), ("p", False)])
-def test_report_compiles_the_writer_line_only_for_a_tail_it_cannot_search(
-        tmp_path, monkeypatch, project, own_tail):
-    # The last record's seal leaves q's line 4 after it. A report of q finds that line
-    # with the pattern that searched the sealed prefix, and compiles no _WRITER_LINE;
-    # a report of p, whose pattern does not find it, and every report without the
-    # seal compile _WRITER_LINE. The outcome is the same either way.
-    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
-    compiled, compile = [], re.compile
-
-    def counting(pattern, flags=0):
-        compiled.append(pattern)
-        return compile(pattern, flags)
-
-    monkeypatch.setattr(re, "compile", counting)
-    argv = ["report", "--project", project, "--store", store, "--format", "csv"]
-    (sealed, sealed_befores), (unsealed, unsealed_befores) = \
-        _with_and_without_seal(monkeypatch, store, argv)
-    assert sealed_befores == [3] and unsealed_befores == [0]
-    assert sealed == unsealed and sealed[0] == 0
-    assert compiled.count(history._WRITER_LINE) == (0 if own_tail else 1) + 1
-    # The search, then the tail: re answers the second call from its cache.
-    assert compiled.count(history._writer_line(project)) == 2
 
 
 def test_ordering_refusal_searches_the_sealed_prefix(tmp_path, monkeypatch):
