@@ -15,6 +15,7 @@ the error class in ``errors.py`` that stopped the command.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -314,5 +315,19 @@ def main(argv: "list[str] | None" = None) -> int:
         return exc.exit_code
 
 
+def run() -> int:
+    """``main()`` for ``python -m excellence`` and the console script: the cyclic
+    collector is off while the command runs and the heap is frozen after it, so neither
+    the command nor the interpreter's exit walks it. Memory cannot grow from this: rows,
+    masks and columns hold no cycle, and argparse's parser, the one cycle a command
+    makes, is made once; a failed command, or each file ``interactive`` fails to scan,
+    adds none. ``main`` leaves the collector alone, for library callers."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

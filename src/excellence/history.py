@@ -132,6 +132,9 @@ class Trajectory:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild it from its snapshots
+        return Trajectory, (self.project_id, self.snapshots)
+
     def __len__(self) -> int:
         return len(self.ts)
 

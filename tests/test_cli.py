@@ -1,12 +1,15 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,8 @@ from excellence.scanner import SourceStats
 from excellence.trajectory import interval_rates
 
 from store_oracle import oracle_load_trajectory, seal_crc32
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN_CLEAN = (
     "The number of lines in the file is : 675\n"
@@ -674,14 +679,19 @@ def test_report_leaves_no_seal_it_cannot_stand_behind(clean_src, tmp_path, monke
         assert "Snapshots : 2" in out
 
 
+def child_env():
+    """The environment of a child interpreter that imports the package from ``src``."""
+    src = str(ROOT / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_concurrent_records_take_turns(clean_src, tmp_path):
     store = tmp_path / "store.jsonl"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     procs = [subprocess.Popen([sys.executable, "-m", "excellence", "record", clean_src,
                                "--project", "p", "--store", str(store), "--t-hours", str(t)],
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              env=child_env())
              for t in range(8)]
     outcomes = []
     for proc in procs:
@@ -1257,3 +1267,122 @@ def test_interactive_ends_at_end_of_input_at_each_prompt(clean_src, monkeypatch,
     else:  # no log named, at the log prompt or past it: 0 errors
         assert prompts == list(_PROMPTS)
         assert out == "File opened successfully!\n" + GOLDEN_CLEAN
+
+
+# --- the process entry: run() ------------------------------------------------
+# ``python -m excellence`` and the console script call ``cli.run``, which turns the
+# cyclic collector off for the command and freezes the heap after it; ``main``, which
+# library callers and the tests above call, leaves the collector alone.
+
+def test_python_m_excellence_runs_without_the_collector_and_exits_frozen(clean_src):
+    code = ("import atexit, gc, runpy, sys\n"
+            "from excellence import scanner\n"
+            "scan_file, seen = scanner.scan_file, [gc.get_freeze_count()]\n"
+            "scanner.scan_file = lambda path: seen.append(gc.isenabled()) or scan_file(path)\n"
+            "atexit.register(lambda: print(*seen, gc.isenabled(), gc.get_freeze_count() > 0,\n"
+            "                              file=sys.stderr))\n"
+            "sys.argv = ['excellence', 'scan', sys.argv[1]]\n"
+            "runpy.run_module('excellence', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code, clean_src], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, GOLDEN_CLEAN)
+    # No heap frozen at start; the collector off while the file is scanned and at exit.
+    assert proc.stderr.endswith("\n0 False False True\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_finds_it(clean_src, tmp_path, capsys, enabled):
+    store = str(tmp_path / "s.jsonl")
+    commands = [(["scan", clean_src], 0),
+                (["record", clean_src, "--project", "p", "--store", store, "--t-hours", "0"], 0),
+                (["report", "--project", "p", "--store", store], 0),
+                (["report", "--project", "none", "--store", store], 8)]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for argv, code in commands:
+            assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_interactive_leaves_no_cycle_per_file_it_fails_to_scan(clean_src, tmp_path,
+                                                               monkeypatch, capsys):
+    """What ``run`` rests on: with the collector off, a loop of failures grows no heap."""
+    def cyclic_garbage(failures):
+        feed_input(monkeypatch, [str(tmp_path / "absent.c"), "y"] * failures
+                   + [clean_src, str(tmp_path / "absent.log"), "y", clean_src, "", "n"])
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["interactive"]) == 0
+            return gc.collect()
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    assert cyclic_garbage(1) == cyclic_garbage(40)
+    assert capsys.readouterr().err.count("error: ") == 1 + 1 + 40 + 1
+
+
+# Each case: the commands that set up a fresh directory, then the one compared.
+_PARITY = {
+    0: [["scan", "one.c"]],
+    2: [["scan"]],
+    3: [["scan", "absent.c"]],
+    6: [["scan", "empty.c"]],
+    7: [["record", "one.c", "--project", "p", "--store", "s.jsonl", "--t-hours", "1"],
+        ["record", "one.c", "--project", "p", "--store", "s.jsonl", "--t-hours", "0"]],
+    8: [["record", "one.c", "--project", "p", "--store", "s.jsonl", "--t-hours", "0"],
+        ["report", "--project", "none", "--store", "s.jsonl"]],
+}
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit:  # argparse's usage error
+        code = exit.code
+    return (code, *capsys.readouterr())
+
+
+def _python_m_excellence(argv, cwd):
+    proc = subprocess.run([sys.executable, "-m", "excellence", *argv], cwd=cwd,
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("code", list(_PARITY))
+def test_python_m_excellence_exits_as_main_returns(tmp_path, monkeypatch, capsys, code):
+    *setup, argv = _PARITY[code]
+    outcomes = []
+    for side in ("in_process", "child"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        Path("one.c").write_text("int x;\n", encoding="utf-8")
+        Path("empty.c").write_text("", encoding="utf-8")
+        for before in setup:
+            assert _main_outcome(before, capsys)[0] == 0
+        outcomes.append(_main_outcome(argv, capsys) if side == "in_process"
+                        else _python_m_excellence(argv, tmp_path / side))
+    assert outcomes[0][0] == code
+    assert outcomes[1] == outcomes[0]
+
+
+def test_console_script_runs_the_entry_python_m_excellence_runs(tmp_path):
+    from excellence import __main__
+
+    # tomllib is not in Python 3.10's stdlib.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, attr = re.search(r'^excellence = "([\w.]+):(\w+)"$', text, re.M).groups()
+    assert getattr(__import__(module, fromlist=[attr]), attr) is __main__.run
+    # As the wrapper that setuptools installs calls it.
+    wrapper = f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n"
+    (tmp_path / "one.c").write_text("int x;\n", encoding="utf-8")
+    for argv in (["scan", "one.c"], ["scan"], ["report", "--project", "p", "--store", "s"]):
+        script = subprocess.run([sys.executable, "-c", wrapper, *argv], cwd=tmp_path,
+                                env=child_env(), capture_output=True, text=True, timeout=60)
+        assert (script.returncode, script.stdout, script.stderr) == \
+            _python_m_excellence(argv, tmp_path)

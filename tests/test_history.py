@@ -1,7 +1,9 @@
 """Tests for the append-only snapshot store."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -513,6 +515,24 @@ def test_trajectory_validates_membership_and_order():
     with pytest.raises(ValueError):
         Trajectory(project_id="alpha", snapshots=(a1, a0))
     assert len(Trajectory(project_id="alpha", snapshots=(a0, a1))) == 2
+
+
+@pytest.mark.parametrize("made_by", ["constructor", "load_trajectory"])
+def test_trajectory_copies_and_pickles_as_an_equal_trajectory(tmp_path, made_by):
+    written = tuple(make_snapshot(t=float(i), errors=i, loc=3) for i in range(3))
+    if made_by == "constructor":
+        traj = Trajectory("alpha", written)
+    else:
+        store = str(tmp_path / "store.jsonl")
+        for snap in written:
+            append_snapshot(store, snap)
+        traj = load_trajectory(store, "alpha")
+    # Pickled first: a loaded trajectory has not built its snapshots yet.
+    for twin in (pickle.loads(pickle.dumps(traj)), copy.copy(traj), copy.deepcopy(traj)):
+        assert type(twin) is Trajectory
+        assert twin == traj
+        assert repr(twin) == repr(traj)
+        assert (twin.ts, twin.xs, twin.snapshots) == (traj.ts, traj.xs, written)
 
 
 def test_snapshot_create_rejects_negative_time():
