@@ -194,7 +194,10 @@ def _interleaved_snapshots(draw):
 @given(_interleaved_snapshots())
 def test_store_round_trip(snapshots):
     def contents(store):
-        return open(store, "rb").read() if os.path.exists(store) else None
+        if not os.path.exists(store):
+            return None
+        with open(store, "rb") as f:
+            return f.read()
 
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "store.jsonl")
