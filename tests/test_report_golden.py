@@ -3,8 +3,9 @@
 The cases are text with no fit and with fit degrees 1, 2 and 3, csv and svg, for
 ``demo``, whose seven snapshots hold a negative X (-3.125), an X on a tie of its
 third decimal (90.625, shown as 90.63), a whole X and a time that ``:g`` writes
-with an exponent, and for ``solo``, a project of one snapshot whose file name
-holds ``&``, ``<`` and ``>``. Each case runs on a copy of the store twice: once
+with an exponent; for ``solo``, a project of one snapshot whose file name holds
+``&``, ``<`` and ``>``; and for ``other``, a project of exactly two snapshots,
+whose first and last are the two ends of one pair. Each case runs on a copy of the store twice: once
 unsealed, a full check that leaves a seal, and once under that seal.
 
 After a deliberate change of the report's output, regenerate the expected files
@@ -33,6 +34,9 @@ CASES = {
     "solo.txt": ["--project", "solo", "--fit-degree", "1"],
     "solo.csv": ["--project", "solo", "--format", "csv"],
     "solo.svg": ["--project", "solo", "--format", "svg"],
+    "other.txt": ["--project", "other", "--fit-degree", "1"],
+    "other.csv": ["--project", "other", "--format", "csv"],
+    "other.svg": ["--project", "other", "--format", "svg"],
 }
 
 
