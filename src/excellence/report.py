@@ -27,13 +27,12 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
             for t, x, el, n, loc, name in zip(hours, format_2dps(xs), format_2dps(traj._percents),
                                                traj._errors, traj._locs, traj._files)]
 
-    if len(traj) < 2:
-        insufficient = "insufficient data (need >= 2 snapshots)"
-        out.append(f"Improvement : {insufficient}")
-        out.append(f"Interval rates : {insufficient}")
-        out.append(f"Instantaneous rate : {insufficient}")
-        out.append(f"Trend : {insufficient}")
-        out.append(f"Effort : {insufficient}")
+    try:
+        latest = trajectory.instantaneous_rate(traj, ts[-1])
+    except InsufficientDataError:
+        out += [f"{line} : insufficient data (need >= 2 snapshots)"
+                for line in ("Improvement", "Interval rates", "Instantaneous rate", "Trend",
+                             "Effort")]
     else:
         gain = improvement(xs[0], xs[-1])
         sign = "+" if gain >= 0 else ""
@@ -43,7 +42,6 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
         slopes = trajectory._slopes(traj)
         out.extend(f"  [{t_i}, {t_f}] : {slope:.6g}"
                    for t_i, t_f, slope in zip(hours, hours[1:], slopes))
-        latest = trajectory.instantaneous_rate(traj, ts[-1])
         out.append(f"Instantaneous rate at t = {hours[-1]} h : {latest.value:.6g} points/hour")
         trend = trajectory._classify_slopes(slopes, tolerance)  # argparse checked tolerance
         out.append(f"Trend : {trend.value}")

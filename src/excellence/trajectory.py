@@ -1,8 +1,8 @@
 """Rates of improvement of the degree of excellence over time.
 
 Average rate between two snapshots is the secant slope; the instantaneous
-rate at a sampled time uses a three-point difference on the nearest earlier
-and later snapshots (exact for quadratics, one-sided at the boundaries).
+rate at an interior sample is a three-point difference on its neighbours
+(exact for quadratics), and anywhere else the slope of the bracketing pair.
 Effort is proportional to the rate, E = alpha * dX/dt, with alpha the
 configured developer-ability coefficient; this module never estimates alpha.
 
@@ -108,7 +108,7 @@ def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
         raise InsufficientDataError(
             f"instantaneous rate needs at least 2 snapshots, have {len(ts)}"
         )
-    if t < ts[0] or t > ts[-1]:
+    if not ts[0] <= t <= ts[-1]:  # NaN too
         raise ExtrapolationError(
             f"t = {t} h is outside the sampled range [{ts[0]}, {ts[-1]}]"
         )
@@ -119,14 +119,9 @@ def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
             ts[k - 1], xs[k - 1], ts[k], xs[k], ts[k + 1], xs[k + 1]
         )
         interval = (ts[k - 1], ts[k + 1])
-    elif t == ts[0]:
-        value = (xs[1] - xs[0]) / (ts[1] - ts[0])
-        interval = (ts[0], ts[1])
-    elif t == ts[-1]:
-        value = (xs[-1] - xs[-2]) / (ts[-1] - ts[-2])
-        interval = (ts[-2], ts[-1])
     else:
-        # Between samples: slope of the bracketing pair.
+        # At either end or between samples: slope of the bracketing pair.
+        k = max(k, 1)
         value = (xs[k] - xs[k - 1]) / (ts[k] - ts[k - 1])
         interval = (ts[k - 1], ts[k])
     return RateEstimate(value=value, method=RateMethod.CENTRAL_DIFFERENCE, interval=interval)

@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from excellence import cli, trajectory
@@ -26,6 +27,7 @@ from excellence.metrics import QualityMetrics
 from excellence.scanner import SourceStats
 from excellence.trajectory import (
     PolyFit,
+    RateEstimate,
     RateMethod,
     TrendClass,
     classify_trend,
@@ -174,12 +176,15 @@ def test_between_samples_uses_bracketing_pair():
     assert rate.interval == (2.0, 6.0)
 
 
+_OUTSIDE = (-0.1, 3.1, math.nan, math.inf, -math.inf)
+
+
 def test_rate_outside_range_is_extrapolation():
-    traj = make_traj([(0.0, 1.0), (2.0, 2.0)])
-    with pytest.raises(ExtrapolationError):
-        instantaneous_rate(traj, -0.1)
-    with pytest.raises(ExtrapolationError):
-        instantaneous_rate(traj, 2.1)
+    # NaN too, which no comparison places inside the range.
+    traj = make_traj([(0.0, 1.0), (2.0, 2.0), (3.0, 3.5)])
+    for t in _OUTSIDE:
+        with pytest.raises(ExtrapolationError, match="outside the sampled range"):
+            instantaneous_rate(traj, t)
 
 
 def _far_traj(points) -> Trajectory:
@@ -200,6 +205,53 @@ def test_rate_needs_two_snapshots():
     with pytest.raises(InsufficientDataError) as err:
         instantaneous_rate(traj, 0.0)
     assert err.value.exit_code == 8
+
+
+def _four_branch_instantaneous_rate(traj, t):
+    """``instantaneous_rate`` as it was written with a branch for each end of the
+    range: the reference its one pair rule must match, for every t in range."""
+    ts, xs = traj.ts, traj.xs
+    k = bisect_left(ts, t)
+    if ts[k] == t and 0 < k < len(ts) - 1:
+        value = trajectory._three_point_derivative(
+            ts[k - 1], xs[k - 1], ts[k], xs[k], ts[k + 1], xs[k + 1]
+        )
+        interval = (ts[k - 1], ts[k + 1])
+    elif t == ts[0]:
+        value = (xs[1] - xs[0]) / (ts[1] - ts[0])
+        interval = (ts[0], ts[1])
+    elif t == ts[-1]:
+        value = (xs[-1] - xs[-2]) / (ts[-1] - ts[-2])
+        interval = (ts[-2], ts[-1])
+    else:
+        value = (xs[k] - xs[k - 1]) / (ts[k] - ts[k - 1])
+        interval = (ts[k - 1], ts[k])
+    return RateEstimate(value=value, method=RateMethod.CENTRAL_DIFFERENCE, interval=interval)
+
+
+def _bits(rate):
+    return rate.value.hex(), rate.method, tuple(t.hex() for t in rate.interval)
+
+
+# First times and steps: times near 1e-200 h, near 1e150 h and small integers.
+_ORIGINS_AND_STEPS = st.sampled_from(((0.0, 1e-200), (1e-200, 1e-203), (1e150, 1e140),
+                                      (1e150, 1e150), (0.0, 1.0), (7.0, 1.0), (0.0, 0.25)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORIGINS_AND_STEPS,
+       st.lists(st.integers(0, 1000), min_size=2, max_size=8, unique=True),
+       st.lists(st.floats(-1e6, 100.0), min_size=8, max_size=8), st.data())
+def test_one_pair_rule_gives_the_four_branch_rates(origin_and_step, steps, xs, data):
+    origin, step = origin_and_step
+    ts = sorted({origin + k * step for k in steps})
+    assume(len(ts) >= 2)
+    traj = _far_traj(list(zip(ts, xs)))
+    middles = [a + (b - a) / 2 for a, b in zip(ts, ts[1:])]
+    drawn = data.draw(st.floats(ts[0], ts[-1]), label="t")
+    for t in [*ts, *middles, drawn]:
+        assert _bits(instantaneous_rate(traj, t)) == \
+            _bits(_four_branch_instantaneous_rate(traj, t)), t
 
 
 # --- polynomial fits ------------------------------------------------------
