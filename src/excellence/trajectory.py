@@ -101,6 +101,14 @@ def _three_point_derivative(t0, x0, t1, x1, t2, x2) -> float:
     return (h2 * s1 + h1 * s2) / (h1 + h2)
 
 
+def _check_in_range(ts: tuple[float, ...], t: float) -> None:
+    """The point estimators' one range rule: ``t`` in ``[ts[0], ts[-1]]``, NaN refused."""
+    if not ts[0] <= t <= ts[-1]:
+        raise ExtrapolationError(
+            f"t = {t} h is outside the sampled range [{ts[0]}, {ts[-1]}]"
+        )
+
+
 def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
     """Tangent estimate of dX/dt at time ``t`` within the sampled range."""
     ts, xs = traj.ts, traj.xs
@@ -108,11 +116,7 @@ def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
         raise InsufficientDataError(
             f"instantaneous rate needs at least 2 snapshots, have {len(ts)}"
         )
-    if not ts[0] <= t <= ts[-1]:  # NaN too
-        raise ExtrapolationError(
-            f"t = {t} h is outside the sampled range [{ts[0]}, {ts[-1]}]"
-        )
-
+    _check_in_range(ts, t)
     k = bisect_left(ts, t)
     if ts[k] == t and 0 < k < len(ts) - 1:
         value = _three_point_derivative(
@@ -160,8 +164,8 @@ def _least_squares(columns: list[list[float]],
 
 
 def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
-    """Least-squares polynomial fit of X(t); degree must be 1, 2, or 3."""
-    if degree not in (1, 2, 3):
+    """Least-squares polynomial fit of X(t); degree must be the int 1, 2, or 3."""
+    if type(degree) is not int or degree not in (1, 2, 3):  # 2.0 and True are refused
         raise ValueError(f"fit degree must be 1, 2, or 3, got {degree}")
     ts = traj.ts
     if len(ts) < degree + 1:
@@ -180,8 +184,9 @@ def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
 
 
 def fit_derivative_rate(traj: Trajectory, degree: int, t: float) -> RateEstimate:
-    """Rate from differentiating a fitted polynomial at time ``t``."""
+    """Rate from differentiating a fitted polynomial at time ``t`` within the sampled range."""
     fit = fit_polynomial(traj, degree)
+    _check_in_range(traj.ts, t)
     return RateEstimate(
         value=fit.derivative_at(t),
         method=RateMethod.FIT_DERIVATIVE,

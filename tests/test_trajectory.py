@@ -307,11 +307,11 @@ def test_fit_is_translation_invariant():
 
 
 def test_fit_degree_validation():
+    # Only the int 1, 2 or 3: not a float that equals one, nor a bool.
     traj = make_traj([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
-    with pytest.raises(ValueError):
-        fit_polynomial(traj, 0)
-    with pytest.raises(ValueError):
-        fit_polynomial(traj, 4)
+    for degree in (0, 4, 2.0, True):
+        with pytest.raises(ValueError, match="fit degree must be 1, 2, or 3"):
+            fit_polynomial(traj, degree)
 
 
 @pytest.mark.parametrize("start, step, degree", [(0.0, 1e-200, 1), (0.0, 1e-200, 2),
@@ -325,6 +325,15 @@ def test_fit_on_times_out_of_float_range_is_insufficient_data(start, step, degre
     traj = _far_traj([(start + k * step, 90.0 + k * k) for k in range(4)])
     with pytest.raises(InsufficientDataError, match="out of floating-point range"):
         fit_polynomial(traj, degree)
+
+
+def test_fit_derivative_rate_outside_range_is_extrapolation():
+    # A rate is estimated only inside the sampled range, as for instantaneous_rate.
+    traj = make_traj([(0.0, 1.0), (2.0, 2.0), (3.0, 3.5)])
+    assert fit_derivative_rate(traj, 1, 3.0).interval == (0.0, 3.0)
+    for t in (*_OUTSIDE, 1e9):
+        with pytest.raises(ExtrapolationError, match="outside the sampled range"):
+            fit_derivative_rate(traj, 1, t)
 
 
 def test_fit_needs_degree_plus_one_points():
