@@ -321,10 +321,21 @@ def run() -> int:
     the command nor the interpreter's exit walks it. Memory cannot grow from this: rows,
     masks and columns hold no cycle, and argparse's parser, the one cycle a command
     makes, is made once; a failed command, or each file ``interactive`` fails to scan,
-    adds none. ``main`` leaves the collector alone, for library callers."""
+    adds none. ``main`` leaves the collector alone, for library callers.
+
+    A reader that closes stdout early, ``report | head -c1`` say, ends the command with
+    141, the status a shell gives a tool that SIGPIPE killed, and no traceback."""
     gc.disable()
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()  # here, not at exit, where a closed reader cannot be caught
+        return code
+    except BrokenPipeError:
+        # What is left in the buffer goes to /dev/null, so the exit's flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         gc.freeze()
 

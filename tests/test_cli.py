@@ -680,10 +680,13 @@ def test_report_leaves_no_seal_it_cannot_stand_behind(clean_src, tmp_path, monke
 
 
 def child_env():
-    """The environment of a child interpreter that imports the package from ``src``."""
+    """The environment of a child interpreter that imports the package from ``src``, with
+    stdout buffered as a user's is: PYTHONUNBUFFERED would hide a reader that closes early."""
     src = str(ROOT / "src")
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_concurrent_records_take_turns(clean_src, tmp_path):
@@ -1369,6 +1372,25 @@ def test_python_m_excellence_exits_as_main_returns(tmp_path, monkeypatch, capsys
                         else _python_m_excellence(argv, tmp_path / side))
     assert outcomes[0][0] == code
     assert outcomes[1] == outcomes[0]
+
+
+def test_report_into_a_reader_that_closes_early_exits_141_quietly(tmp_path):
+    # About 300 KB of report, several times a pipe's 64 KiB buffer: the child is still
+    # writing when the reader closes after one byte.
+    stats = SourceStats(file_name="m" * 100 + ".c", total_lines=110, comment_lines=10,
+                        blank_lines=0, loc=100, for_count=0, while_count=0)
+    t0 = datetime(2026, 3, 1, tzinfo=timezone.utc)
+    (tmp_path / "s.jsonl").write_bytes(b"".join(
+        history._line(history.QualitySnapshot.create("p", t0, float(t), stats, t % 7))
+        for t in range(1500)))
+    proc = subprocess.Popen([sys.executable, "-m", "excellence", "report", "--project", "p",
+                             "--store", "s.jsonl"], cwd=tmp_path, env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"P"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_console_script_runs_the_entry_python_m_excellence_runs(tmp_path):
