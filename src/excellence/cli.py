@@ -328,7 +328,8 @@ def run() -> int:
     gc.disable()
     try:
         code = main()
-        sys.stdout.flush()  # here, not at exit, where a closed reader cannot be caught
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()  # here, not at exit, where a closed reader cannot be caught
         return code
     except BrokenPipeError:
         # What is left in the buffer goes to /dev/null, so the exit's flush cannot fail.

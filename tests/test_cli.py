@@ -1393,6 +1393,18 @@ def test_report_into_a_reader_that_closes_early_exits_141_quietly(tmp_path):
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+def test_record_with_stdout_closed_stores_its_snapshot_and_exits_0(tmp_path):
+    # With fd 1 closed at start, sys.stdout is None: print writes nothing, and run()
+    # has no stdout to flush.
+    (tmp_path / "one.c").write_text("int x;\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "excellence", "record", "one.c", "--project", "p",
+            "--store", "s.jsonl", "--t-hours", "0"]
+    proc = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *argv], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert load_trajectory(str(tmp_path / "s.jsonl"), "p").ts == (0.0,)
+
+
 def test_console_script_runs_the_entry_python_m_excellence_runs(tmp_path):
     from excellence import __main__
 
