@@ -117,6 +117,7 @@ def instantaneous_rate(traj: Trajectory, t: float) -> RateEstimate:
             f"instantaneous rate needs at least 2 snapshots, have {len(ts)}"
         )
     _check_in_range(ts, t)
+
     k = bisect_left(ts, t)
     if ts[k] == t and 0 < k < len(ts) - 1:
         value = _three_point_derivative(
@@ -165,7 +166,7 @@ def _least_squares(columns: list[list[float]],
 
 def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
     """Least-squares polynomial fit of X(t); degree must be the int 1, 2, or 3."""
-    if type(degree) is not int or degree not in (1, 2, 3):  # 2.0 and True are refused
+    if type(degree) is not int or degree not in (1, 2, 3):  # by type too: 2.0 == 2, True == 1
         raise ValueError(f"fit degree must be 1, 2, or 3, got {degree}")
     ts = traj.ts
     if len(ts) < degree + 1:
