@@ -157,7 +157,8 @@ def _write_report(stats: SourceStats, error_count: int) -> "QualityMetrics | Non
         metrics = compute_metrics(error_count, stats.loc)
     except UndefinedMetricError:
         metrics = None
-    sys.stdout.write(render_report(stats, error_count, metrics))
+    # print, unlike sys.stdout.write, writes nothing when fd 1 was closed at start.
+    print(render_report(stats, error_count, metrics), end="")
     return metrics
 
 
@@ -188,11 +189,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         _warn(f"notice: store has no snapshots for project '{args.project}'")
         return InsufficientDataError.exit_code
     if args.format == "text":
-        sys.stdout.write(report.render_text(traj, args.alpha, args.tolerance, args.fit_degree))
+        text = report.render_text(traj, args.alpha, args.tolerance, args.fit_degree)
     elif args.format == "csv":
-        sys.stdout.write(report.render_csv(traj))
+        text = report.render_csv(traj)
     else:
-        sys.stdout.write(report.render_svg(traj))
+        text = report.render_svg(traj)
+    print(text, end="")
     return 0
 
 

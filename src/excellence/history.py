@@ -28,14 +28,14 @@ length and line count, and per project the first wall clock, the last hours, tha
 record's line and the record count. One CRC-32 covers the prefix and then the
 seal's own bytes without its ``crc32`` member, so an edit to either misses; the
 seal is a cache key, not a MAC, so a checksum that catches accidental edits is all
-it needs. A writer seals the bytes it read; a reader that found no matching seal
-seals the store it checked, if it can take the writer's lock at once. While the
-store starts with the sealed bytes they are checksummed, not checked: a writer
-checks only the lines after them, so an append parses O(1) records and checksums
-O(n) bytes; a reader, and a writer naming the stored time that refuses a snapshot,
-also check the asked project's lines in the prefix, found by the writer's line with
-that id fixed, or the whole store when those are not exactly the seal's count of
-them. Without a matching seal the whole store is checked, with the same outcome.
+it needs. A command that checked lines past a matching seal, or found none, seals
+what it checked if those end in a newline; a reader only if it takes the writer's
+lock at once and the store has not grown. While the store starts with the sealed
+bytes they are checksummed, not checked: a writer checks only the lines after them,
+so an append parses O(1) records and checksums O(n) bytes; a reader, and a writer
+naming the stored time that refuses a snapshot, also check the asked project's lines
+in the prefix, found by the writer's line with that id fixed, or the whole store if
+their count is not the seal's. A seal changes what is checked, never the outcome.
 """
 
 from __future__ import annotations
@@ -443,8 +443,8 @@ def _load_seal(seal_path: str) -> "tuple[int, int, int, dict, bytes] | None":
 def _read(f, project_id: "str | None", store_path: str) -> tuple:
     """Check the store at ``store_path``, open as ``f``, from its start, for the rows
     (see ``_check``) of ``project_id``, or for a writer given None: the rows, the
-    line count, ``seen``, the running CRC-32 and the length it covers, whether bytes
-    followed any matching seal and ended in ``\\n``, and whether a seal matched.
+    line count, ``seen``, the running CRC-32 and the length it covers, and whether
+    bytes followed any matching seal and ended in ``\\n``.
 
     A seal at ``<store_path>.seal`` that ``_load_seal`` takes and that matches is
     trusted: the prefix it covers is checksummed, not checked, and the bytes after it
@@ -456,7 +456,7 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     of its line, as for the scanner and the log counter; a byte that is not UTF-8
     corrupts its line."""
     f.seek(0)
-    length, lines, seen, crc, sealed, data = 0, 0, {}, 0, False, None
+    length, lines, seen, crc, data, matched = 0, 0, {}, 0, None, 0  # a matching seal's length
     found = None  # the project's rows in a sealed prefix, which is then not checked
     loaded = _load_seal(store_path + ".seal")
     if loaded is not None:
@@ -470,8 +470,8 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
         else:
             data = f.read()
             crc = binascii.crc32(memoryview(data)[:end])
-        sealed = f.tell() >= end and binascii.crc32(summary, crc) == sealed_crc
-        if sealed:
+        if f.tell() >= end and binascii.crc32(summary, crc) == sealed_crc:
+            matched = end  # a failed search checks these bytes again: they are not past it
             entry = projects.get(project_id)
             found = [] if data is None else _search(memoryview(data)[:end], project_id,
                                                      0 if entry is None else entry[3])
@@ -496,7 +496,7 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     rows, lines = _check(text, lines, seen, project_id)
-    return (found or []) + rows, lines, seen, crc, length, ended, sealed
+    return (found or []) + rows, lines, seen, crc, length, ended and length > matched
 
 
 def _write_seal(store_path: str, crc: int, length: int, lines: int, seen: dict) -> None:
@@ -549,7 +549,7 @@ def _update(store_path: str, project_id: str,
     try:  # the open, the lock (ENOLCK where a file system has none), read, write and fsync
         with open(store_path, "a+b") as f:  # every write lands at the end
             fcntl.flock(f.fileno(), fcntl.LOCK_EX)
-            _, count, seen, crc, length, ended, _ = _read(f, None, store_path)
+            _, count, seen, crc, length, ended = _read(f, None, store_path)
             stored = seen.get(project_id)
             snapshot = place(None if stored is None else _clock(stored[0]))
             if stored is not None and snapshot.t_hours <= stored[1]:
@@ -610,14 +610,14 @@ def load_trajectory(store_path: str, project_id: str) -> Trajectory:
     """Load one project's snapshots in time order; unknown project is empty.
 
     Under a matching seal the project's records in the sealed prefix and every
-    record after it are checked; otherwise every record of every project is, and a
-    store that ends in a newline is then sealed, unless a writer holds its lock.
+    record after it are checked; otherwise every record of every project is. What it
+    checked it seals as a writer does, unless a writer holds the lock or grew the store.
     Its snapshots are built from this project's rows on first access.
     """
     try:
         with open(store_path, "rb") as f:
-            rows, lines, seen, crc, length, ended, sealed = _read(f, project_id, store_path)
-            if not sealed and ended:
+            rows, lines, seen, crc, length, ended = _read(f, project_id, store_path)
+            if ended:
                 import fcntl
                 # Under the writer's lock, as a writer seals: not while a writer holds
                 # it, where there are no locks, nor once the store has grown, so that

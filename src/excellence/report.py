@@ -39,12 +39,10 @@ def render_text(traj: Trajectory, alpha: float, tolerance: float,
         out.append(f"Improvement (X_final - X_initial) = {sign}{format_2dp(gain)}")
         out.append("Interval rates (points/hour):")
         # The slopes of trajectory.interval_rates, without a RateEstimate each.
-        slopes = trajectory._slopes(traj)
         out.extend(f"  [{t_i}, {t_f}] : {slope:.6g}"
-                   for t_i, t_f, slope in zip(hours, hours[1:], slopes))
+                   for t_i, t_f, slope in zip(hours, hours[1:], trajectory._slopes(traj)))
         out.append(f"Instantaneous rate at t = {hours[-1]} h : {latest.value:.6g} points/hour")
-        trend = trajectory._classify_slopes(slopes, tolerance)  # argparse checked tolerance
-        out.append(f"Trend : {trend.value}")
+        out.append(f"Trend : {trajectory.classify_trend(traj, tolerance).value}")
         estimate = trajectory.effort(alpha, latest)
         out.append(f"Effort = alpha * dX/dt = {alpha:g} * {latest.value:.6g} = "
                    f"{estimate.effort:.6g}")

@@ -228,11 +228,7 @@ def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:
         raise InsufficientDataError(
             f"trend classification needs at least 2 snapshots, have {len(traj)}"
         )
-    return _classify_slopes(_slopes(traj), tolerance)
-
-
-def _classify_slopes(slopes: list[float], tolerance: float) -> TrendClass:
-    """``classify_trend`` on slopes already computed, with a checked tolerance."""
+    slopes = _slopes(traj)
     mean = sum(slopes) / len(slopes)
     if all(abs(s - mean) <= tolerance for s in slopes) and mean > tolerance:
         return TrendClass.UNIFORM

@@ -639,23 +639,87 @@ def test_report_leaves_the_seal_a_record_would(clean_src, tmp_path, capsys):
     assert seal.read_bytes() == left
 
 
+def test_report_extends_a_records_seal_over_the_line_it_appended(clean_src, tmp_path,
+                                                                 monkeypatch, capsys):
+    # A record seals the bytes it read, not the line it appended. The first report
+    # after it checks that line and seals it, to the seal a full check leaves; the
+    # next report has nothing past the seal to check.
+    store, copy = tmp_path / "s.jsonl", tmp_path / "c.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    copy.write_bytes(store.read_bytes())
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(copy)]) == 0
+    full = capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    assert capsys.readouterr() == full
+    assert (tmp_path / "s.jsonl.seal").read_bytes() == (tmp_path / "c.jsonl.seal").read_bytes()
+    texts = []
+    check = history._check
+
+    def spy(text, *args):
+        texts.append(text)
+        return check(text, *args)
+
+    monkeypatch.setattr(history, "_check", spy)
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    assert capsys.readouterr() == full
+    assert texts == [""]
+
+
+def test_report_whose_search_fails_under_a_seal_seals_only_lines_past_it(
+        clean_src, tmp_path, monkeypatch, capsys):
+    # A record of p in another key order: under a matching seal the search for p's
+    # lines fails and the whole store is checked again. Those sealed bytes are not
+    # past the seal, so the seal is not written again; a record's line past it is.
+    store, copy = tmp_path / "s.jsonl", tmp_path / "c.jsonl"
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                     "--t-hours", t]) == 0
+    first, rest = store.read_text(encoding="utf-8").split("\n", 1)
+    store.write_text(json.dumps(dict(reversed(json.loads(first).items()))) + "\n" + rest,
+                     encoding="utf-8")
+    (tmp_path / "s.jsonl.seal").unlink()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    writes = []
+    write_seal = history._write_seal
+    monkeypatch.setattr(history, "_write_seal",
+                        lambda *args: writes.append(args) or write_seal(*args))
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", str(store)]) == 0
+    assert "Snapshots : 2" in capsys.readouterr().out
+    assert writes == []
+    assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                 "--t-hours", "2"]) == 0
+    copy.write_bytes(store.read_bytes())
+    for name in ("c.jsonl", "s.jsonl"):  # a full check without a seal, then past one
+        assert main(["report", "--project", "p", "--store", str(tmp_path / name)]) == 0
+    assert (tmp_path / "s.jsonl.seal").read_bytes() == (tmp_path / "c.jsonl.seal").read_bytes()
+
+
 @pytest.mark.parametrize("case", ["busy", "no locks", "grown", "torn", "corrupt"])
 def test_report_leaves_no_seal_it_cannot_stand_behind(clean_src, tmp_path, monkeypatch,
                                                       capsys, case):
     # A writer holds the lock, the file system has no locks, a writer appended after
-    # the report's read, the last line has no newline, or the store is corrupt.
+    # the report's read, the last line has no newline, or the store is corrupt. Each
+    # from two starts: no seal, or the seal of the second record, which leaves that
+    # record's line past it. The seal the report found, or its absence, stays.
     import errno
     import fcntl
-    store = tmp_path / "s.jsonl"
-    for t in ("0", "1"):
-        assert main(["record", clean_src, "--project", "p", "--store", str(store),
-                     "--t-hours", t]) == 0
-    (tmp_path / "s.jsonl.seal").unlink()
-    if case == "torn":  # its last record all but its newline
-        store.write_bytes(store.read_bytes()[:-1])
-    elif case == "corrupt":
-        store.write_bytes(store.read_bytes() + b"{}\n")
-    data = store.read_bytes()
+    starts = {}  # each store: its bytes and its seal's, None for no seal
+    for store in (tmp_path / "unsealed.jsonl", tmp_path / "tail.jsonl"):
+        for t in ("0", "1"):
+            assert main(["record", clean_src, "--project", "p", "--store", str(store),
+                         "--t-hours", t]) == 0
+        seal = tmp_path / f"{store.name}.seal"
+        if store.name == "unsealed.jsonl":
+            seal.unlink()
+        if case == "torn":  # its last record all but its newline
+            store.write_bytes(store.read_bytes()[:-1])
+        elif case == "corrupt":
+            store.write_bytes(store.read_bytes() + b"{}\n")
+        starts[store] = store.read_bytes(), seal.read_bytes() if seal.exists() else None
     flock = fcntl.flock
 
     def locking(fd, operation):
@@ -669,14 +733,16 @@ def test_report_leaves_no_seal_it_cannot_stand_behind(clean_src, tmp_path, monke
         flock(fd, operation)
 
     monkeypatch.setattr(fcntl, "flock", locking)
-    capsys.readouterr()
-    assert main(["report", "--project", "p", "--store", str(store)]) == \
-        (7 if case == "corrupt" else 0)
-    out = capsys.readouterr().out
-    assert not (tmp_path / "s.jsonl.seal").exists()
-    assert store.read_bytes().startswith(data)
-    if case != "corrupt":
-        assert "Snapshots : 2" in out
+    for store, (data, sealed) in starts.items():
+        capsys.readouterr()
+        assert main(["report", "--project", "p", "--store", str(store)]) == \
+            (7 if case == "corrupt" else 0)
+        out = capsys.readouterr().out
+        seal = tmp_path / f"{store.name}.seal"
+        assert (seal.read_bytes() if seal.exists() else None) == sealed
+        assert store.read_bytes().startswith(data)
+        if case != "corrupt":
+            assert "Snapshots : 2" in out
 
 
 def child_env():
@@ -912,6 +978,30 @@ def test_report_unknown_project_exits_8(clean_src, tmp_path, capsys):
     assert main(["report", "--project", "ghost", "--store", store]) == 8
     _, err = capsys.readouterr()
     assert "no snapshots" in err
+
+
+def test_report_classifies_the_trend_through_classify_trend(clean_src, faulty_src, tmp_path,
+                                                           monkeypatch, capsys):
+    # Looked up through the module, as the bench's tracer wraps it, with the flag's
+    # tolerance; no private twin classifies slopes beside it.
+    from excellence import trajectory
+    assert not hasattr(trajectory, "_classify_slopes")
+    store = str(tmp_path / "s.jsonl")
+    for src, t in ((faulty_src, "0"), (clean_src, "1"), (clean_src, "3")):
+        assert main(["record", src, "--project", "p", "--store", store, "--t-hours", t]) == 0
+    calls = []
+    classify = trajectory.classify_trend
+
+    def spy(traj, tolerance=1e-6):
+        calls.append((traj.ts, tolerance))
+        return classify(traj, tolerance)
+
+    monkeypatch.setattr(trajectory, "classify_trend", spy)
+    capsys.readouterr()
+    assert main(["report", "--project", "p", "--store", store, "--tolerance", "0.25"]) == 0
+    assert calls == [((0.0, 1.0, 3.0), 0.25)]
+    assert f"Trend : {classify(load_trajectory(store, 'p'), 0.25).value}\n" in \
+        capsys.readouterr().out
 
 
 def test_report_missing_store_exits_3(capsys):
@@ -1393,16 +1483,32 @@ def test_report_into_a_reader_that_closes_early_exits_141_quietly(tmp_path):
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
-def test_record_with_stdout_closed_stores_its_snapshot_and_exits_0(tmp_path):
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "one.c"], 0),
+    (["scan", "none.c"], 6),
+    (["report", "--project", "p", "--store", "s.jsonl"], 0),
+    (["report", "--project", "p", "--store", "s.jsonl", "--format", "csv"], 0),
+    (["report", "--project", "p", "--store", "s.jsonl", "--format", "svg"], 0),
+    (["report", "--project", "q", "--store", "s.jsonl"], 8),
+    (["record", "one.c", "--project", "p", "--store", "s.jsonl", "--t-hours", "2"], 0),
+], ids=["scan", "scan loc 0", "report", "report csv", "report svg", "report unknown",
+        "record"])
+def test_command_with_stdout_closed_discards_its_output_and_keeps_its_exit_code(
+        clean_src, tmp_path, argv, code):
     # With fd 1 closed at start, sys.stdout is None: print writes nothing, and run()
-    # has no stdout to flush.
+    # has no stdout to flush. No file object stands in for it, to leak at exit.
     (tmp_path / "one.c").write_text("int x;\n", encoding="utf-8")
-    argv = [sys.executable, "-m", "excellence", "record", "one.c", "--project", "p",
-            "--store", "s.jsonl", "--t-hours", "0"]
+    (tmp_path / "none.c").write_text("/* loc = 0 */\n", encoding="utf-8")
+    for t in ("0", "1"):
+        assert main(["record", clean_src, "--project", "p", "--store",
+                     str(tmp_path / "s.jsonl"), "--t-hours", t]) == 0
+    argv = [sys.executable, "-W", "error::ResourceWarning", "-m", "excellence", *argv]
     proc = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *argv], cwd=tmp_path,
                           env=child_env(), capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "")
-    assert load_trajectory(str(tmp_path / "s.jsonl"), "p").ts == (0.0,)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert "Traceback" not in proc.stderr and "ResourceWarning" not in proc.stderr
+    assert load_trajectory(str(tmp_path / "s.jsonl"), "p").ts == \
+        ((0.0, 1.0, 2.0) if argv[5] == "record" else (0.0, 1.0))
 
 
 def test_console_script_runs_the_entry_python_m_excellence_runs(tmp_path):

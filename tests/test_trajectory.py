@@ -551,20 +551,20 @@ def test_import_does_not_load_numpy(tmp_path):
 
 def test_sealed_report_loads_neither_json_nor_hashlib(tmp_path):
     # Three appends leave a seal over the first two lines and p's third line after
-    # it; a report trusts that seal and checks the tail. On a copy with no seal, a
-    # report checks the whole store and seals it; the next report trusts that seal
-    # and has no tail. Neither trusting report loads the JSON decoder or hashlib.
+    # it; a report trusts that seal, checks the tail and extends the seal over it, to
+    # the seal a full check leaves. On a copy with no seal, a report checks the whole
+    # store and seals it; the next report trusts that seal, has no tail and keeps it.
+    # Neither trusting report loads the JSON decoder or hashlib.
     store = tmp_path / "s.jsonl"
     for t in (0.0, 1.0, 2.5):
         append_snapshot(str(store), QualitySnapshot.create("p", T0, t, _STATS, 1))
     (tmp_path / "c.jsonl").write_bytes(store.read_bytes())
     argv = ("report", "--project", "p", "--fit-degree", "2", "--store")
     _loaded_modules(_command(*argv, "c.jsonl"), tmp_path)
-    assert (tmp_path / "c.jsonl.seal").exists()
+    full = (tmp_path / "c.jsonl.seal").read_bytes()
     for name in ("s.jsonl", "c.jsonl"):
-        seal = (tmp_path / f"{name}.seal").read_bytes()
         loaded = _loaded_modules(_command(*argv, name), tmp_path)
-        assert (tmp_path / f"{name}.seal").read_bytes() == seal  # trusted, not replaced
+        assert (tmp_path / f"{name}.seal").read_bytes() == full
         assert "excellence.report" in loaded
         assert not {"json", "hashlib", "_hashlib"} & loaded
 
