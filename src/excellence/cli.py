@@ -126,13 +126,15 @@ def _start_count(source_path: str, log_path: str,
 
 def _gather(source_path: str, log_path: "str | None",
             pattern_text: "str | None") -> tuple[SourceStats, int]:
-    from . import diaglog, scanner
+    from . import diaglog
     pattern = diaglog.DEFAULT_ERROR_PATTERN
     if pattern_text is not None:
         pattern = diaglog.ErrorPattern(pattern_text)
         pattern.compile()  # an invalid pattern stops the command before any file is read
+    # The child starts before the scanner loads: it needs only diaglog.
     child = None if log_path is None else _start_count(source_path, log_path, pattern)
     try:
+        from . import scanner
         stats = scanner.scan_file(source_path)
         if stats.unterminated_comment:
             _warn(f"warning: {source_path}: unterminated block comment; "
@@ -171,10 +173,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    from datetime import datetime, timezone  # here, not at module level: scan reads no clock
+    stats, error_count = _gather(args.src, args.log, None)
+    # Here, after _gather, so that a forked count starts first; scan reads no clock.
+    from datetime import datetime, timezone
 
     from . import history
-    stats, error_count = _gather(args.src, args.log, None)
     snapshot = history.record_snapshot(args.store, args.project, datetime.now(timezone.utc),
                                        stats, error_count, args.t_hours)
     print(f"recorded snapshot for project '{args.project}' at t = {snapshot.t_hours:g} h "

@@ -21,7 +21,9 @@ and ``str.isspace()``, which keeps the conventions below.
 Counting conventions (the scanner and its test oracle share these):
 
 * CRLF is normalized to LF; a final line without a trailing newline still
-  counts as a line.
+  counts as a line. The token pattern reads a CRLF in place, with no
+  normalized copy of the text: a CR is whitespace wherever the mask is
+  searched, and a backslash just before a CRLF escapes the whole break.
 * A line is a comment line only when every non-whitespace character on it,
   delimiters included, lies inside a comment. Lines mixing code and a
   trailing comment are code lines.
@@ -63,8 +65,8 @@ _TOKEN = re.compile(
       //[^\n]*                          # line comment
     | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/    # block comment
     | /\*.*                             # unterminated block comment: runs to EOF
-    | "[^"\\\n]*(?:\\.[^"\\\n]*)*"?      # string literal; a backslash escapes even a newline
-    | '[^'\\\n]*(?:\\.[^'\\\n]*)*'?      # char literal
+    | "[^"\\\n]*(?:\\(?:\r\n|.)[^"\\\n]*)*"?   # string literal; a backslash escapes even a newline
+    | '[^'\\\n]*(?:\\(?:\r\n|.)[^'\\\n]*)*'?   # char literal
     )""",
     re.VERBOSE | re.DOTALL,
 )
@@ -82,10 +84,8 @@ _LOOPS = {kw: re.compile(rf"{kw}(?<=\b{kw})\b") for kw in LOOP_KEYWORDS}
 def _mask(source_text: str) -> tuple[str, int, bool]:
     """The code mask of ``source_text``, its number of lines and whether a block
     comment is left open."""
-    text = source_text.replace("\r\n", "\n")
-    total = text.count("\n") + (text != "" and not text.endswith("\n"))
-    parts = _TOKEN.split(text)
-    del text  # a CRLF source's copy; the parts hold the text now
+    total = source_text.count("\n") + (source_text != "" and not source_text.endswith("\n"))
+    parts = _TOKEN.split(source_text)
     last = parts[-2] if len(parts) > 1 else ""
     unterminated = last.startswith("/*") and (len(last) < 4 or not last.endswith("*/"))
     parts[1::2] = [

@@ -958,6 +958,31 @@ def test_interrupted_scan_reaps_the_child(large, forks, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("command", ["scan", "record"])
+def test_fresh_command_forks_the_count_before_scan_or_store_work(large, tmp_path, command):
+    """The parent waits for the child's digits, so the child starts before the scanner,
+    the store or the clock is loaded; it needs only diaglog."""
+    code = ("import atexit, os, runpy, sys\n"
+            "real_fork, seen = os.fork, []\n"
+            "watched = ('datetime', 'excellence.diaglog', 'excellence.history',\n"
+            "           'excellence.scanner')\n"
+            "def fork():\n"
+            "    seen.append([name for name in watched if name in sys.modules])\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
+            "atexit.register(lambda: print(seen, file=sys.stderr))\n"
+            "sys.argv = ['excellence', *sys.argv[1:]]\n"
+            "runpy.run_module('excellence', run_name='__main__')\n")
+    argv = [command, str(large / "big.c"), "--log", str(large / "big.log")]
+    if command == "record":
+        argv += ["--project", "p", "--store", str(tmp_path / "s.jsonl"), "--t-hours", "0"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "[['excellence.diaglog']]\n")
+    assert ("Number of errors = 40000\n" if command == "scan"
+            else "recorded snapshot for project 'p'") in proc.stdout
+
+
 # --- report -----------------------------------------------------------------
 
 def build_store(tmp_path, clean_src, faulty_src, error_log):

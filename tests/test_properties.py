@@ -58,6 +58,13 @@ _sources = st.lists(st.sampled_from(_SOURCE_ALPHABET), max_size=80).map("".join)
 @example("x\n ")
 @example("/*\n\n*/")
 @example("\r\n \r\n")
+# A CRLF source is tokenized in place: a backslash before a CRLF continues a string or
+# char literal over the comment marker on the next line, a backslash before a lone CR
+# does not, and a block comment spans its CRLFs.
+@example('"a\\\r\n// b"')
+@example("'\\\r\n// b'")
+@example('"\\\r\r\n// b"')
+@example("/*\r\n\r\n*/\r\nx")
 def test_scanner_matches_oracle(text):
     stats = scan_source(text)
     expected = oracle_scan(text)
@@ -70,15 +77,17 @@ def test_scanner_matches_oracle(text):
 _OLD_DEFAULT_PATTERN_TEXT = r"\berror\b(?:\s+[A-Za-z]*\d+)?\s*:"
 
 # İ ı ſ and the Kelvin sign U+212A are the non-ASCII letters that [A-Za-z]
-# matches under IGNORECASE; a lone CR, \x85, \x1c and U+3000 are whitespace
-# that does not end a line. ² Ⅻ ª are word characters that are not letters or
-# decimal digits, and the combining acute U+0301 is not a word character: the
-# boundary before ``error`` is checked on each hit, with str.isalnum().
+# matches under IGNORECASE; a lone CR, \x0b, \x1c-\x1f, \x85, U+2003 and U+3000
+# are whitespace that does not end a line, the ASCII ones searched as bytes. ² Ⅻ ª
+# are word characters that are not letters or decimal digits, and the combining
+# acute U+0301 is not a word character: the boundary before ``error`` is checked on
+# each hit, with str.isalnum().
 _LOG_ALPHABET = (
     "error", "Error", "ERROR", "eRrOr", "terror", "error_count", "errors.c",
     "Error 1", "_error:", "error C2065:", "error LNK2019", "warning", "é", "ß",
     "٣", "2", "C", "x", "_", ":", " ", "\t", "\x0c", "　", "(", ")", ".",
-    "İ", "ı", "ſ", "\u212a", "error İ5:", "error \u212a12:", "\r", "\x85", "\x1c", "\ud800",
+    "İ", "ı", "ſ", "\u212a", "error İ5:", "error \u212a12:", "\r", "\x0b", "\x1c", "\x1d",
+    "\x1e", "\x1f", "\x85", "\u2003", "\ud800",
     "²", "Ⅻ", "ª", "\u0301",
 )
 _log_lines = st.lists(st.sampled_from(_LOG_ALPHABET), max_size=12).map("".join)
@@ -86,6 +95,9 @@ _log_lines = st.lists(st.sampled_from(_LOG_ALPHABET), max_size=12).map("".join)
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_log_lines, max_size=20), st.sampled_from(("\n", "\r\n")))
+# All-ASCII whitespace that str.isspace() admits, then the same next to non-ASCII.
+@example(["error\x1c:", "error \x1d7\x0b:", "x\terror\x1e\x1f:", "_error\x0c:"], "\r\n")
+@example(["error\x1c:", "\x85error\u2003:", "error\x85C2:", "²error:"], "\n")
 def test_default_error_pattern_matches_old_text(lines, newline):
     log = newline.join(lines)
     old = count_errors(log, ErrorPattern(_OLD_DEFAULT_PATTERN_TEXT))
@@ -98,14 +110,16 @@ def test_default_error_pattern_matches_old_text(lines, newline):
 # Log bytes: error heads in mixed case, bytes that are not UTF-8 (a stray
 # continuation byte, a cut sequence, an encoded surrogate, a byte never in
 # UTF-8), the UTF-8 of İ ı ſ and the Kelvin sign, of the word characters ² Ⅻ ª
-# and of the non-word combining acute U+0301, a lone CR and CRLF.
+# and of the non-word combining acute U+0301, a lone CR and CRLF, and whitespace
+# that str.isspace() admits: \x0b and \x1c-\x1f in ASCII, U+0085 and U+2003 beyond.
 _LOG_BYTES = (
     b"error", b"ERROR", b"Error", b"eRRoR", b"error:", b"ERROR C2065:", b"terror", b"eRr",
     b"Or:", b" ", b"\t", b":", b"C", b"7", b"x", b"_",
     b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff", b"\xe2\x82",
     "İ ı ſ \u212a".encode("utf-8"), "error İ5:".encode("utf-8"),
     "error \u212a12:".encode("utf-8"), *(c.encode("utf-8") for c in "²Ⅻª\u0301"),
-    b"\r", b"\r\n", b"\n",
+    b"\r", b"\r\n", b"\n", b"\x0b", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+    "\x85".encode("utf-8"), "\u2003".encode("utf-8"),
 )
 
 
@@ -123,6 +137,9 @@ _LOG_BYTES = (
 # in its block, and real heads whose ``error`` opens the block or follows a non-word mark.
 @example(b"terror: a\n_error: b\nerror: c\n", 1)
 @example("\u00b2error:\n\u216berror:\n\u00aaerror:\n\u0301error:\nERROR:".encode("utf-8"), 1)
+# An all-ASCII block, searched as bytes, next to a non-ASCII one, searched as text.
+@example(b"ERROR\x1c:\n_error\x1f:\n" + "\x85error\u2003:\nerror\x85C2:\n".encode("utf-8")
+         + b"error \x1e7\x0b:\nerror\n:\n", 1)
 def test_log_file_folded_as_bytes_matches_per_line_search(raw, block):
     # Any other pattern text is searched line by line, on the text decoded first.
     per_line = ErrorPattern(DEFAULT_PATTERN_TEXT + "(?:)")
