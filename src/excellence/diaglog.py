@@ -14,13 +14,15 @@ lines. A block is folded as bytes, a str encoded first: ``bytes.lower`` changes
 only 0x41-0x5A, which no UTF-8 multibyte sequence holds, nor the ``\\n`` a block
 ends at, so the blocks decode to the text that folding after the decode gives.
 
-A folded block that is all ASCII, as build logs mostly are, is searched as it
-is, with a bytes twin of the str pattern and no decode. Any other block is
-decoded and searched as text. That path stays because the str pattern's
-classes are Unicode classes: ``\\s`` matches U+0085 and U+2003, ``\\d`` matches
-other scripts' digits, and the boundary before ``error`` follows
-``str.isalnum()``, which no bytes pattern sees in a multibyte sequence; and a
-byte that is not UTF-8 has to become U+FFFD first.
+A folded block that is all ASCII is searched as it is, with a bytes twin of
+the str pattern and no decode; only such blocks are searched faster. A block
+with any other byte, such as the U+2018/U+2019 quotes gcc prints in a UTF-8
+locale, is decoded and searched as text, after an ``isascii`` check that stops
+at its first non-ASCII byte. That path stays because the str pattern's classes
+are Unicode classes: ``\\s`` matches U+0085 and U+2003, ``\\d`` matches other
+scripts' digits, and the boundary before ``error`` follows ``str.isalnum()``,
+which no bytes pattern sees in a multibyte sequence; and a byte that is not
+UTF-8 has to become U+FFFD first.
 """
 
 from __future__ import annotations
