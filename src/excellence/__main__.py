@@ -1,8 +1,6 @@
 """Allow `python -m excellence`."""
 
-import sys
-
 from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

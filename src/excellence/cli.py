@@ -15,10 +15,12 @@ the error class in ``errors.py`` that stopped the command.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import math
 import os
 import sys
+from typing import NoReturn
 
 from .errors import ExcellenceError, InsufficientDataError, UndefinedMetricError
 from .metrics import QualityMetrics, SourceStats, compute_metrics
@@ -320,31 +322,29 @@ def main(argv: "list[str] | None" = None) -> int:
         return exc.exit_code
 
 
-def run() -> int:
-    """``main()`` for ``python -m excellence`` and the console script: the cyclic
-    collector is off while the command runs and the heap is frozen after it, so neither
-    the command nor the interpreter's exit walks it. Memory cannot grow from this: rows,
-    masks and columns hold no cycle, and argparse's parser, the one cycle a command
-    makes, is made once; a failed command, or each file ``interactive`` fails to scan,
-    adds none. ``main`` leaves the collector alone, for library callers.
+def run() -> NoReturn:
+    """``main()`` for ``python -m excellence`` and the console script. The cyclic
+    collector stays off: argparse's parser is the one cycle a command makes, and a
+    failed command, or a file ``interactive`` fails to scan, adds none. Then the
+    ``atexit`` handlers run, stdout and stderr are flushed and ``os._exit`` ends the
+    process, with no interpreter teardown: the command left no file open. ``main``
+    leaves the collector alone, for library callers.
 
     A reader that closes stdout early, ``report | head -c1`` say, ends the command with
     141, the status a shell gives a tool that SIGPIPE killed, and no traceback."""
     gc.disable()
     try:
         code = main()
-        if sys.stdout is not None:  # None when fd 1 was closed at start
-            sys.stdout.flush()  # here, not at exit, where a closed reader cannot be caught
-        return code
     except BrokenPipeError:
-        # What is left in the buffer goes to /dev/null, so the exit's flush cannot fail.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
-    finally:
-        gc.freeze()
+        code = 141
+    atexit._run_exitfuncs()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: fd closed at start
+            stream.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

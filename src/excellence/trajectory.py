@@ -144,24 +144,23 @@ def _unshift(coeffs: list[float], t0: float) -> list[float]:
 
 def _least_squares(columns: list[list[float]],
                    y: tuple[float, ...]) -> tuple[list[float], float]:
-    # Modified Gram-Schmidt QR of [columns | y]: the last row of R holds Q^T y,
-    # and what is left of y after the sweep is the residual vector. Each dot product
-    # is sum(map(mul, a, b)), which adds its terms left to right.
+    # Modified Gram-Schmidt QR of [columns | y]: R's last row is Q^T y, and what is left
+    # of y is the residual. Each sum is math.fsum, correctly rounded on every Python.
     q = [*columns, y]
     m = len(columns)
     r = [[0.0] * (m + 1) for _ in range(m)]
     for j in range(m):
-        norm = r[j][j] = math.sqrt(sum(map(mul, q[j], q[j])))
+        norm = r[j][j] = math.sqrt(math.fsum(map(mul, q[j], q[j])))
         if not math.isfinite(norm):  # squares past the float range: no fit is left
             raise OverflowError(f"column {j} has no finite norm")
         q[j] = [v / norm for v in q[j]]
         for k in range(j + 1, m + 1):
-            dot = r[j][k] = sum(map(mul, q[j], q[k]))
+            dot = r[j][k] = math.fsum(map(mul, q[j], q[k]))
             q[k] = [b - dot * a for a, b in zip(q[j], q[k])]
     coeffs = [0.0] * m
     for j in reversed(range(m)):
-        coeffs[j] = (r[j][m] - sum(r[j][k] * coeffs[k] for k in range(j + 1, m))) / r[j][j]
-    return coeffs, sum(map(mul, q[m], q[m]))
+        coeffs[j] = (r[j][m] - math.fsum(r[j][k] * coeffs[k] for k in range(j + 1, m))) / r[j][j]
+    return coeffs, math.fsum(map(mul, q[m], q[m]))
 
 
 def fit_polynomial(traj: Trajectory, degree: int) -> PolyFit:
@@ -229,7 +228,10 @@ def classify_trend(traj: Trajectory, tolerance: float = 1e-6) -> TrendClass:
             f"trend classification needs at least 2 snapshots, have {len(traj)}"
         )
     slopes = _slopes(traj)
-    mean = sum(slopes) / len(slopes)
+    try:  # correctly rounded; no slope is within tolerance of a mean past the float range
+        mean = math.fsum(slopes) / len(slopes)
+    except (OverflowError, ValueError):  # ValueError: infinite slopes of both signs
+        mean = math.nan
     if all(abs(s - mean) <= tolerance for s in slopes) and mean > tolerance:
         return TrendClass.UNIFORM
     if all(s > tolerance for s in slopes):

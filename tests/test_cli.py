@@ -1389,23 +1389,23 @@ def test_interactive_ends_at_end_of_input_at_each_prompt(clean_src, monkeypatch,
 
 # --- the process entry: run() ------------------------------------------------
 # ``python -m excellence`` and the console script call ``cli.run``, which turns the
-# cyclic collector off for the command and freezes the heap after it; ``main``, which
-# library callers and the tests above call, leaves the collector alone.
+# cyclic collector off for the command, runs the ``atexit`` handlers, flushes stdout
+# and stderr and ends the process with ``os._exit``; ``main``, which library callers
+# and the tests above call, leaves the collector alone.
 
-def test_python_m_excellence_runs_without_the_collector_and_exits_frozen(clean_src):
+def test_python_m_excellence_runs_without_the_collector(clean_src):
     code = ("import atexit, gc, runpy, sys\n"
             "from excellence import scanner\n"
-            "scan_file, seen = scanner.scan_file, [gc.get_freeze_count()]\n"
+            "scan_file, seen = scanner.scan_file, []\n"
             "scanner.scan_file = lambda path: seen.append(gc.isenabled()) or scan_file(path)\n"
-            "atexit.register(lambda: print(*seen, gc.isenabled(), gc.get_freeze_count() > 0,\n"
-            "                              file=sys.stderr))\n"
+            "atexit.register(lambda: print(*seen, gc.isenabled(), file=sys.stderr))\n"
             "sys.argv = ['excellence', 'scan', sys.argv[1]]\n"
             "runpy.run_module('excellence', run_name='__main__')\n")
     proc = subprocess.run([sys.executable, "-c", code, clean_src], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, GOLDEN_CLEAN)
-    # No heap frozen at start; the collector off while the file is scanned and at exit.
-    assert proc.stderr.endswith("\n0 False False True\n")
+    # The collector off while the file is scanned and in the atexit handlers.
+    assert proc.stderr.endswith("\nFalse False\n")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1487,6 +1487,43 @@ def test_python_m_excellence_exits_as_main_returns(tmp_path, monkeypatch, capsys
                         else _python_m_excellence(argv, tmp_path / side))
     assert outcomes[0][0] == code
     assert outcomes[1] == outcomes[0]
+
+
+# ``python -m excellence`` with an ``atexit`` handler registered before the command.
+_ATEXIT_THEN_COMMAND = ("import atexit, runpy, sys\n"
+                        "atexit.register(print, 'atexit handler ran')\n"
+                        "sys.argv = ['excellence', *sys.argv[1:]]\n"
+                        "runpy.run_module('excellence', run_name='__main__')\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "one.c"], 0),
+    (["report", "--project", "p", "--store", "s.jsonl"], 0),
+    (["report", "--project", "none", "--store", "s.jsonl"], 8),
+], ids=["scan", "report", "report unknown"])
+def test_python_m_excellence_writes_all_its_output_to_a_file_then_runs_atexit_once(
+        tmp_path, monkeypatch, capsys, argv, code):
+    # Stdout to a regular file is block-buffered, 8 KiB at a time: the scan's output
+    # sits in the buffer until run() flushes it before os._exit, and the report's spans
+    # several buffers. The handler runs once, after the command's output.
+    monkeypatch.chdir(tmp_path)
+    Path("one.c").write_text("int x;\n", encoding="utf-8")
+    stats = SourceStats(file_name="one.c", total_lines=110, comment_lines=10,
+                        blank_lines=0, loc=100, for_count=0, while_count=0)
+    t0 = datetime(2026, 3, 1, tzinfo=timezone.utc)
+    Path("s.jsonl").write_bytes(b"".join(
+        history._line(history.QualitySnapshot.create("p", t0, float(t), stats, t % 7))
+        for t in range(100)))
+    expected_code, out, err = _main_outcome(argv, capsys)
+    assert expected_code == code
+    if argv[0] == "report" and code == 0:
+        assert len(out.encode()) > 8192
+    with open("out.txt", "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-c", _ATEXIT_THEN_COMMAND, *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, env=child_env(),
+                              timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (code, err)
+    assert Path("out.txt").read_bytes().decode() == out + "atexit handler ran\n"
 
 
 def test_report_into_a_reader_that_closes_early_exits_141_quietly(tmp_path):
