@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import io
 import math
 import os
 import sys
@@ -128,15 +129,13 @@ def _start_count(source_path: str, log_path: str,
 
 def _gather(source_path: str, log_path: "str | None",
             pattern_text: "str | None") -> tuple[SourceStats, int]:
-    from . import diaglog
+    from . import diaglog, scanner
     pattern = diaglog.DEFAULT_ERROR_PATTERN
     if pattern_text is not None:
         pattern = diaglog.ErrorPattern(pattern_text)
         pattern.compile()  # an invalid pattern stops the command before any file is read
-    # The child starts before the scanner loads: it needs only diaglog.
     child = None if log_path is None else _start_count(source_path, log_path, pattern)
     try:
-        from . import scanner
         stats = scanner.scan_file(source_path)
         if stats.unterminated_comment:
             _warn(f"warning: {source_path}: unterminated block comment; "
@@ -175,11 +174,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    stats, error_count = _gather(args.src, args.log, None)
-    # Here, after _gather, so that a forked count starts first; scan reads no clock.
     from datetime import datetime, timezone
 
     from . import history
+    stats, error_count = _gather(args.src, args.log, None)
     snapshot = history.record_snapshot(args.store, args.project, datetime.now(timezone.utc),
                                        stats, error_count, args.t_hours)
     print(f"recorded snapshot for project '{args.project}' at t = {snapshot.t_hours:g} h "
@@ -331,7 +329,12 @@ def run() -> NoReturn:
     leaves the collector alone, for library callers.
 
     A reader that closes stdout early, ``report | head -c1`` say, ends the command with
-    141, the status a shell gives a tool that SIGPIPE killed, and no traceback."""
+    141, the status a shell gives a tool that SIGPIPE killed, and no traceback. A raw
+    stdout (``-u``) would drop the rest of a write cut short: it gets a buffer, which
+    writes the rest or raises, flushed at each line break."""
+    if isinstance(out := getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out), sys.stdout.encoding,
+                                      sys.stdout.errors, line_buffering=True)
     gc.disable()
     try:
         code = main()

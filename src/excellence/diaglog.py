@@ -13,16 +13,9 @@ the search meets; a user pattern is searched line by line. Both count the same
 lines. A block is folded as bytes, a str encoded first: ``bytes.lower`` changes
 only 0x41-0x5A, which no UTF-8 multibyte sequence holds, nor the ``\\n`` a block
 ends at, so the blocks decode to the text that folding after the decode gives.
-
-A folded block that is all ASCII is searched as it is, with a bytes twin of
-the str pattern and no decode; only such blocks are searched faster. A block
-with any other byte, such as the U+2018/U+2019 quotes gcc prints in a UTF-8
-locale, is decoded and searched as text, after an ``isascii`` check that stops
-at its first non-ASCII byte. That path stays because the str pattern's classes
+Each folded block is then decoded and searched as text, so the pattern's classes
 are Unicode classes: ``\\s`` matches U+0085 and U+2003, ``\\d`` matches other
-scripts' digits, and the boundary before ``error`` follows ``str.isalnum()``,
-which no bytes pattern sees in a multibyte sequence; and a byte that is not
-UTF-8 has to become U+FFFD first.
+scripts' digits, and a byte that is not UTF-8 becomes U+FFFD.
 """
 
 from __future__ import annotations
@@ -48,11 +41,6 @@ DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
 # dropped hit hides no real one: any later ``error`` inside it sits in the
 # ``[a-z...]*\d+`` run, where the ``\b`` after ``error`` fails.
 _FOLDED_DEFAULT = r"error\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:"
-# Its twin for a block of ASCII bytes. On ASCII text ``\d``, ``\b`` and the
-# letters mean the same in both; ``\s`` does not: a str ``\s`` is
-# ``str.isspace()``, which also holds for \x1c-\x1f, so the class names them.
-_FOLDED_ASCII = re.compile(
-    rb"error\b(?:[ \t\r\x0b\x0c\x1c-\x1f]+[a-z]*\d+)?[ \t\r\x0b\x0c\x1c-\x1f]*:")
 # Bytes per read of a log file, before the rest of the line: below glibc's 128 KiB
 # mmap threshold, so each block reuses the heap pages the last one freed.
 _BLOCK = 1 << 16
@@ -108,7 +96,7 @@ def count_errors(
     the last; bytes are decoded as UTF-8 with replacement.
     """
     default = pattern == DEFAULT_ERROR_PATTERN
-    regex = None if default else pattern.compile()
+    regex = re.compile(_FOLDED_DEFAULT) if default else pattern.compile()
     if isinstance(log_text, str) and default:
         # The fold lowers ASCII letters only. Lone surrogates come back as U+FFFD; neither
         # is a word character, whitespace, a digit, a newline or a colon, so no match moves.
@@ -119,22 +107,17 @@ def count_errors(
     first = 1  # the number of the block's first line
     for block in log_text:
         if default:
-            block = block.lower()
-            if block.isascii():
-                regex, newline, underscore = _FOLDED_ASCII, b"\n", b"_"
-            else:  # compiled once, then found in re's cache
-                block = block.decode("utf-8", errors="replace")
-                regex, newline, underscore = re.compile(_FOLDED_DEFAULT), "\n", "_"
+            block = block.lower().decode("utf-8", errors="replace")
             number, counted_to = first, 0
             for hit in regex.finditer(block):
                 start = hit.start()
-                if start and ((c := block[start - 1:start]).isalnum() or c == underscore):
+                if start and ((c := block[start - 1]).isalnum() or c == "_"):
                     continue
-                number += block.count(newline, counted_to, start)
+                number += block.count("\n", counted_to, start)
                 counted_to = start
                 if not matched or matched[-1] != number:
                     matched.append(number)
-            first = number + block.count(newline, counted_to)
+            first = number + block.count("\n", counted_to)
         else:
             if isinstance(block, bytes):
                 block = block.decode("utf-8", errors="replace")

@@ -25,17 +25,21 @@ it would read back as another.
 
 ``<store>.seal`` summarises a prefix of the store that was checked in full: its
 length and line count, and per project the first wall clock, the last hours, that
-record's line and the record count. One CRC-32 covers the prefix and then the
-seal's own bytes without its ``crc32`` member, so an edit to either misses; the
-seal is a cache key, not a MAC, so a checksum that catches accidental edits is all
-it needs. A command that checked lines past a matching seal, or found none, seals
-what it checked if those end in a newline; a reader only if it takes the writer's
-lock at once and the store has not grown. While the store starts with the sealed
-bytes they are checksummed, not checked: a writer checks only the lines after them,
-so an append parses O(1) records and checksums O(n) bytes; a reader, and a writer
-naming the stored time that refuses a snapshot, also check the asked project's lines
-in the prefix, found by the writer's line with that id fixed, or the whole store if
-their count is not the seal's. A seal changes what is checked, never the outcome.
+record's line and the record count. One CRC-32 covers the prefix and then the seal's
+own bytes without its ``crc32`` member, so an edit to either misses; the seal is a
+cache key, not a MAC, so a checksum that misses an accidental edit of the same
+length once in 2**32 is all it needs. A seal in another shape, such as an older
+version's, is a miss. A command that checked lines past a matching seal, or found
+none, seals what it checked if those end in a newline; a reader only if it takes the
+writer's lock at once and the store has not grown. So a writer seals what it read,
+not the line it appended, and its seal stays valid for the store cut back to it; the
+next reader checks that line and extends the seal over it. While the store starts
+with the sealed bytes they are checksummed, not checked: a writer checks only the
+lines after them, so an append parses O(1) records and checksums O(n) bytes; a
+reader, and a writer naming the stored time that refuses a snapshot, also check the
+asked project's lines in the prefix, found by the writer's line with that id fixed,
+or the whole store if their count is not the seal's. A seal changes what is checked,
+never the outcome.
 """
 
 from __future__ import annotations
@@ -287,7 +291,7 @@ def _writer_line(project: "str | None" = None) -> str:
                                     for key, kind in _FIELDS.items()) + "}$"
 
 
-_WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use: a short tail never is
+_WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use
 _BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole line
 
 
@@ -349,19 +353,16 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tupl
     record's line number and its record count, and is updated in first-seen order.
     Returns the rows of ``project_id``, none for None, and ``before`` plus the line
     breaks in ``text``. Blocks of whole lines whose every line is the writer's own
-    are checked in bulk, others record by record; a writer's one-line text too, for
-    it loads the JSON decoder anyway. Both give one row per record: line number,
-    wall clock as stored, then a snapshot's fields, stats and levels as plain tuples.
-    The record-by-record rows are made lazily, one line at a time, so the first fault
-    in line order is the one reported.
+    are checked in bulk, others record by record. Both give one row per record: line
+    number, wall clock as stored, then a snapshot's fields, stats and levels as plain
+    tuples. The record-by-record rows are made lazily, one line at a time, so the first
+    fault in line order is the one reported.
     """
-    # A reader, or two lines or more: worth the pattern.
-    bulk = project_id is not None or text.find("\n", 0, len(text) - 1) >= 0
     asked = []
     start = 0
     while start < len(text):  # in blocks: few strings alive at once
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        checked = _check_bulk(text, start, end, before) if bulk else None
+        checked = _check_bulk(text, start, end, before)
         if checked is not None:
             rows, breaks = checked
         else:

@@ -78,7 +78,7 @@ _OLD_DEFAULT_PATTERN_TEXT = r"\berror\b(?:\s+[A-Za-z]*\d+)?\s*:"
 
 # İ ı ſ and the Kelvin sign U+212A are the non-ASCII letters that [A-Za-z]
 # matches under IGNORECASE; a lone CR, \x0b, \x1c-\x1f, \x85, U+2003 and U+3000
-# are whitespace that does not end a line, the ASCII ones searched as bytes. ² Ⅻ ª
+# are whitespace that does not end a line, in ASCII and beyond it. ² Ⅻ ª
 # are word characters that are not letters or decimal digits, and the combining
 # acute U+0301 is not a word character: the boundary before ``error`` is checked on
 # each hit, with str.isalnum().
@@ -137,7 +137,7 @@ _LOG_BYTES = (
 # in its block, and real heads whose ``error`` opens the block or follows a non-word mark.
 @example(b"terror: a\n_error: b\nerror: c\n", 1)
 @example("\u00b2error:\n\u216berror:\n\u00aaerror:\n\u0301error:\nERROR:".encode("utf-8"), 1)
-# An all-ASCII block, searched as bytes, next to a non-ASCII one, searched as text.
+# Whitespace that str.isspace() admits, in a block of ASCII next to one beyond it.
 @example(b"ERROR\x1c:\n_error\x1f:\n" + "\x85error\u2003:\nerror\x85C2:\n".encode("utf-8")
          + b"error \x1e7\x0b:\nerror\n:\n", 1)
 def test_log_file_folded_as_bytes_matches_per_line_search(raw, block):
