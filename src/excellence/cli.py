@@ -347,7 +347,3 @@ def run() -> NoReturn:
     except BrokenPipeError:
         code = 141
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -27,20 +27,15 @@ from .errors import MissingFileError, PatternError
 
 # ``error(?<=\berror)`` is ``\berror`` that starts with a literal: the engine
 # skips to candidate ``error``s instead of testing a boundary at every offset.
-DEFAULT_PATTERN_TEXT = r"error(?<=\berror)\b(?:\s+[A-Za-z]*\d+)?\s*:"
-
+# ``[^\S\n]`` keeps a match inside one line, where it is ``\s``.
+DEFAULT_PATTERN_TEXT = (r"error(?<=\berror)"
+                        r"\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:")
 # The default pattern, case-sensitive, for the whole log with its ASCII letters
-# lowered; without IGNORECASE the engine skips to each literal ``error``. It
-# matches what the IGNORECASE pattern matches on each line because, under
-# IGNORECASE, ``e``/``r``/``o`` match only their ASCII cases and ``[A-Za-z]``
-# matches the ASCII letters plus U+0130, U+0131, U+017F and U+212A, which the
-# ASCII fold leaves alone. ``[^\S\n]`` keeps a match inside one line, and the
-# ``\r`` of a CRLF is never followed by the ``:`` a match ends with. It leaves
-# out the ``\b`` before ``error``: ``count_errors`` drops a hit that follows a
-# word character, which ``\w`` is exactly when ``str.isalnum()`` or ``_``. A
-# dropped hit hides no real one: any later ``error`` inside it sits in the
-# ``[a-z...]*\d+`` run, where the ``\b`` after ``error`` fails.
-_FOLDED_DEFAULT = r"error\b(?:[^\S\n]+[a-z\u0130\u0131\u017f\u212a]*\d+)?[^\S\n]*:"
+# lowered. Under IGNORECASE the letter class matches the ASCII letters and the
+# four others, which the ASCII fold leaves alone. It leaves out the lookbehind:
+# ``count_errors`` drops a hit that follows a word character, which ``\w`` is
+# exactly when ``str.isalnum()`` or ``_``.
+_FOLDED_DEFAULT = DEFAULT_PATTERN_TEXT.replace(r"(?<=\berror)", "")
 # Bytes per read of a log file, before the rest of the line: below glibc's 128 KiB
 # mmap threshold, so each block reuses the heap pages the last one freed.
 _BLOCK = 1 << 16
@@ -60,12 +55,10 @@ class ErrorPattern(NamedTuple):
     """A line pattern that marks a diagnostic as an error."""
 
     pattern_text: str = DEFAULT_PATTERN_TEXT
-    case_sensitive: bool = False
 
     def compile(self) -> re.Pattern[str]:
-        flags = 0 if self.case_sensitive else re.IGNORECASE
         try:
-            return re.compile(self.pattern_text, flags)
+            return re.compile(self.pattern_text, re.IGNORECASE)
         except re.error as exc:
             pos = getattr(exc, "pos", None)
             where = f" at position {pos}" if pos is not None else ""

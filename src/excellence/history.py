@@ -240,24 +240,25 @@ def _row(obj, line_number: int):
     return _rows(line_number, columns)
 
 
+def _corrupt(line_number: int, reason: str) -> CorruptionError:
+    return CorruptionError(f"store record at line {line_number} is invalid: {reason}",
+                           line_number)
+
+
 def _parse_record(line: str, line_number: int):
     """Check every field of one store line; return its one row (see ``_check``)."""
     import json  # here, not at module level: the writer's own lines need no decoder
 
-    def bad(reason: str) -> CorruptionError:
-        return CorruptionError(f"store record at line {line_number} is invalid: {reason}",
-                               line_number)
-
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise bad(f"not valid JSON ({exc.msg})") from exc
+        raise _corrupt(line_number, f"not valid JSON ({exc.msg})") from exc
     except (ValueError, RecursionError) as exc:  # an int of too many digits; nesting too deep
-        raise bad(f"cannot be decoded ({exc})") from exc
+        raise _corrupt(line_number, f"cannot be decoded ({exc})") from exc
     try:
         return _row(obj, line_number)
     except ValueError as exc:
-        raise bad(str(exc)) from exc
+        raise _corrupt(line_number, str(exc)) from exc
 
 
 def _cannot_open(store_path: str, exc: OSError) -> MissingFileError:
@@ -376,11 +377,8 @@ def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tupl
             if previous is None:
                 seen[project] = (clock, t_hours, number, 1)
             elif t_hours <= previous[1]:
-                raise CorruptionError(
-                    f"store record at line {number} is invalid: t_hours {t_hours} does not "
-                    f"advance project {project!r} (line {previous[2]} has {previous[1]})",
-                    number,
-                )
+                raise _corrupt(number, f"t_hours {t_hours} does not advance project "
+                                       f"{project!r} (line {previous[2]} has {previous[1]})")
             else:
                 seen[project] = (previous[0], t_hours, number, previous[3] + 1)
             if project == project_id:
@@ -487,8 +485,7 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     except UnicodeDecodeError as exc:
         head = tail[:exc.start]
         number = lines + head.count(b"\n") + 1
-        raise CorruptionError(f"store record at line {number} is invalid: not valid UTF-8 "
-                              f"(byte offset {length + exc.start})", number) from exc
+        raise _corrupt(number, f"not valid UTF-8 (byte offset {length + exc.start})") from exc
     ended = tail.endswith(b"\n")
     if ended:
         crc = binascii.crc32(tail, crc)

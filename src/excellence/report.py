@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 from . import trajectory
 from .cli import format_2dp, format_2dps
 from .errors import InsufficientDataError
@@ -69,15 +72,23 @@ def render_csv(traj: Trajectory) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _svg_scale(values: list[float], lo_px: float, hi_px: float) -> "tuple[float, float, float]":
+def _svg_axis(values: list[float], lo_px: float, hi_px: float):
+    """The five tick values of an axis over ``values``, padded by 5% of their range
+    or by 0.5 for one value, and the map of a value to its pixel. The values are
+    scaled by a power of two to below 1, exactly while they stay normal, so that no
+    difference overflows, and the ends are clamped to floats; an offset is divided
+    by the span before it is scaled, so a span of subnormals gives no infinite scale."""
     lo, hi = min(values), max(values)
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    else:
-        pad = 0.05 * (hi - lo)
-        lo, hi = lo - pad, hi + pad
-    scale = (hi_px - lo_px) / (hi - lo)
-    return lo, hi, scale
+    exp = max(0, math.frexp(lo)[1], math.frexp(hi)[1])
+    lo, hi = math.ldexp(lo, -exp), math.ldexp(hi, -exp)
+    pad = 0.05 * (hi - lo) if lo != hi else math.ldexp(0.5, -exp)
+    lo, hi = lo - pad, hi + pad
+    if lo == hi:  # one value too large for 0.5 to move
+        lo, hi = math.nextafter(lo, -2.0), math.nextafter(hi, 2.0)
+    end = math.ldexp(sys.float_info.max, -exp)
+    lo, hi = max(lo, -end), min(hi, end)
+    ticks = [math.ldexp(min(lo + i / 4 * (hi - lo), hi), exp) for i in range(5)]
+    return ticks, lambda v: lo_px + (math.ldexp(v, -exp) - lo) / (hi - lo) * (hi_px - lo_px)
 
 
 # XML 1.0 forbids these code points even as character references: each becomes U+FFFD.
@@ -94,14 +105,8 @@ def render_svg(traj: Trajectory) -> str:
     width, height = 640, 400
     left, right, top, bottom = 70.0, 620.0, 30.0, 350.0
     ts, xs = traj.ts, traj.xs
-    t_lo, t_hi, t_scale = _svg_scale(ts, left, right)
-    x_lo, x_hi, x_scale = _svg_scale(xs, top, bottom)
-
-    def px(t: float) -> float:
-        return left + (t - t_lo) * t_scale
-
-    def py(x: float) -> float:
-        return bottom - (x - x_lo) * x_scale
+    t_ticks, px = _svg_axis(ts, left, right)
+    x_ticks, py = _svg_axis(xs, bottom, top)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -110,11 +115,7 @@ def render_svg(traj: Trajectory) -> str:
         f'<text x="{(left + right) / 2:.2f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_xml_text(traj.project_id)}</text>',
     ]
-    ticks = 5
-    for i in range(ticks):
-        frac = i / (ticks - 1)
-        t_val = t_lo + frac * (t_hi - t_lo)
-        x_val = x_lo + frac * (x_hi - x_lo)
+    for t_val, x_val in zip(t_ticks, x_ticks):
         tx, xy = px(t_val), py(x_val)
         out.append(f'<line x1="{tx:.2f}" y1="{top:.2f}" x2="{tx:.2f}" y2="{bottom:.2f}" '
                    'stroke="#ddd" stroke-width="1"/>')

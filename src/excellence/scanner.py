@@ -71,11 +71,13 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 # A blank line holds nothing but spaces, a comment line nothing but spaces and
-# markers. Both are searched on the mask framed by a ``\n`` at each end, so every
+# markers. ``scan_source`` searches the mask framed by a ``\n`` at each end, so every
 # line has one before and one after it; a leading literal lets the engine skip to
 # each newline instead of trying every offset.
-_BLANK_LINE = re.compile(r"\n[^\S\n]*(?=\n)")
-_COMMENT_LINE = re.compile(r"\n[^\S\n]*//(?:[^\S\n]|//)*(?=\n)")
+_BLANK = r"[^\S\n]*"
+_COMMENT = r"[^\S\n]*//(?:[^\S\n]|//)*"
+_BLANK_LINE = re.compile(rf"\n{_BLANK}(?=\n)")
+_COMMENT_LINE = re.compile(rf"\n{_COMMENT}(?=\n)")
 # ``kw(?<=\bkw)\b`` is ``\bkw\b`` that starts with a literal, so the engine
 # searches for the keyword instead of testing a boundary at every offset.
 _LOOPS = {kw: re.compile(rf"{kw}(?<=\b{kw})\b") for kw in LOOP_KEYWORDS}
@@ -100,10 +102,10 @@ def _mask(source_text: str) -> tuple[str, int, bool]:
 def classify_lines(source_text: str) -> list[LineClass]:
     """Classify each physical line of ``source_text`` as code/comment/blank."""
     mask, total, _ = _mask(source_text)
-    return [
-        LineClass.CODE if line.replace("//", "").strip()
-        else LineClass.COMMENT if line.strip()
-        else LineClass.BLANK
+    return [  # re's cache compiles the two shapes on first use, never in ``scan``
+        LineClass.BLANK if re.fullmatch(_BLANK, line)
+        else LineClass.COMMENT if re.fullmatch(_COMMENT, line)
+        else LineClass.CODE
         for line in mask.split("\n", total)[:total]
     ]
 

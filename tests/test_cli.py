@@ -1,7 +1,9 @@
 """End-to-end CLI tests driven through main(argv)."""
 
 import gc
+import itertools
 import json
+import math
 import os
 import re
 import signal
@@ -1248,6 +1250,38 @@ def test_svg_single_snapshot_has_padded_range(clean_src, tmp_path, capsys):
     out, _ = capsys.readouterr()
     assert out.count("<circle ") == 1
     assert "</svg>" in out
+
+
+@pytest.mark.parametrize("points", [
+    [(0.0, 0), (1e-320, 0)],
+    [(0.0, 0), (1.0, 17 * 10**305)],
+    [(1e20, 0)],
+    [(6.760589561164358e306, 0), (1.7734189683512323e308, 0)],
+], ids=["subnormal time span", "X down to -1.7e308", "one time 0.5 does not move",
+        "times up to the largest float"])
+def test_svg_report_writes_finite_numbers_in_order(tmp_path, capsys, points):
+    from excellence.metrics import error_levels
+    store = tmp_path / "store.jsonl"
+    record = {"project": "p", "wall_clock": "2026-03-01T09:30:00+00:00", "file": "m.c",
+              "total_lines": 1, "comment_lines": 0, "blank_lines": 0, "loc": 1,
+              "for_count": 0, "while_count": 0}
+    store.write_text("".join(
+        json.dumps({**record, "t_hours": t, "errors": errors,
+                    **dict(zip(("el_percent", "x"), error_levels(errors, 1)[1:]))}) + "\n"
+        for t, errors in points))
+    assert main(["report", "--project", "p", "--store", str(store), "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    numbers = re.findall(r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]*)"', svg)
+    numbers += re.findall(r'font-size="11">([^<]*)<', svg)
+    numbers += re.split(r"[ ,]", re.search(r'points="([^"]*)"', svg)[1])
+    assert len(numbers) == 74 + 10 + 4 * len(points)  # coordinates, tick labels, points
+    assert all(math.isfinite(float(n)) for n in numbers)
+    # Later times lie further right, and a higher X lies higher up, with a smaller y.
+    centres = [tuple(map(float, c)) for c in re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg)]
+    traj = load_trajectory(str(store), "p")
+    for (t0, x0, (cx0, cy0)), (t1, x1, (cx1, cy1)) in itertools.combinations(
+            zip(traj.ts, traj.xs, centres), 2):
+        assert cx0 <= cx1 and (cy0 >= cy1 if x0 <= x1 else cy0 <= cy1)
 
 
 def test_store_lines_end_at_lf_as_source_and_log_lines_do(clean_src, tmp_path, capsys):

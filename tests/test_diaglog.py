@@ -60,7 +60,7 @@ def test_one_line_counts_once_despite_repeats():
 def test_case_insensitive_by_default():
     log = "A.C:1: Error: bad\nB.C:2: ERROR: worse\n"
     assert count_errors(log).error_count == 2
-    strict = ErrorPattern(case_sensitive=True)
+    strict = ErrorPattern(f"(?-i:{diaglog.DEFAULT_PATTERN_TEXT})")
     assert count_errors(log, strict).error_count == 0
 
 

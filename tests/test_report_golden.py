@@ -6,7 +6,8 @@ third decimal (90.625, shown as 90.63), a whole X and a time that ``:g`` writes
 with an exponent; for ``solo``, a project of one snapshot whose file name holds
 ``&``, ``<`` and ``>``; and for ``other``, a project of exactly two snapshots,
 whose first and last are the two ends of one pair. Each case runs on a copy of the store twice: once
-unsealed, a full check that leaves a seal, and once under that seal.
+unsealed, a full check that leaves a seal, and once under that seal. Every case leaves
+the same seal, ``golden/store.seal``.
 
 After a deliberate change of the report's output, regenerate the expected files
 from the root of a checkout with
@@ -51,7 +52,7 @@ def test_report_matches_golden_bytes(tmp_path, capsys, name):
     shutil.copyfile(GOLDEN / "store.jsonl", store)
     expected = (GOLDEN / name).read_bytes().decode("utf-8")
     assert _report(store, CASES[name], capsys) == expected
-    assert (tmp_path / "store.jsonl.seal").exists()
+    assert (tmp_path / "store.jsonl.seal").read_bytes() == (GOLDEN / "store.seal").read_bytes()
     assert _report(store, CASES[name], capsys) == expected
 
 
@@ -70,3 +71,5 @@ if __name__ == "__main__":
                 raise SystemExit(f"report {' '.join(args)} exited {code}")
             (GOLDEN / name).write_bytes(out.getvalue().encode("utf-8"))
             print(f"wrote {GOLDEN / name}")
+        (GOLDEN / "store.seal").write_bytes((Path(work) / f"{name}.seal").read_bytes())
+        print(f"wrote {GOLDEN / 'store.seal'}")

@@ -1,5 +1,6 @@
 """The value types: named tuples, plus the validated ``Trajectory``."""
 
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -23,7 +24,7 @@ def test_fields_keep_their_order():
                                    "loc", "for_count", "while_count", "unterminated_comment")
     assert QualityMetrics._fields == ("error_level_fraction", "error_level_percent",
                                       "degree_of_excellence")
-    assert ErrorPattern._fields == ("pattern_text", "case_sensitive")
+    assert ErrorPattern._fields == ("pattern_text",)
     assert ErrorReport._fields == ("log_name", "error_count", "matched_line_numbers")
     assert QualitySnapshot._fields == ("project_id", "wall_clock", "t_hours", "stats",
                                        "error_count", "metrics")
@@ -56,9 +57,9 @@ def test_equality_and_hash_follow_the_fields():
 
 def test_defaults():
     assert STATS.unterminated_comment is False
-    assert ErrorPattern() == ErrorPattern(DEFAULT_PATTERN_TEXT, False)
+    assert ErrorPattern() == ErrorPattern(DEFAULT_PATTERN_TEXT)
     assert ErrorPattern().pattern_text == DEFAULT_PATTERN_TEXT
-    assert ErrorPattern().case_sensitive is False
+    assert ErrorPattern().compile().flags & re.IGNORECASE
 
 
 def test_scanner_re_exports_the_census_type():
