@@ -127,19 +127,26 @@ def _start_count(source_path: str, log_path: str,
     return pid, read_end
 
 
+def _scan(source_path: str) -> SourceStats:
+    """Scan ``source_path``, with a warning when a block comment is left open."""
+    from . import scanner
+    stats = scanner.scan_file(source_path)
+    if stats.unterminated_comment:
+        _warn(f"warning: {source_path}: unterminated block comment; "
+              "trailing lines counted as comment lines")
+    return stats
+
+
 def _gather(source_path: str, log_path: "str | None",
             pattern_text: "str | None") -> tuple[SourceStats, int]:
-    from . import diaglog, scanner
+    from . import diaglog
     pattern = diaglog.DEFAULT_ERROR_PATTERN
     if pattern_text is not None:
         pattern = diaglog.ErrorPattern(pattern_text)
         pattern.compile()  # an invalid pattern stops the command before any file is read
     child = None if log_path is None else _start_count(source_path, log_path, pattern)
     try:
-        stats = scanner.scan_file(source_path)
-        if stats.unterminated_comment:
-            _warn(f"warning: {source_path}: unterminated block comment; "
-                  "trailing lines counted as comment lines")
+        stats = _scan(source_path)
         if log_path is None:
             _warn("notice: no log file given; error count defaults to 0")
             return stats, 0
@@ -202,7 +209,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_interactive(args: argparse.Namespace) -> int:
-    from . import diaglog, scanner
+    from . import diaglog
 
     def ask(prompt: str) -> "str | None":
         """The answer, stripped; None at end of input."""
@@ -217,7 +224,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
             return 0
         if path:
             try:
-                stats = scanner.scan_file(path)
+                stats = _scan(path)
                 print("File opened successfully!")
                 log = ask("Enter the name of the log file (blank for none) : ")
                 _write_report(stats, diaglog.count_errors_in_file(log).error_count if log else 0)

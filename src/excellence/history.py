@@ -10,18 +10,18 @@ earlier ones, and the loader reports the offending line number. A writer holds a
 exclusive ``flock`` on the store across its read, checks, append and seal, so
 concurrent writers on one host take turns.
 
-One function, ``_read``, reads the store's bytes, on the handle each caller
-opened, and checks each record in every field, in O(n) for n records; stored
-metrics are redundant with the stored counts on purpose, and a mismatch is
-corruption. Blocks of lines that are all the writer's own, wall clocks as
-``isoformat()`` writes them included, are checked in bulk, by one regex pass into
-columns and each rule over a column, with no JSON decoder; any other block record
-by record, which names the line and the fault. Either way each record gives one
-row, and one loop applies the order rule and keeps the asked project's rows, whose
-columns a ``Trajectory`` reads, building snapshots only when they are asked for. A
-record's shape is stated once, in ``_FIELDS``, and its value rules once, in
-``_rows``, so the writer refuses any record the loader would reject, and any clock
-it would read back as another.
+One function, ``_read``, reads the store's bytes, on the handle each caller opened,
+in blocks of whole lines as the log is read, and checks each record in every field
+as its block is read, in O(n) for n records; stored metrics are redundant with the
+stored counts on purpose, and a mismatch is corruption. Blocks of lines that are all
+the writer's own, wall clocks as ``isoformat()`` writes them included, are checked
+in bulk, by one regex pass into columns and each rule over a column, with no JSON
+decoder; any other block record by record, which names the line and the fault.
+Either way each record gives one row, and one loop applies the order rule and keeps
+the asked project's rows, whose columns a ``Trajectory`` reads, building snapshots
+only when they are asked for. A record's shape is stated once, in ``_FIELDS``, and
+its value rules once, in ``_rows``, so the writer refuses any record the loader
+would reject, and any clock it would read back as another.
 
 ``<store>.seal`` summarises a prefix of the store that was checked in full: its
 length and line count, and per project the first wall clock, the last hours, that
@@ -293,7 +293,14 @@ def _writer_line(project: "str | None" = None) -> str:
 
 
 _WRITER_LINE = _writer_line()  # compiled, and cached by re, on first use
-_BLOCK = 1 << 18  # characters per block of the check, rounded up to a whole line
+_BLOCK = 1 << 18  # bytes per block of the store, rounded up to a whole line
+
+
+def _blocks(f, end: "int | None" = None):
+    """Blocks of whole lines of ``f`` from its position, as the log is read: ``_BLOCK``
+    bytes and the rest of the last line, none past byte ``end`` when it is given."""
+    while block := f.read(_BLOCK if end is None else min(_BLOCK, end - f.tell())):
+        yield block + f.readline(-1 if end is None else end - f.tell())
 
 
 def _bulk_rows(lines: list, first: int):
@@ -311,34 +318,25 @@ def _bulk_rows(lines: list, first: int):
     return None
 
 
-def _check_bulk(text: str, start: int, end: int, before: int):
-    """The rows (see ``_check``) of the lines in ``text[start:end]``, for lines that
-    are all the writer's own, and the line breaks there. None when a line is not or
-    a record breaks a rule, so that the record-by-record check names the fault."""
-    lines = re.compile(_WRITER_LINE, re.M).findall(text, start, end)
-    breaks = text.count("\n", start, end)
-    if len(lines) != breaks + (text[end - 1] != "\n"):  # the last line may lack its \n
+def _check_bulk(text: str, before: int) -> "list | None":
+    """The rows (see ``_check``) of the lines in ``text``, for lines that are all the
+    writer's own. None when a line is not or a record breaks a rule, so that the
+    record-by-record check names the fault."""
+    lines = re.compile(_WRITER_LINE, re.M).findall(text)
+    if len(lines) != text.count("\n") + (text[-1:] != "\n"):  # the last may lack its \n
         return None
-    rows = _bulk_rows(lines, before + 1)
-    return None if rows is None else (rows, breaks)
+    return _bulk_rows(lines, before + 1)
 
 
-def _search(prefix, project_id: str, count: int) -> "list | None":
-    """The rows (see ``_check``) of ``project_id``, numbered from 1, in ``prefix``,
-    store bytes that a matching seal covers and so were checked in full, found by the
-    writer's line with that id fixed; ``count`` is the seal's count of them. None when
-    that search cannot stand for the full check: the id needs an escape, the prefix is
-    not UTF-8, the lines found are not ``count`` (a record of the project in another
-    shape, or ending in ``\\r\\n``, is not found), or they break a rule or the order."""
-    if not _plain(project_id):
-        return None
-    try:
-        text = str(prefix, "utf-8")
-    except UnicodeDecodeError:
-        return None
-    lines = re.compile(_writer_line(project_id), re.M).findall(text)
-    del text
-    if len(lines) != count:  # a record in another shape, which the full check reads
+def _search(lines: "list | None", count: int) -> "list | None":
+    """The rows (see ``_check``), numbered from 1, of ``lines``: what the writer's line
+    with a project's id fixed found in store bytes that a matching seal covers and so
+    were checked in full; ``count`` is the seal's count of that project's records.
+    None when that search cannot stand for the full check: ``lines`` is None, for an
+    id that needs an escape or a prefix that is not UTF-8, the lines found are not
+    ``count`` (a record of the project in another shape, or ending in ``\\r\\n``, is
+    not found), or they break a rule or the order."""
+    if lines is None or len(lines) != count:
         return None
     rows = _bulk_rows(lines, 1) if lines else []
     if rows is None:
@@ -348,44 +346,35 @@ def _search(prefix, project_id: str, count: int) -> "list | None":
 
 
 def _check(text: str, before: int, seen: dict, project_id: "str | None") -> tuple[list, int]:
-    """Check every line of ``text``, which follows ``before`` lines of the store.
+    """Check every line of ``text``, a block of whole lines that follows ``before``
+    lines of the store.
 
     ``seen`` maps each project to its first wall clock, its last hours, that
     record's line number and its record count, and is updated in first-seen order.
     Returns the rows of ``project_id``, none for None, and ``before`` plus the line
-    breaks in ``text``. Blocks of whole lines whose every line is the writer's own
-    are checked in bulk, others record by record. Both give one row per record: line
-    number, wall clock as stored, then a snapshot's fields, stats and levels as plain
-    tuples. The record-by-record rows are made lazily, one line at a time, so the first
-    fault in line order is the one reported.
+    breaks in ``text``. A block whose every line is the writer's own is checked in
+    bulk, another record by record. Both give one row per record: line number, wall
+    clock as stored, then a snapshot's fields, stats and levels as plain tuples. The
+    record-by-record rows are made lazily, one line at a time, so the first fault in
+    line order is the one reported.
     """
-    asked = []
-    start = 0
-    while start < len(text):  # in blocks: few strings alive at once
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        checked = _check_bulk(text, start, end, before)
-        if checked is not None:
-            rows, breaks = checked
+    asked, rows = [], _check_bulk(text, before)
+    if rows is None:
+        rows = chain.from_iterable(_parse_record(line, number) for number, line
+                                   in enumerate(text.split("\n"), before + 1) if line.strip())
+    for row in rows:
+        number, clock, project, _, t_hours = row[:5]
+        previous = seen.get(project)
+        if previous is None:
+            seen[project] = (clock, t_hours, number, 1)
+        elif t_hours <= previous[1]:
+            raise _corrupt(number, f"t_hours {t_hours} does not advance project "
+                                   f"{project!r} (line {previous[2]} has {previous[1]})")
         else:
-            lines = text[start:end].split("\n")
-            rows = chain.from_iterable(_parse_record(line, number) for number, line
-                                       in enumerate(lines, before + 1) if line.strip() != "")
-            breaks = len(lines) - 1
-        for row in rows:
-            number, clock, project, _, t_hours = row[:5]
-            previous = seen.get(project)
-            if previous is None:
-                seen[project] = (clock, t_hours, number, 1)
-            elif t_hours <= previous[1]:
-                raise _corrupt(number, f"t_hours {t_hours} does not advance project "
-                                       f"{project!r} (line {previous[2]} has {previous[1]})")
-            else:
-                seen[project] = (previous[0], t_hours, number, previous[3] + 1)
-            if project == project_id:
-                asked.append(row)
-        before += breaks
-        start = end
-    return asked, before
+            seen[project] = (previous[0], t_hours, number, previous[3] + 1)
+        if project == project_id:
+            asked.append(row)
+    return asked, before + text.count("\n")
 
 
 def _plain(text: str) -> bool:
@@ -445,56 +434,58 @@ def _read(f, project_id: "str | None", store_path: str) -> tuple:
     line count, ``seen``, the running CRC-32 and the length it covers, and whether
     bytes followed any matching seal and ended in ``\\n``.
 
-    A seal at ``<store_path>.seal`` that ``_load_seal`` takes and that matches is
-    trusted: the prefix it covers is checksummed, not checked, and the bytes after it
-    are checked and folded into the same CRC-32. A writer checksums the prefix in 64
-    KiB chunks, never holding it whole; a reader reads the store whole and
-    ``_search``es the prefix for the project's rows, or, under a seal that still
-    matched, checks the whole store when that search fails. A line ends at ``\\n``, a
-    ``\\r`` just before it is part of the break, and any other ``\\r`` is a character
-    of its line, as for the scanner and the log counter; a byte that is not UTF-8
-    corrupts its line."""
+    The store is read in ``_blocks``, and each block is checked as it is read, so the
+    first bad line is the one named. A seal at ``<store_path>.seal`` that
+    ``_load_seal`` takes and that matches is trusted: the prefix it covers is
+    checksummed, not checked, and the bytes after it are checked and folded into the
+    same CRC-32. A reader also finds the project's writer lines in each block of the
+    prefix, which ``_search`` checks; when that search fails, or the seal does not
+    match, the whole store is read again and checked. A line ends at ``\\n``, a
+    ``\\r`` just before it is part of the break, and any other ``\\r`` is a
+    character of its line, as for the scanner and the log counter; a byte that is
+    not UTF-8 corrupts its line."""
     f.seek(0)
-    length, lines, seen, crc, data, matched = 0, 0, {}, 0, None, 0  # a matching seal's length
+    length, lines, seen, crc, matched = 0, 0, {}, 0, 0  # a matching seal's length
     found = None  # the project's rows in a sealed prefix, which is then not checked
     loaded = _load_seal(store_path + ".seal")
     if loaded is not None:
         end, sealed_lines, sealed_crc, projects, summary = loaded
-        if project_id is None:
-            while f.tell() < end:
-                chunk = f.read(min(1 << 16, end - f.tell()))
-                if not chunk:
-                    break
-                crc = binascii.crc32(chunk, crc)
-        else:
-            data = f.read()
-            crc = binascii.crc32(memoryview(data)[:end])
-        if f.tell() >= end and binascii.crc32(summary, crc) == sealed_crc:
+        find = project_id is not None and re.compile(_writer_line(project_id), re.M).findall
+        hits = [] if find and _plain(project_id) else None  # None: no search can stand
+        for block in _blocks(f, end):
+            crc = binascii.crc32(block, crc)
+            if hits is not None:
+                try:
+                    hits += find(str(block, "utf-8"))
+                except UnicodeDecodeError:
+                    hits = None
+        if f.tell() == end and binascii.crc32(summary, crc) == sealed_crc:
             matched = end  # a failed search checks these bytes again: they are not past it
-            entry = projects.get(project_id)
-            found = [] if data is None else _search(memoryview(data)[:end], project_id,
-                                                     0 if entry is None else entry[3])
+            count = projects[project_id][3] if project_id in projects else 0
+            found = _search(hits, count) if find else []
             if found is not None:
                 length, lines, seen = end, sealed_lines, projects
     if found is None:  # no seal, one that does not match, or a failed search: from the start
         crc = 0
         f.seek(0)
-    tail = f.read() if data is None else data[length:]
-    try:
-        text = tail.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = tail[:exc.start]
-        number = lines + head.count(b"\n") + 1
-        raise _corrupt(number, f"not valid UTF-8 (byte offset {length + exc.start})") from exc
-    ended = tail.endswith(b"\n")
-    if ended:
-        crc = binascii.crc32(tail, crc)
-        length += len(tail)
-    del tail, data  # the text alone stays alive through the check
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    rows, lines = _check(text, lines, seen, project_id)
-    return (found or []) + rows, lines, seen, crc, length, ended and length > matched
+    rows, ended = found or [], False
+    for block in _blocks(f):
+        try:
+            text, bad = str(block, "utf-8"), None
+        except UnicodeDecodeError as exc:  # the lines before the bad one are checked first
+            text, bad = str(block[:block.rfind(b"\n", 0, exc.start) + 1], "utf-8"), exc
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        asked, lines = _check(text, lines, seen, project_id)
+        rows += asked
+        if bad is not None:
+            raise _corrupt(lines + 1, f"not valid UTF-8 (byte offset {length + bad.start})") \
+                from bad
+        ended = block.endswith(b"\n")  # only the last block may not
+        if ended:
+            crc = binascii.crc32(block, crc)
+            length += len(block)
+    return rows, lines, seen, crc, length, ended and length > matched
 
 
 def _write_seal(store_path: str, crc: int, length: int, lines: int, seen: dict) -> None:

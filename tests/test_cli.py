@@ -262,10 +262,10 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
         calls.append(line_number)
         return parse_record(line, line_number)
 
-    def counting_bulk(text, start, end, before):
-        snapshots = check_bulk(text, start, end, before)
+    def counting_bulk(text, before):
+        snapshots = check_bulk(text, before)
         if snapshots is not None:  # it checked every line; each ends in a newline here
-            calls.extend(range(before + 1, before + 1 + text.count("\n", start, end)))
+            calls.extend(range(before + 1, before + 1 + text.count("\n")))
         return snapshots
 
     monkeypatch.setattr(history, "_parse_record", counting)
@@ -286,6 +286,59 @@ def test_record_parses_each_store_record_once(clean_src, tmp_path, monkeypatch, 
     assert main(["record", clean_src, "--project", "p", "--store", store, *time_flag]) == 0
     assert sorted(calls) == [1, 2, 3, 4, 5]
     assert seal.read_bytes() == sealed
+
+
+class _BoundedReads:
+    """A store handle whose ``read`` must be given a size of at most a block: only
+    ``readline`` may read to the end of what it reads, the rest of a line."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._f.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def read(self, size=-1):
+        assert size is not None and 0 <= size <= history._BLOCK, size
+        return self._f.read(size)
+
+
+@pytest.mark.parametrize("sealed", [True, False])
+@pytest.mark.parametrize("command, code", [("record", 0), ("refused record", 7), ("report", 0)])
+def test_store_is_read_in_blocks_of_whole_lines(clean_src, tmp_path, monkeypatch, sealed,
+                                                command, code):
+    # Every command reads the store as the log is read, a block and the rest of its
+    # last line at a time, so that no read holds the store whole.
+    store = str(tmp_path / "store.jsonl")
+    for t in range(8):
+        assert main(["record", clean_src, "--project", "pq"[t % 2], "--store", store,
+                     "--t-hours", str(t)]) == 0
+    if not sealed:
+        os.remove(store + ".seal")
+    opened = []
+
+    def bounded_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        if path != store:  # the seal, read whole, and written
+            return f
+        opened.append(path)
+        return _BoundedReads(f)
+
+    monkeypatch.setattr(history, "_BLOCK", 700)  # several blocks
+    monkeypatch.setattr(history, "open", bounded_open, raising=False)
+    argv = {"record": ["record", clean_src, "--project", "p", "--store", store,
+                       "--t-hours", "9"],
+            "refused record": ["record", clean_src, "--project", "p", "--store", store,
+                               "--t-hours", "1"],
+            "report": ["report", "--project", "p", "--store", store]}[command]
+    assert main(argv) == code
+    assert opened == [store]
 
 
 def test_writer_store_needs_no_record_by_record_check(clean_src, tmp_path, monkeypatch):
@@ -639,7 +692,7 @@ def test_report_extends_a_records_seal_over_the_line_it_appended(clean_src, tmp_
                                                                  monkeypatch, capsys):
     # A record seals the bytes it read, not the line it appended. The first report
     # after it checks that line and seals it, to the seal a full check leaves; the
-    # next report has nothing past the seal to check.
+    # next report has nothing past the seal to check, and so makes no check at all.
     store, copy = tmp_path / "s.jsonl", tmp_path / "c.jsonl"
     for t in ("0", "1"):
         assert main(["record", clean_src, "--project", "p", "--store", str(store),
@@ -661,7 +714,7 @@ def test_report_extends_a_records_seal_over_the_line_it_appended(clean_src, tmp_
     monkeypatch.setattr(history, "_check", spy)
     assert main(["report", "--project", "p", "--store", str(store)]) == 0
     assert capsys.readouterr() == full
-    assert texts == [""]
+    assert texts == []
 
 
 def test_report_whose_search_fails_under_a_seal_seals_only_lines_past_it(
@@ -1374,6 +1427,22 @@ def test_interactive_with_log(faulty_src, error_log, monkeypatch, capsys):
     assert main(["interactive"]) == 0
     out, _ = capsys.readouterr()
     assert GOLDEN_WITH_ERRORS in out
+
+
+def test_interactive_warns_of_an_unterminated_comment_as_scan_does(tmp_path, monkeypatch,
+                                                                  capsys):
+    path = tmp_path / "open.c"
+    path.write_text("int x;\n/* open\nint y;\n", encoding="utf-8")
+    assert main(["scan", str(path)]) == 0
+    scanned = capsys.readouterr()
+    prompts = feed_input(monkeypatch, [str(path), "", "n"])
+    assert main(["interactive"]) == 0
+    out, err = capsys.readouterr()
+    assert prompts == list(_PROMPTS)
+    assert out == "File opened successfully!\n" + scanned.out
+    warning = (f"excellence: warning: {path}: unterminated block comment; trailing lines "
+               "counted as comment lines\n")
+    assert scanned.err.startswith(warning) and err == warning
 
 
 _PROMPTS = ("Enter the name of the file : ", "Enter the name of the log file (blank for none) : ",

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 import random
 from datetime import datetime, timedelta, timezone
@@ -293,23 +294,81 @@ def test_bulk_check_agrees_with_record_by_record_check(tmp_path, monkeypatch, bl
         append_snapshot(store, make_snapshot(project=project, t=t[project],
                                              errors=rng.randint(0, 40), loc=rng.randint(1, 99)))
     with open(store, "rb") as f:
-        lines = f.read().decode("utf-8").split("\n")
-    prefix, tail = "\n".join(lines[:split]), "\n".join(lines[split:])
+        data = f.read()
+    lines = data.decode("utf-8").split("\n")
+    tail = "\n".join(lines[split:])
+    with open(store, "wb") as f:  # a reader seals the first ``split`` lines, or none
+        f.write(b"".join(line + b"\n" for line in data.split(b"\n")[:split]))
+    os.remove(store + ".seal")
+    load_trajectory(store, "beta")
+    assert os.path.exists(store + ".seal") == (split > 0)
+    with open(store, "wb") as f:
+        f.write(data)
+    befores, check = [], history._check
 
-    def check(bulk):
-        seen = {}
-        history._check(prefix, 0, seen, None)
-        snapshots, count = history._check(tail, split, seen, "beta")
-        assert (history._check_bulk(tail, 0, len(tail), split) is not None) == bulk
+    def counting(text, before, *rest):
+        befores.append(before)
+        return check(text, before, *rest)
+
+    def read(bulk):
+        befores.clear()
+        with open(store, "rb") as f:
+            snapshots, count, seen = history._read(f, "beta", store)[:3]
+        assert befores[0] == split and (len(befores) == 1) == (block == 1 << 18)
+        assert (history._check_bulk(tail, split) is not None) == bulk
         return snapshots, count, list(seen.items())
 
     monkeypatch.setattr(history, "_BLOCK", block)
-    expected = check(True)
+    monkeypatch.setattr(history, "_check", counting)
+    expected = read(True)
     assert expected[1] == len(lines) - 1
     assert {project: entry[2] for project, entry in expected[2]} == \
         {json.loads(line)["project"]: number for number, line in enumerate(lines, 1) if line}
     monkeypatch.setattr(history, "_check_bulk", lambda *args: None)
-    assert check(False) == expected
+    assert read(False) == expected
+
+
+# Bytes after a store's first lines, the line of them that is named, and its fault.
+_NOT_UTF8 = {
+    "JSON before UTF-8": (b'not json\n{"project": "\xff"}\n', 1,
+                          "not valid JSON (Expecting value)"),
+    "fields before UTF-8": (b"{}\n\xff\n", 1, "field mismatch (missing ['blank_lines', "
+                            "'comment_lines', 'el_percent', 'errors', 'file', 'for_count', "
+                            "'loc', 'project', 't_hours', 'total_lines', 'wall_clock', "
+                            "'while_count', 'x'], unexpected [])"),
+    "UTF-8 alone": (history._line(make_snapshot(project="beta")) + b'{"project": "b\xff"}\n',
+                    2, "not valid UTF-8 (byte offset {})"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 1 << 18])
+@pytest.mark.parametrize("sealed", [False, True])
+@pytest.mark.parametrize("case", list(_NOT_UTF8))
+def test_first_fault_in_line_order_precedes_a_byte_that_is_not_utf8(tmp_path, monkeypatch,
+                                                                    block, sealed, case):
+    # A block that does not decode has the lines before its bad byte checked first,
+    # by a reader and a writer alike, after a sealed prefix or from line 1.
+    store = str(tmp_path / "store.jsonl")
+    if sealed:
+        for t in (0.0, 1.0):
+            append_snapshot(store, make_snapshot(t=t))
+        load_trajectory(store, "alpha")  # seals both lines
+    with open(store, "a+b") as f:
+        f.seek(0)
+        prefix = f.read()
+        tail, line, fault = _NOT_UTF8[case]
+        f.write(tail)
+    number = line + 2 * sealed
+    message = f"store record at line {number} is invalid: " + \
+        fault.format(len(prefix) + tail.index(b"\xff"))
+    monkeypatch.setattr(history, "_BLOCK", block)
+    for command in (lambda: load_trajectory(store, "alpha"),
+                    lambda: append_snapshot(store, make_snapshot(t=5.0))):
+        with pytest.raises(CorruptionError) as got:
+            command()
+        assert (str(got.value), got.value.line_number) == (message, number)
+    with open(store, "rb") as f:
+        assert f.read() == prefix + tail
 
 
 @pytest.mark.parametrize("block", [1, 700, 1 << 18])
@@ -419,8 +478,8 @@ def test_every_fault_is_named_alike_by_both_checks(tmp_path, monkeypatch, block,
                              + "\n" for r in records), encoding="utf-8")
     bulk, check_bulk = [], history._check_bulk
 
-    def spy(text, start, end, before):
-        bulk.append((before, check_bulk(text, start, end, before)))
+    def spy(text, before):
+        bulk.append((before, check_bulk(text, before)))
         return bulk[-1][1]
 
     monkeypatch.setattr(history, "_BLOCK", block)

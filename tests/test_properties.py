@@ -798,23 +798,26 @@ def test_seal_edit_under_a_matching_digest_gets_the_full_check(tmp_path, monkeyp
 
 
 class _TailStart(io.BytesIO):
-    """A store in memory that notes the offset of the read ``_read`` checks: the
-    sealed length when the seal is trusted, 0 when the check starts at line 1."""
+    """A store in memory that notes the offset where ``_read`` starts the blocks it
+    reads to the end and checks: the sealed length when the seal is trusted, 0 when
+    the check starts at line 1."""
 
     start = None
 
-    def read(self, size=-1):
-        if size == -1:
-            self.start = self.tell()
-        return super().read(size)
-
 
 def _check_start(stored, store):
-    f = _TailStart(bytes(stored))
-    try:
-        history._read(f, None, store)
-    except CorruptionError:  # an edit the full check refuses
-        pass
+    f, blocks = _TailStart(bytes(stored)), history._blocks
+
+    def noting(f, end=None):
+        if end is None:
+            f.start = f.tell()
+        return blocks(f, end)
+
+    with mock.patch.object(history, "_blocks", noting):
+        try:
+            history._read(f, None, store)
+        except CorruptionError:  # an edit the full check refuses
+            pass
     return f.start
 
 
@@ -885,7 +888,8 @@ def _sha256_seal(stored, seal):
 def _old_seal_costs_one_full_check(tmp_path, monkeypatch, old_format, command):
     """A seal in ``old_format`` is not read: ``command`` checks from line 1 and does
     as it does with no seal, down to the new seal it leaves, which the next run
-    trusts: its check starts after the sealed lines."""
+    trusts: its check starts after the sealed lines, and a report, whose seal
+    covers the whole store, has none left to check."""
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
     stored = _read(store)
     old = old_format(stored, _read(store + ".seal"))
@@ -912,7 +916,7 @@ def _old_seal_costs_one_full_check(tmp_path, monkeypatch, old_format, command):
     if command == "record":
         argv = ["record", src, "--project", "q", "--store", store, "--t-hours", "4"]
     assert _cli_outcome(store, argv, _SEAL_T0 + timedelta(hours=4))[0] == 0
-    assert befores == [4]
+    assert befores == ([4] if command == "record" else [])
 
 
 def test_sha256_seal_costs_one_full_check_and_is_replaced(tmp_path, monkeypatch):
@@ -1016,12 +1020,13 @@ def test_ordering_refusal_builds_no_snapshot(tmp_path, monkeypatch):
 
 def test_load_trajectory_builds_the_asked_projects_snapshots_once(tmp_path, monkeypatch):
     # The record's seal leaves line 4 after it; a full check leaves one over all
-    # four lines. No read builds a snapshot until ``snapshots`` is first read, which
-    # builds p's two, q's two, or none; a second read builds none.
+    # four lines, after which nothing is left to check. No read builds a snapshot
+    # until ``snapshots`` is first read, which builds p's two, q's two, or none; a
+    # second read builds none.
     store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
     stored, seal = _read(store), _read(store + ".seal")
     befores, built = _counting_checks(monkeypatch), _counting_snapshots(monkeypatch)
-    for put, start in ((seal, 3), (None, 0), (b"", 4)):
+    for put, starts in ((seal, [3]), (None, [0]), (b"", [])):
         for project, count in (("p", 2), ("q", 2), ("absent", 0)):
             if put != b"":  # b"": the seal the unsealed load just left
                 _put(store, stored, put)
@@ -1029,7 +1034,7 @@ def test_load_trajectory_builds_the_asked_projects_snapshots_once(tmp_path, monk
             built.clear()
             traj = load_trajectory(store, project)
             assert len(traj) == count and len(traj.ts) == len(traj.xs) == count
-            assert befores == [start] and built == []
+            assert befores == starts and built == []
             snapshots = traj.snapshots
             assert len(snapshots) == count and built == [project] * count
             assert traj.snapshots is snapshots and built == [project] * count
@@ -1099,6 +1104,45 @@ def test_report_checks_what_the_search_finds_under_a_forged_seal(tmp_path, monke
     assert befores == [0]
     assert sealed == unsealed and sealed[0] == 7
     assert f"store record at line {3 if edit == 'order' else 1} is invalid" in sealed[2]
+
+
+@pytest.mark.parametrize("block", [1, 1 << 18])
+def test_report_checks_a_sealed_prefix_that_is_not_utf8_in_full(tmp_path, monkeypatch, block):
+    # A seal made anew over a prefix with a byte that is not UTF-8 in q's line 2: p's
+    # lines around it are all found, in one block or in several, but the search
+    # cannot stand for the full check, which names line 2 as without the seal.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5), ("q", 2.0)])
+    stored, seal = _read(store), json.loads(_read(store + ".seal"))
+    lines = stored.splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"m.c"', b'"m\xffc"')
+    edited = b"".join(lines)
+    assert len(edited) == len(stored) and edited != stored
+    seal["crc32"] = seal_crc32(edited[:seal["length"]], seal)
+    _put(store, edited, json.dumps(seal, ensure_ascii=False).encode("utf-8"))
+    monkeypatch.setattr(history, "_BLOCK", block)
+    (sealed, befores), (unsealed, _) = _with_and_without_seal(
+        monkeypatch, store, ["report", "--project", "p", "--store", store])
+    assert befores[0] == 0
+    assert sealed == unsealed and sealed[0] == 7
+    assert "store record at line 2 is invalid: not valid UTF-8" in sealed[2]
+
+
+@pytest.mark.parametrize("block", [1, 1 << 18])
+def test_final_record_without_newline_is_not_sealed_in_any_block(tmp_path, monkeypatch,
+                                                                  block):
+    # A store whose last record lacks its newline, read in one block or several: a
+    # report seals nothing, and a record starts its line on a fresh one.
+    store = _write_store(str(tmp_path), [("p", 0.5), ("q", 1.0), ("p", 1.5)])
+    torn = _read(store)[:-1]
+    _put(store, torn, None)
+    monkeypatch.setattr(history, "_BLOCK", block)
+    assert len(load_trajectory(store, "p")) == 2
+    assert _read(store + ".seal") is None
+    record_snapshot(store, "q", _SEAL_T0 + timedelta(hours=2), SourceStats("m.c", 1, 0, 0, 1, 0, 0),
+                    0, 2.0)
+    stored = _read(store)
+    assert stored.startswith(torn + b"\n") and stored.count(b"\n") == 4
+    assert len(load_trajectory(store, "q")) == 2
 
 
 @pytest.mark.parametrize("asked, others", [
