@@ -1,20 +1,8 @@
-"""Command-line front end.
-
-Usage:
-    excellence scan <src> [--log <path>] [--error-pattern <p>]
-    excellence record <src> --project <id> --store <path> [--log <path>] [--t-hours <h>]
-    excellence report --project <id> --store <path> [--alpha <a>] [--fit-degree <d>]
-                      [--format text|csv|svg] [--tolerance <tol>]
-    excellence interactive
-
-The store path defaults to the EXCEL_STORE environment variable. The exit
-code is 0 on success, 2 for a usage error, and otherwise the ``exit_code`` of
-the error class in ``errors.py`` that stopped the command.
-"""
+"""Command-line front end. ``USAGE`` states the commands and their flags. A usage error
+exits 2, and a failed command with the ``exit_code`` of its error class in ``errors.py``."""
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import io
@@ -28,6 +16,17 @@ from .metrics import QualityMetrics, SourceStats, compute_metrics
 
 PROG = "excellence"
 STORE_ENV_VAR = "EXCEL_STORE"
+
+# What -h prints, and a usage error before its message: python -OO strips docstrings.
+USAGE = f"""\
+usage: {PROG} scan <src> [--log <path>] [--error-pattern <regex>]
+       {PROG} record <src> --project <id> --store <path> [--log <path>] [--t-hours <h>]
+       {PROG} report --project <id> --store <path> [--alpha <a>] [--fit-degree 1|2|3]
+                         [--format text|csv|svg] [--tolerance <tol>]
+       {PROG} interactive
+Defaults: --store ${STORE_ENV_VAR}, --t-hours the hours since the project's first snapshot,
+--alpha 1, --tolerance 1e-6. A long flag may be cut to a unique prefix, or take =value.
+"""
 
 
 def format_2dp(value: float) -> str:
@@ -172,35 +171,37 @@ def _write_report(stats: SourceStats, error_count: int) -> "QualityMetrics | Non
     return metrics
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    stats, error_count = _gather(args.src, args.log, args.error_pattern)
+def cmd_scan(src: str, log: "str | None", error_pattern: "str | None") -> int:
+    stats, error_count = _gather(src, log, error_pattern)
     if _write_report(stats, error_count) is None:
         _warn("error: metrics are undefined for loc = 0")
         return UndefinedMetricError.exit_code
     return 0
 
 
-def cmd_record(args: argparse.Namespace) -> int:
+def cmd_record(src: str, project: str, store: str, log: "str | None",
+               t_hours: "float | None") -> int:
     from datetime import datetime, timezone
 
     from . import history
-    stats, error_count = _gather(args.src, args.log, None)
-    snapshot = history.record_snapshot(args.store, args.project, datetime.now(timezone.utc),
-                                       stats, error_count, args.t_hours)
-    print(f"recorded snapshot for project '{args.project}' at t = {snapshot.t_hours:g} h "
-          f"(X = {format_2dp(snapshot.metrics.degree_of_excellence)}, store: {args.store})")
+    stats, error_count = _gather(src, log, None)
+    snapshot = history.record_snapshot(store, project, datetime.now(timezone.utc),
+                                       stats, error_count, t_hours)
+    print(f"recorded snapshot for project '{project}' at t = {snapshot.t_hours:g} h "
+          f"(X = {format_2dp(snapshot.metrics.degree_of_excellence)}, store: {store})")
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(project: str, store: str, alpha: float, fit_degree: "int | None",
+               format: str, tolerance: float) -> int:
     from . import history, report
-    traj = history.load_trajectory(args.store, args.project)
+    traj = history.load_trajectory(store, project)
     if len(traj) == 0:
-        _warn(f"notice: store has no snapshots for project '{args.project}'")
+        _warn(f"notice: store has no snapshots for project '{project}'")
         return InsufficientDataError.exit_code
-    if args.format == "text":
-        text = report.render_text(traj, args.alpha, args.tolerance, args.fit_degree)
-    elif args.format == "csv":
+    if format == "text":
+        text = report.render_text(traj, alpha, tolerance, fit_degree)
+    elif format == "csv":
         text = report.render_csv(traj)
     else:
         text = report.render_svg(traj)
@@ -208,7 +209,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_interactive(args: argparse.Namespace) -> int:
+def cmd_interactive() -> int:
     from . import diaglog
 
     def ask(prompt: str) -> "str | None":
@@ -236,24 +237,39 @@ def cmd_interactive(args: argparse.Namespace) -> int:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        raise ValueError(f"must be finite, got {text}")
     return value
 
 
 def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if not (value > 0):
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        raise ValueError(f"must be > 0, got {text}")
     return value
 
 
 def _nonnegative_float(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        raise ValueError(f"must be >= 0, got {text}")
     return value
+
+
+def _one_of(convert, *choices):
+    """A converter to one of ``choices``, from ``convert`` of the text."""
+    def check(text: str):
+        try:
+            if (value := convert(text)) in choices:
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"must be one of {', '.join(map(str, choices))}, got {text!r}")
+    return check
 
 
 def _utf8_text(text: str) -> str:
@@ -261,8 +277,7 @@ def _utf8_text(text: str) -> str:
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
-        raise argparse.ArgumentTypeError(
-            f"must be UTF-8 for the store to hold it, got {text!r}") from None
+        raise ValueError(f"must be UTF-8 for the store to hold it, got {text!r}") from None
     return text
 
 
@@ -271,57 +286,99 @@ def _utf8_file_name(path: str) -> str:
     return path
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="Measure error level and degree of excellence of C-like source "
-                    "files and track their improvement over time.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Per command: its function and, per argument, its converter (None keeps the text) and
+# default. The name with no dashes is the positional; --store falls back to $EXCEL_STORE.
+_REQUIRED = object()
+_COMMANDS = {
+    "scan": (cmd_scan, {"src": (None, _REQUIRED), "--log": (None, None),
+                        "--error-pattern": (None, None)}),
+    "record": (cmd_record, {"src": (_utf8_file_name, _REQUIRED),
+                            "--project": (_utf8_text, _REQUIRED), "--store": (None, _REQUIRED),
+                            "--log": (None, None), "--t-hours": (_nonnegative_float, None)}),
+    "report": (cmd_report, {"--project": (None, _REQUIRED), "--store": (None, _REQUIRED),
+                            "--alpha": (_positive_float, 1.0),
+                            "--fit-degree": (_one_of(int, 1, 2, 3), None),
+                            "--format": (_one_of(str, "text", "csv", "svg"), "text"),
+                            "--tolerance": (_nonnegative_float, 1e-6)}),
+    "interactive": (cmd_interactive, {}),
+}
 
-    scan = sub.add_parser("scan", help="scan one source file and print the report")
-    scan.add_argument("src", help="source file to scan")
-    scan.add_argument("--log", help="compiler log to count errors from")
-    scan.add_argument("--error-pattern", help="override the error-line pattern")
-    scan.set_defaults(func=cmd_scan)
 
-    default_store = os.environ.get(STORE_ENV_VAR)
-    record = sub.add_parser("record", help="scan and append a snapshot to the store")
-    record.add_argument("src", type=_utf8_file_name, help="source file to scan")
-    record.add_argument("--project", type=_utf8_text, required=True,
-                        help="project id the snapshot belongs to")
-    record.add_argument("--store", default=default_store,
-                        required=default_store is None,
-                        help=f"snapshot store path (default: ${STORE_ENV_VAR})")
-    record.add_argument("--log", help="compiler log to count errors from")
-    record.add_argument("--t-hours", type=_nonnegative_float, default=None,
-                        help="hours since the project's first snapshot "
-                             "(default: wall clock relative to it)")
-    record.set_defaults(func=cmd_record)
+def _usage(prog: str, error: "str | None" = None) -> NoReturn:
+    """Print USAGE and exit: for -h on stdout with 0, for a usage error on stderr with 2."""
+    if error is None:
+        print(USAGE, end="")
+        raise SystemExit(0)
+    print(USAGE, f"{prog}: error: {error}", sep="", file=sys.stderr)
+    raise SystemExit(2)
 
-    report = sub.add_parser("report", help="rates, trend, and effort for a project")
-    report.add_argument("--project", required=True)
-    report.add_argument("--store", default=default_store,
-                        required=default_store is None,
-                        help=f"snapshot store path (default: ${STORE_ENV_VAR})")
-    report.add_argument("--alpha", type=_positive_float, default=1.0,
-                        help="developer-ability coefficient (default 1.0)")
-    report.add_argument("--fit-degree", type=int, choices=(1, 2, 3), default=None,
-                        help="also fit a polynomial of this degree")
-    report.add_argument("--format", choices=("text", "csv", "svg"), default="text")
-    report.add_argument("--tolerance", type=_nonnegative_float, default=1e-6,
-                        help="slope tolerance for trend classification (default 1e-6)")
-    report.set_defaults(func=cmd_report)
 
-    interactive = sub.add_parser("interactive", help="prompt-driven scan loop")
-    interactive.set_defaults(func=cmd_interactive)
-    return parser
+def _is_flag(arg: str) -> bool:
+    """Whether ``arg`` is a flag: '-' and numbers, -1 or -inf say, are values."""
+    try:
+        float(arg)
+    except ValueError:
+        return arg[:1] == "-" and arg != "-"
+    return False
+
+
+def _flags(name: str, flags) -> "list[str]":
+    """The flags ``name`` names: itself, or each long flag it is a prefix of."""
+    return [name] if name in flags else [
+        flag for flag in flags if name[:2] == "--" and flag.startswith(name)]
+
+
+def _parse(argv: "list[str]") -> tuple:
+    """The command's function and its keyword arguments, read by argparse's rules, but
+    for any number being a value. -h exits 0. An ambiguous flag exits 2 first, any other
+    usage error where it is read, and an argument missing or left over after all are."""
+    at = next((i for i, arg in enumerate(argv) if arg == "--" or not _is_flag(arg)), len(argv))
+    for name, eq, _ in (arg.partition("=") for arg in argv[:at]):  # before the command
+        if _flags(name, ("-h", "--help")):
+            _usage(PROG, "argument -h/--help: takes no value" if eq else None)
+    command = argv[at] if at < len(argv) else ""
+    if command not in _COMMANDS:
+        _usage(PROG, f"the command must be one of {', '.join(_COMMANDS)}")
+    (func, spec), prog = _COMMANDS[command], f"{PROG} {command}"
+    extra, rest = argv[:at], argv[at + 1:]
+    head = rest[:rest.index("--")] if "--" in rest else rest
+    for name in (arg.partition("=")[0] for arg in head if _is_flag(arg)):
+        if len(names := _flags(name, (*spec, "-h", "--help"))) > 1:
+            _usage(prog, f"ambiguous option: {name} could match {', '.join(names)}")
+    values = {name: os.environ.get(STORE_ENV_VAR, default) if name == "--store" else default
+              for name, (_, default) in spec.items()}
+    ended, args = False, iter(rest)
+    for arg in args:
+        if arg == "--" and not ended:
+            ended = True
+            if all(name[0] == "-" for name in spec):  # no positional: -- is left over
+                extra.append(arg)
+            continue
+        name, eq, value = ("", "", arg) if ended or not _is_flag(arg) else arg.partition("=")
+        names = _flags(name, (*spec, "-h", "--help")) if name else [  # or the positional
+            slot for slot in spec if slot[0] != "-" and values[slot] is _REQUIRED]
+        if not names:
+            extra.append(arg)
+            continue
+        if (name := names[0]) in ("-h", "--help"):
+            _usage(prog, "argument -h/--help: takes no value" if eq else None)
+        if name[0] == "-" and not eq and ((value := next(args, None)) is None or _is_flag(value)):
+            _usage(prog, f"argument {name}: expected a value")
+        try:
+            values[name] = value if spec[name][0] is None else spec[name][0](value)
+        except ValueError as exc:
+            _usage(prog, f"argument {name}: {exc}")
+    if missing := [name for name, value in values.items() if value is _REQUIRED]:
+        _usage(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _usage(prog, f"unrecognized arguments: {' '.join(extra)}")
+    return func, {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    func, arguments = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return func(**arguments)
     except ExcellenceError as exc:
         _warn(f"error: {exc}")
         return exc.exit_code
@@ -329,11 +386,11 @@ def main(argv: "list[str] | None" = None) -> int:
 
 def run() -> NoReturn:
     """``main()`` for ``python -m excellence`` and the console script. The cyclic
-    collector stays off: argparse's parser is the one cycle a command makes, and a
-    failed command, or a file ``interactive`` fails to scan, adds none. Then the
-    ``atexit`` handlers run, stdout and stderr are flushed and ``os._exit`` ends the
-    process, with no interpreter teardown: the command left no file open. ``main``
-    leaves the collector alone, for library callers.
+    collector stays off: a command's one cyclic garbage is the pure-Python ``datetime``
+    that ``record``'s import drops, and a failed command, or a file ``interactive``
+    fails to scan, adds none. Then the ``atexit`` handlers run, stdout and stderr are
+    flushed and ``os._exit`` ends the process, with no interpreter teardown: the
+    command left no file open. ``main`` leaves the collector alone, for library callers.
 
     A reader that closes stdout early, ``report | head -c1`` say, ends the command with
     141, the status a shell gives a tool that SIGPIPE killed, and no traceback. A raw

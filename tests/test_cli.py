@@ -174,6 +174,108 @@ def test_missing_required_argument_exits_2():
     assert err.value.code == 2
 
 
+_USAGE_LINE = cli.USAGE.splitlines()[0]
+_NO_COMMAND = "excellence: error: the command must be one of scan, record, report, interactive"
+_REPORT = ["report", "--project", "p", "--store", "s.jsonl"]
+_RECORD = ["record", "one.c", "--project", "p", "--store", "s.jsonl", "--t-hours"]
+
+
+# Each case: argv, $EXCEL_STORE, the exit code, and a line of stdout for a command that
+# exits 0, else stderr's last line. The exit codes, and stdout where no -h is given, are
+# those of the argparse parser the table-driven one replaced.
+@pytest.mark.parametrize("argv, store, code, line", [
+    ([], None, 2, _NO_COMMAND),
+    (["bogus"], None, 2, _NO_COMMAND),
+    (["--", "scan", "one.c"], None, 2, _NO_COMMAND),
+    (["-h"], None, 0, _USAGE_LINE),
+    (["--he"], None, 0, _USAGE_LINE),
+    (["scan", "-h"], None, 0, _USAGE_LINE),
+    (["record", "--help"], None, 0, _USAGE_LINE),
+    (["report", "--project", "p", "-h"], None, 0, _USAGE_LINE),
+    (["interactive", "-h"], None, 0, _USAGE_LINE),
+    (["report", "--store", "s.jsonl"], None, 2,
+     "excellence report: error: the following arguments are required: --project"),
+    (["report", "--project", "p"], None, 2,
+     "excellence report: error: the following arguments are required: --store"),
+    (["report", "--project", "p"], "s.jsonl", 0, "Project : p"),
+    (["record", "one.c", "--project", "q"], None, 2,
+     "excellence record: error: the following arguments are required: --store"),
+    (["record", "one.c", "--project", "q"], "s.jsonl", 0,
+     "recorded snapshot for project 'q' at t = 0 h (X = 100.00, store: s.jsonl)"),
+    (["scan", "one.c", "--bogus"], None, 2,
+     "excellence scan: error: unrecognized arguments: --bogus"),
+    (["scan", "one.c", "--log"], None, 2, "excellence scan: error: argument --log: expected a value"),
+    (["scan", "one.c", "--log=two.log"], None, 0, "Number of errors = 2"),
+    (["scan", "one.c", "--log", "-"], None, 3,
+     "excellence: error: cannot open log file: - (No such file or directory)"),
+    (["report", "--proj", "p", "--store", "s.jsonl"], None, 0, "Project : p"),
+    ([*_REPORT, "--f", "csv"], None, 2,
+     "excellence report: error: ambiguous option: --f could match --fit-degree, --format"),
+    (["scan", "--", "-x.c"], None, 0, "The number of lines in the file is : 1"),
+    (["scan", "-x.c"], None, 2, "excellence scan: error: the following arguments are required: src"),
+    (["scan", "one.c", "--log", "absent.log", "--log", "two.log"], None, 0, "Number of errors = 2"),
+    ([*_REPORT, "--fit-degree", "02"], None, 0, "Polynomial fit (degree 2) : insufficient data "
+     "(degree-2 fit needs at least 3 snapshots, have 2)"),
+    ([*_REPORT, "--fit-degree", "4"], None, 2,
+     "excellence report: error: argument --fit-degree: must be one of 1, 2, 3, got '4'"),
+    ([*_REPORT, "--fit-degree", "x"], None, 2,
+     "excellence report: error: argument --fit-degree: must be one of 1, 2, 3, got 'x'"),
+    ([*_REPORT, "--format", "bad"], None, 2,
+     "excellence report: error: argument --format: must be one of text, csv, svg, got 'bad'"),
+    ([*_REPORT, "--alpha", "x"], None, 2,
+     "excellence report: error: argument --alpha: must be a number, got 'x'"),
+    ([*_REPORT, "--alpha", "x", "-h"], None, 2,
+     "excellence report: error: argument --alpha: must be a number, got 'x'"),
+    ([*_RECORD, "-1"], None, 2, "excellence record: error: argument --t-hours: must be >= 0, got -1"),
+    ([*_RECORD, "1_0"], None, 0,
+     "recorded snapshot for project 'p' at t = 10 h (X = 100.00, store: s.jsonl)"),
+    ([*_RECORD, "nan"], None, 2,
+     "excellence record: error: argument --t-hours: must be finite, got nan"),
+    ([*_RECORD, "-inf"], None, 2,
+     "excellence record: error: argument --t-hours: must be finite, got -inf"),
+    (["scan", "one.c", "two.c"], None, 2, "excellence scan: error: unrecognized arguments: two.c"),
+    (["scan", "one.c", "two.c", "-h"], None, 0, _USAGE_LINE),
+    (["interactive", "x"], None, 2,
+     "excellence interactive: error: unrecognized arguments: x"),
+    # argparse's finer rules: an ambiguous flag is refused before -h is read; a command
+    # with no positional leaves -- over; -h takes no value; a flag before the command is
+    # left over, unless it is -h.
+    ([*_REPORT, "-h", "--f", "csv"], None, 2,
+     "excellence report: error: ambiguous option: --f could match --fit-degree, --format"),
+    ([*_REPORT, "--"], None, 2, "excellence report: error: unrecognized arguments: --"),
+    (["scan", "one.c", "--help=x"], None, 2,
+     "excellence scan: error: argument -h/--help: takes no value"),
+    (["--bogus", "scan", "one.c"], None, 2,
+     "excellence scan: error: unrecognized arguments: --bogus"),
+    (["--bogus", "-h"], None, 0, _USAGE_LINE),
+])
+def test_parser_outcome(tmp_path, monkeypatch, capsys, argv, store, code, line):
+    monkeypatch.chdir(tmp_path)
+    for name in ("one.c", "-x.c"):
+        Path(name).write_text("int x;\n", encoding="utf-8")
+    Path("two.log").write_text("a.c:1: error: x\nb.c:2: ERROR: y\n", encoding="utf-8")
+    for t in ("0", "1"):
+        assert main(["record", "one.c", "--project", "p", "--store", "s.jsonl", "--t-hours", t]) == 0
+    monkeypatch.delenv("EXCEL_STORE", raising=False)
+    if store is not None:
+        monkeypatch.setenv("EXCEL_STORE", store)
+    capsys.readouterr()
+    try:
+        exit_code = main(argv)
+    except SystemExit as exit:
+        exit_code = exit.code
+    out, err = capsys.readouterr()
+    assert exit_code == code
+    if code == 0:
+        assert line in out.splitlines()
+        assert "error:" not in err
+        assert (out == cli.USAGE) == (line == _USAGE_LINE)
+    else:
+        assert err.splitlines()[-1] == line
+        assert out == ""
+        assert err.startswith(cli.USAGE) == (code == 2)
+
+
 # --- record -----------------------------------------------------------------
 
 def test_record_and_report_text_flow(clean_src, faulty_src, error_log,
@@ -1537,7 +1639,7 @@ _PARITY = {
 def _main_outcome(argv, capsys):
     try:
         code = main(argv)
-    except SystemExit as exit:  # argparse's usage error
+    except SystemExit as exit:  # a usage error
         code = exit.code
     return (code, *capsys.readouterr())
 

@@ -535,10 +535,14 @@ def test_import_does_not_load_numpy(tmp_path):
     assert "csv" not in reports[0]
     assert not {"excellence.scanner", "csv"} & reports[1]
     usage = _loaded_modules(_command("--help"), tmp_path)
+    (tmp_path / "one.log").write_text("m.c:1:1: error: e\n", encoding="utf-8")
+    small_log = _loaded_modules(_command("scan", "one.c", "--log", "one.log"), tmp_path)
     # Each value is rounded on repr's digits, a rounding tie too: no command loads decimal.
-    for modules in (scan, record, sealed, report, unsealed, trusting, huge_report, *reports,
-                    usage):
-        assert not {"dataclasses", "inspect", "decimal"} & modules
+    # The arguments are read without argparse, which loads gettext and locale.
+    for modules in (scan, small_log, big_scan, record, sealed, report, unsealed, trusting,
+                    huge_report, *reports, usage):
+        assert not {"dataclasses", "inspect", "decimal", "argparse", "gettext", "locale"} \
+            & modules
 
     _loaded_modules(
         "import excellence\n"
